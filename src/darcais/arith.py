@@ -163,11 +163,12 @@ def from_descriptor(descriptor: str) -> ArithmeticFunction:
 class CumulativeProduct:
     """Prefix products H(n) = h(1) h(2) ... h(n) with H(0) = 1."""
 
-    __slots__ = ("base", "_values")
+    __slots__ = ("base", "_values", "_windows")
 
     def __init__(self, base: ArithmeticFunction):
         self.base = base
         self._values = [_F1]
+        self._windows: dict[tuple[int, int], Fraction] = {}
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -178,10 +179,13 @@ class CumulativeProduct:
         return self._values[n]
 
     def window(self, m: int, n: int) -> Fraction:
-        """h_m(n) = H(n)/H(n-m) = h(n) h(n-1) ... h(n-m+1); h_0(n) = 1."""
-        if not 0 <= m <= n:
-            raise ValueError(f"window needs 0 <= m <= n, got m={m}, n={n}")
-        out = _F1
-        for k in range(m):
-            out *= self.base(n - k)
-        return out
+        """h_m(n) = H(n)/H(n-m) = h(n) h(n-1) ... h(n-m+1); h_0(n) = 1 (memoized)."""
+        got = self._windows.get((m, n))
+        if got is None:
+            if not 0 <= m <= n:
+                raise ValueError(f"window needs 0 <= m <= n, got m={m}, n={n}")
+            got = _F1
+            for k in range(m):
+                got *= self.base(n - k)
+            self._windows[(m, n)] = got
+        return got

@@ -3,21 +3,16 @@
 Exit codes: 0 success, 1 verification failure (first counterexample goes
 to stdout), 2 usage error.  All output is deterministic for a fixed
 invocation; rationals are always serialized as "p/q" strings (plain
-decimal strings for integers), never as floats.  DARCAIS_THREADS bounds
-the worker pool used by the scans; output assembly stays ordered.
+decimal strings for integers), never as floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .arith import ArithmeticFunction, CumulativeProduct, from_descriptor, identity, one, sigma
 from .exact import Poly, X, format_rational, rational
@@ -55,161 +50,118 @@ from .weights import (
 )
 
 METHODS = ("recursion", "lemma", "main-theorem", "thm1", "thm2", "composition", "series", "hook")
-SUITES = ("oracles", "closed-forms", "conversion", "no-formula", "main-theorem", "shapes", "all")
 CHECKS = ("lehmer", "hook-logconcave", "hook-top", "delta")
 FORMATS = ("text", "json", "csv")
 
 
 class UsageError(Exception):
-    """Bad descriptors, indices, or method/function mismatches (exit 2)."""
+    """Bad descriptors, indices, bounds, or method/function mismatches (exit 2)."""
 
 
-@dataclass
-class JobConfig:
-    command: str
-    g_desc: str = "sigma:1"
-    h_desc: str = "id"
-    n: int = 0
-    m: int = 0
-    max_n: int = 0
-    method: str = "recursion"
-    eval_at: Optional[Fraction] = None
-    format: str = "text"
-    suite: str = "all"
-    check: str = "lehmer"
-    scaled: bool = False
-    output: Optional[str] = None
-
-
-def thread_limit() -> int:
-    """Worker-pool bound from DARCAIS_THREADS (default 1)."""
-    raw = os.environ.get("DARCAIS_THREADS", "1")
+def _parse_functions(args: argparse.Namespace) -> tuple[ArithmeticFunction, ArithmeticFunction]:
     try:
-        limit = int(raw)
-    except ValueError:
-        return 1
-    return max(1, limit)
-
-
-def _map_bounded(fn: Callable, items: Iterable) -> list:
-    """Ordered map honoring the thread bound."""
-    items = list(items)
-    limit = thread_limit()
-    if limit <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(limit, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _parse_functions(config: JobConfig) -> tuple[ArithmeticFunction, ArithmeticFunction]:
-    try:
-        g = from_descriptor(config.g_desc)
-        h = from_descriptor(config.h_desc)
+        g = from_descriptor(args.g_desc)
+        h = from_descriptor(args.h_desc)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad function descriptor: {exc}") from exc
     return g, h
 
 
-def _require_h(config: JobConfig, names: tuple[str, ...]) -> None:
-    if config.h_desc not in names:
+def _require_h(args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    if args.h_desc not in names:
         raise UsageError(
-            f"method {config.method!r} needs h in {names}, got {config.h_desc!r}"
+            f"method {args.method!r} needs h in {names}, got {args.h_desc!r}"
         )
 
 
-def _poly_from_method(config: JobConfig, g: ArithmeticFunction, h: ArithmeticFunction) -> Poly:
-    n = config.n
+def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> Poly:
+    n = args.n
     if n < 0:
         raise UsageError("n must be nonnegative")
-    if config.method == "recursion":
+    if args.method == "recursion":
         return polynomial_sequence(g, h, n)[n]
-    if config.method == "series":
-        _require_h(config, ("one", "id"))
+    if args.method == "series":
+        _require_h(args, ("one", "id"))
         series = (
             generating_series_h_one(g, n)
-            if config.h_desc == "one"
+            if args.h_desc == "one"
             else generating_series_h_id(g, n)
         )
         coeff = series.coefficient(n)
         return coeff if isinstance(coeff, Poly) else Poly((coeff,))
-    if config.method == "hook":
-        if config.g_desc != "sigma:1" or config.h_desc != "id":
+    if args.method == "hook":
+        if args.g_desc != "sigma:1" or args.h_desc != "id":
             raise UsageError("method 'hook' is only defined for --g sigma:1 --h id")
         return hook_length_polynomial(n)(X - 1)
-    raise UsageError(f"method {config.method!r} is not valid for 'poly'")
+    raise UsageError(f"method {args.method!r} is not valid for 'poly'")
 
 
 def _coeff_from_method(
-    config: JobConfig, g: ArithmeticFunction, h: ArithmeticFunction
+    args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction
 ) -> Fraction:
-    n, m, method = config.n, config.m, config.method
+    n, m, method = args.n, args.m, args.method
     if not 0 <= m <= n:
         raise UsageError(f"coefficient indices need 0 <= m <= n, got n={n}, m={m}")
     if method in ("main-theorem", "thm1", "thm2", "composition") and m == 0:
         raise UsageError(f"method {method!r} needs m >= 1")
-    if method == "recursion":
-        poly = polynomial_sequence(g, h, n)[n]
-        return poly[m] * CumulativeProduct(h).value(n)
+    if method in ("recursion", "series", "hook"):
+        return _poly_from_method(args, g, h)[m] * CumulativeProduct(h).value(n)
     if method == "lemma":
         return Fraction(coefficient_table(g, h, n).entry(n, m))
     if method == "main-theorem":
         return coefficient_from_weights(g, h, n, m)
     if method == "thm1":
-        _require_h(config, ("one",))
+        _require_h(args, ("one",))
         return coefficient_h_one(g, n, m)
     if method == "thm2":
-        _require_h(config, ("id",))
+        _require_h(args, ("id",))
         return coefficient_h_id(g, n, m)
     if method == "composition":
-        _require_h(config, ("one", "id"))
-        return coefficient_composition_sum(g, n, m, config.h_desc)
-    if method == "series":
-        poly = _poly_from_method(JobConfig("poly", config.g_desc, config.h_desc, n=n, method="series"), g, h)
-        return poly[m] * CumulativeProduct(h).value(n)
-    if method == "hook":
-        poly = _poly_from_method(JobConfig("poly", config.g_desc, config.h_desc, n=n, method="hook"), g, h)
-        return poly[m] * factorial(n)
-    raise UsageError(f"unknown method {config.method!r}")
+        _require_h(args, ("one", "id"))
+        return coefficient_composition_sum(g, n, m, args.h_desc)
+    raise UsageError(f"unknown method {method!r}")
 
 
-def _run_poly(config: JobConfig) -> int:
-    g, h = _parse_functions(config)
+def _run_poly(args: argparse.Namespace) -> int:
+    eval_at = None
+    if args.eval_at is not None:
+        try:
+            eval_at = rational(args.eval_at)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad --eval-at value {args.eval_at!r}: {exc}") from exc
+    g, h = _parse_functions(args)
     try:
-        poly = _poly_from_method(config, g, h)
+        poly = _poly_from_method(args, g, h)
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
-    if config.eval_at is not None:
-        value = poly(config.eval_at)
-        if config.format == "json":
-            print(json.dumps({
-                "g": g.name, "h": h.name, "n": config.n, "method": config.method,
-                "eval_at": format_rational(config.eval_at), "value": format_rational(value),
-            }))
+    doc = {"g": g.name, "h": h.name, "n": args.n, "method": args.method}
+    if eval_at is not None:
+        value = poly(eval_at)
+        if args.format == "json":
+            doc.update(eval_at=format_rational(eval_at), value=format_rational(value))
+            print(json.dumps(doc))
         else:
             print(format_rational(value))
-        return 0
-    if config.format == "json":
-        print(json.dumps({
-            "g": g.name, "h": h.name, "n": config.n, "method": config.method,
-            "coefficients": [format_rational(c) for c in poly.padded(config.n + 1)],
-        }))
+    elif args.format == "json":
+        doc["coefficients"] = [format_rational(c) for c in poly.padded(args.n + 1)]
+        print(json.dumps(doc))
     else:
         print(str(poly))
     return 0
 
 
-def _run_coeff(config: JobConfig) -> int:
-    g, h = _parse_functions(config)
+def _run_coeff(args: argparse.Namespace) -> int:
+    g, h = _parse_functions(args)
     try:
-        value = _coeff_from_method(config, g, h)
-        if config.scaled:
-            value = Fraction(value) / CumulativeProduct(h).value(config.n)
+        value = _coeff_from_method(args, g, h)
+        if args.scaled:
+            value = Fraction(value) / CumulativeProduct(h).value(args.n)
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
-            "g": g.name, "h": h.name, "n": config.n, "m": config.m,
-            "method": config.method, "scaled": config.scaled,
+            "g": g.name, "h": h.name, "n": args.n, "m": args.m,
+            "method": args.method, "scaled": args.scaled,
             "value": format_rational(value),
         }))
     else:
@@ -372,22 +324,27 @@ def _suite_shapes(max_n: int) -> tuple[int, str | None]:
     return checks, None
 
 
+# suite -> (runner, default bound, smallest bound it can run at); shapes
+# needs n = 3 for its frozen top-margin counterexample
 _SUITE_RUNNERS = {
-    "oracles": (_suite_oracles, 12),
-    "closed-forms": (_suite_closed_forms, 12),
-    "conversion": (_suite_conversion, 12),
-    "no-formula": (_suite_no_formula, 10),
-    "main-theorem": (_suite_main_theorem, 10),
-    "shapes": (_suite_shapes, 30),
+    "oracles": (_suite_oracles, 12, 1),
+    "closed-forms": (_suite_closed_forms, 12, 1),
+    "conversion": (_suite_conversion, 12, 1),
+    "no-formula": (_suite_no_formula, 10, 1),
+    "main-theorem": (_suite_main_theorem, 10, 1),
+    "shapes": (_suite_shapes, 30, 3),
 }
 
 
-def _run_verify(config: JobConfig) -> int:
-    names = list(_SUITE_RUNNERS) if config.suite == "all" else [config.suite]
-    for name in names:
-        runner, default_bound = _SUITE_RUNNERS[name]
-        bound = config.max_n if config.max_n > 0 else default_bound
-        checks, failure = runner(bound)
+def _run_verify(args: argparse.Namespace) -> int:
+    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    bounds = {name: args.max_n or _SUITE_RUNNERS[name][1] for name in names}
+    for name, bound in bounds.items():
+        minimum = _SUITE_RUNNERS[name][2]
+        if bound < minimum:
+            raise UsageError(f"suite {name!r} needs --max-n >= {minimum}, got {bound}")
+    for name, bound in bounds.items():
+        checks, failure = _SUITE_RUNNERS[name][0](bound)
         if failure is not None:
             print(f"FAIL {name}: {failure}")
             return 1
@@ -422,88 +379,68 @@ def _emit_summary(doc: dict, fmt: str) -> None:
         print(" ".join(f"{k}={doc[k]}" for k in doc))
 
 
-def _run_scan(config: JobConfig) -> int:
-    max_n = config.max_n
-    if max_n < 1:
-        raise UsageError("scan needs --max-n >= 1")
-    if config.check == "lehmer":
+_SCAN_MIN_N = {"lehmer": 1, "hook-logconcave": 1, "hook-top": 2, "delta": 2}
+
+
+def _run_scan(args: argparse.Namespace) -> int:
+    max_n, check = args.max_n, args.check
+    if max_n < _SCAN_MIN_N[check]:
+        raise UsageError(f"{check} scan needs --max-n >= {_SCAN_MIN_N[check]}")
+    if check == "lehmer":
         report = lehmer_scan(max_n)
-        _emit_value_rows([(n, report.values[n]) for n in range(1, max_n + 1)], config.format)
+        _emit_value_rows([(n, report.values[n]) for n in range(1, max_n + 1)], args.format)
         if not report.passed:
             detail = f"zeros at {report.zeros}" if report.zeros else "Euler-product cross-check failed"
             print(f"FAIL lehmer: {detail}", file=sys.stderr)
             return 1
         return 0
-    if config.check == "delta":
-        g, h = _parse_functions(config)
-        if max_n < 2:
-            raise UsageError("delta scan needs --max-n >= 2")
-        margins = _map_bounded(lambda n: top_margin(g, h, n), range(2, max_n + 1))
-        rows = list(zip(range(2, max_n + 1), margins))
-        _emit_value_rows(rows, config.format)
+    if check == "delta":
+        g, h = _parse_functions(args)
+        try:
+            rows = [(n, top_margin(g, h, n)) for n in range(2, max_n + 1)]
+        except (ValueError, IndexError) as exc:
+            raise UsageError(str(exc)) from exc
+        _emit_value_rows(rows, args.format)
         bad = [n for n, v in rows if v <= 0]
         if bad:
             print(f"FAIL delta: nonpositive margin at n={bad[0]}", file=sys.stderr)
             return 1
         return 0
-    if config.check == "hook-logconcave":
+    if check == "hook-logconcave":
         report = hook_poly_log_concavity_scan(max_n, check_chain=True)
-        _emit_summary(
-            {"check": report.check, "max_n": report.max_n, "passed": report.passed,
-             "first_failure": report.first_failure}, config.format)
-        return 0 if report.passed else 1
-    if config.check == "hook-top":
-        if max_n < 2:
-            raise UsageError("hook-top scan needs --max-n >= 2")
+    else:
         report = hook_poly_top_inequality_scan(max_n)
-        _emit_summary(
-            {"check": report.check, "max_n": report.max_n, "passed": report.passed,
-             "first_failure": report.first_failure}, config.format)
-        return 0 if report.passed else 1
-    raise UsageError(f"unknown check {config.check!r}")
+    _emit_summary(
+        {"check": report.check, "max_n": report.max_n, "passed": report.passed,
+         "first_failure": report.first_failure}, args.format)
+    return 0 if report.passed else 1
 
 
-def _run_export(config: JobConfig) -> int:
-    g, h = _parse_functions(config)
-    if config.max_n < 0:
+def _run_export(args: argparse.Namespace) -> int:
+    g, h = _parse_functions(args)
+    if args.max_n < 0:
         raise UsageError("export needs --max-n >= 0")
     try:
-        table = coefficient_table(g, h, config.max_n)
+        table = coefficient_table(g, h, args.max_n)
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
     doc = table.to_dict()
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps(doc)
-    elif config.format == "csv":
-        header = "n/m," + ",".join(str(m) for m in range(config.max_n + 1))
+    else:
+        header = "n/m," + ",".join(str(m) for m in range(args.max_n + 1))
         lines = [header]
-        for n in range(config.max_n + 1):
+        for n in range(args.max_n + 1):
             row = doc["rows"][n]
-            cells = row + [""] * (config.max_n + 1 - len(row))
+            cells = row + [""] * (args.max_n + 1 - len(row))
             lines.append(f"{n}," + ",".join(cells))
         text = "\n".join(lines)
-    else:
-        raise UsageError("export supports --format json or csv")
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
     return 0
-
-
-def run(config: JobConfig) -> int:
-    if config.command == "poly":
-        return _run_poly(config)
-    if config.command == "coeff":
-        return _run_coeff(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    if config.command == "scan":
-        return _run_scan(config)
-    if config.command == "export":
-        return _run_export(config)
-    raise UsageError(f"unknown command {config.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="descriptor for h (must be non-vanishing)")
 
     p_poly = sub.add_parser("poly", help="compute one attached polynomial")
+    p_poly.set_defaults(func=_run_poly)
     add_functions(p_poly)
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--method", choices=("recursion", "series", "hook"), default="recursion")
@@ -529,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
 
     p_coeff = sub.add_parser("coeff", help="compute one triangle coefficient A[n][m]")
+    p_coeff.set_defaults(func=_run_coeff)
     add_functions(p_coeff)
     p_coeff.add_argument("--n", type=int, required=True)
     p_coeff.add_argument("--m", type=int, required=True)
@@ -538,37 +477,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run a cross-verification suite")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.set_defaults(func=_run_verify)
+    p_verify.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"), default="all")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=0,
                           help="override the suite's desk-scale bound")
 
     p_scan = sub.add_parser("scan", help="run an exact scan")
+    p_scan.set_defaults(func=_run_scan)
     add_functions(p_scan)
     p_scan.add_argument("--check", choices=CHECKS, required=True)
     p_scan.add_argument("--max-n", dest="max_n", type=int, required=True)
     p_scan.add_argument("--format", choices=FORMATS, default="text")
 
     p_export = sub.add_parser("export", help="export a coefficient table")
+    p_export.set_defaults(func=_run_export)
     add_functions(p_export)
     p_export.add_argument("--max-n", dest="max_n", type=int, required=True)
     p_export.add_argument("--format", choices=("json", "csv"), default="json")
     p_export.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> JobConfig:
-    config = JobConfig(command=args.command)
-    for field in ("g_desc", "h_desc", "n", "m", "max_n", "method", "format",
-                  "suite", "check", "scaled", "output"):
-        if hasattr(args, field):
-            setattr(config, field, getattr(args, field))
-    if getattr(args, "eval_at", None) is not None:
-        try:
-            config.eval_at = rational(args.eval_at)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --eval-at value {args.eval_at!r}: {exc}") from exc
-    return config
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -578,8 +506,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = config_from_args(args)
-        return run(config)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

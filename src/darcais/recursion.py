@@ -73,52 +73,66 @@ def value_sequence(
     return values
 
 
+def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
+    """(one, gv, hv): the unit and g, h at 0..max_n, as plain ints when both
+    functions are integer-valued, exact Fractions otherwise."""
+    _require_nonvanishing(h)
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    if g.integer_valued and h.integer_valued:
+        return (1, [0] + [g(k).numerator for k in range(1, max_n + 1)],
+                [0] + [h(k).numerator for k in range(1, max_n + 1)])
+    return (_F1, [_F0] + [g(k) for k in range(1, max_n + 1)],
+            [_F0] + [h(k) for k in range(1, max_n + 1)])
+
+
+def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
+    """Rows B[n] = (A[n][n], A[n][n-1], ..., A[n][n-min(depth, n)]).
+
+    Indexed by offset from the diagonal, B[n][j] = A[n][n-j], the term
+    A[n-k][m-1] of A[n][n-j] is B[n-k][j+1-k], which lies inside the band
+    whenever m >= 1; A[n][0] = 0 for n >= 1.  The weights
+    c[k-1] = g(k) h(n-1) ... h(n-k+1) are built once per row.
+    """
+    band: list[tuple] = [(one,)]
+    for n in range(1, len(gv)):
+        c = [gv[1]]
+        weight = one
+        for k in range(2, min(depth + 1, n) + 1):
+            weight = weight * hv[n - k + 1]
+            c.append(gv[k] * weight)
+        row = [
+            sum(c[i] * band[n - 1 - i][j - i] for i in range(j + 1))
+            for j in range(min(depth, n - 1) + 1)
+        ]
+        if depth >= n:
+            row.append(gv[0])
+        band.append(tuple(row))
+    return band
+
+
 class CoefficientTable:
     """Triangle A[n][m] for 0 <= m <= n <= max_n plus the normalizers H(n).
 
     Entries are plain ints when both g and h are integer-valued (the
     triangle recursion then never leaves the integers), exact Fractions
-    otherwise.
+    otherwise.  The rows are the full-depth band, reversed.
     """
 
     __slots__ = ("g", "h", "max_n", "integer_entries", "_rows", "_normalizers")
 
     def __init__(self, g: ArithmeticFunction, h: ArithmeticFunction, max_n: int):
-        _require_nonvanishing(h)
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
+        one, gv, hv = _kernel_inputs(g, h, max_n)
         self.g = g
         self.h = h
         self.max_n = max_n
         self.integer_entries = g.integer_valued and h.integer_valued
-
-        if self.integer_entries:
-            gv = [0] + [g(k).numerator for k in range(1, max_n + 1)]
-            hv = [0] + [h(k).numerator for k in range(1, max_n + 1)]
-            one, zero = 1, 0
-        else:
-            gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
-            hv = [_F0] + [h(k) for k in range(1, max_n + 1)]
-            one, zero = _F1, _F0
-
+        rows = _band(one, gv, hv, max_n)
+        for n, row in enumerate(rows):
+            rows[n] = row[::-1]
         normalizers = [one]
         for n in range(1, max_n + 1):
             normalizers.append(normalizers[-1] * hv[n])
-
-        rows: list[list] = [[one]]
-        for n in range(1, max_n + 1):
-            row = [zero] * (n + 1)
-            for m in range(1, n + 1):
-                acc = zero
-                weight = one  # h(n-1) ... h(n-k+1), built as k grows
-                for k in range(1, n - m + 2):
-                    if k > 1:
-                        weight = weight * hv[n - k + 1]
-                    a_prev = rows[n - k][m - 1]
-                    if a_prev:
-                        acc = acc + gv[k] * weight * a_prev
-                row[m] = acc
-            rows.append(row)
         self._rows = rows
         self._normalizers = normalizers
 
@@ -203,41 +217,9 @@ def coefficient_top_band(
     with smaller offsets from the diagonal), so top-coefficient scans to
     large n skip the O(n^2) bulk of the triangle.
     """
-    _require_nonvanishing(h)
     if depth < 0:
         raise ValueError("band depth must be nonnegative")
-    integer_entries = g.integer_valued and h.integer_valued
-    if integer_entries:
-        gv = [0] + [g(k).numerator for k in range(1, max_n + 1)]
-        hv = [0] + [h(k).numerator for k in range(1, max_n + 1)]
-        one, zero = 1, 0
-    else:
-        gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
-        hv = [_F0] + [h(k) for k in range(1, max_n + 1)]
-        one, zero = _F1, _F0
-
-    band: list[tuple] = [(one,)]
-    for n in range(1, max_n + 1):
-        entries = []
-        for j in range(min(depth, n) + 1):
-            m = n - j
-            if m == 0:
-                entries.append(zero)
-                continue
-            acc = zero
-            weight = one
-            for k in range(1, j + 2):
-                if k > 1:
-                    weight = weight * hv[n - k + 1]
-                prev = band[n - k]
-                idx = j + 1 - k
-                if idx < len(prev):
-                    if prev[idx]:
-                        acc = acc + gv[k] * weight * prev[idx]
-                # else: the referenced entry is A[n-k][0] with n-k >= 1, which is 0
-            entries.append(acc)
-        band.append(tuple(entries))
-    return band
+    return _band(*_kernel_inputs(g, h, max_n), depth)
 
 
 def shifted_coefficient_numerators(row: Sequence) -> list:

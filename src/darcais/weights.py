@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .arith import ArithmeticFunction, tilde
+from .arith import ArithmeticFunction, CumulativeProduct, tilde
 from .partitions import (
     compositions_of,
     multiplicities,
@@ -52,45 +52,32 @@ def g_weight(g: ArithmeticFunction, mu: Sequence[int]) -> Fraction:
     return out
 
 
-class _Windows:
-    """Memo of the falling products h_m(k) = h(k) h(k-1) ... h(k-m+1)."""
+class _WeightMemo:
+    """Memoized weights W(mu, n) for one fixed h, by a running sum over k.
 
-    __slots__ = ("h", "_memo")
+    W((), n) = 1, W(mu, n) = 0 for n < |mu| + len(mu), and above that
 
-    def __init__(self, h: ArithmeticFunction):
-        if not h.non_vanishing:
-            raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
-        self.h = h
-        self._memo: dict[tuple[int, int], Fraction] = {}
+        W(mu, k) = W(mu, k-1) + sum over (j, child) in removals(mu) of
+                       h_j(k-1) * W(child, k-1-j).
 
-    def value(self, m: int, k: int) -> Fraction:
-        got = self._memo.get((m, k))
-        if got is None:
-            got = _F1
-            for j in range(m):
-                got *= self.h(k - j)
-            self._memo[(m, k)] = got
-        return got
-
-
-class HWeights:
-    """Memoized hw(mu, n) for one fixed h, recursing on the last part.
-
-    The running sum over the k-range is cached incrementally, so asking for
-    hw(mu, n) after hw(mu, n-1) costs one window product.
+    Every truncation W(mu, k) is cached, so asking for W(mu, n) resumes
+    from the highest cached k instead of starting over.  Subclasses give
+    the key normalisation and the (part, child) removals.
     """
 
     __slots__ = ("windows", "_memo")
 
     def __init__(self, h: ArithmeticFunction):
-        self.windows = _Windows(h)
+        if not h.non_vanishing:
+            raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
+        self.windows = CumulativeProduct(h)
         self._memo: dict[tuple[tuple[int, ...], int], Fraction] = {}
 
     def value(self, mu: Sequence[int], n: int) -> Fraction:
-        mu = tuple(mu)
+        mu = self.key(mu)
         if not mu:
             if n < 0:
-                raise ValueError("hw is defined for n >= 0")
+                raise ValueError(f"{self.domain} defined for n >= 0")
             return _F1
         threshold = sum(mu) + len(mu)
         if n < threshold:
@@ -99,7 +86,6 @@ class HWeights:
         got = memo.get((mu, n))
         if got is not None:
             return got
-        # resume the k-sum from the highest cached truncation
         acc = _F0
         start = threshold
         for k in range(n - 1, threshold - 1, -1):
@@ -108,12 +94,28 @@ class HWeights:
                 acc = cached
                 start = k + 1
                 break
-        last = mu[-1]
-        head = mu[:-1]
+        removals = self.removals(mu)
+        window = self.windows.window
         for k in range(start, n + 1):
-            acc = acc + self.windows.value(last, k - 1) * self.value(head, k - 1 - last)
+            for j, child in removals:
+                acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
             memo[(mu, k)] = acc
         return acc
+
+
+class HWeights(_WeightMemo):
+    """Memoized hw(mu, n), recursing on the last part of the composition."""
+
+    __slots__ = ()
+    domain = "hw is"
+
+    @staticmethod
+    def key(mu: Sequence[int]) -> tuple[int, ...]:
+        return tuple(mu)
+
+    @staticmethod
+    def removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        return [(mu[-1], mu[:-1])]
 
 
 _HWEIGHTS: dict[ArithmeticFunction, HWeights] = {}
@@ -174,7 +176,7 @@ def orbit_weight_sum_direct(h: ArithmeticFunction, mu: Sequence[int], n: int) ->
     return total
 
 
-class OrbitWeightEngine:
+class OrbitWeightEngine(_WeightMemo):
     """Orbit-summed weight with a partition-level memo.
 
     Peeling the last part of every composition in the orbit groups the
@@ -189,44 +191,21 @@ class OrbitWeightEngine:
     literal orbit sum would visit exponentially many compositions.
     """
 
-    __slots__ = ("windows", "_memo")
+    __slots__ = ()
+    domain = "orbit weights are"
 
-    def __init__(self, h: ArithmeticFunction):
-        self.windows = _Windows(h)
-        self._memo: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    @staticmethod
+    def key(mu: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sorted(mu, reverse=True))
 
-    def value(self, mu: Sequence[int], n: int) -> Fraction:
-        mu = tuple(sorted(mu, reverse=True))
-        if not mu:
-            if n < 0:
-                raise ValueError("orbit weights are defined for n >= 0")
-            return _F1
-        threshold = sum(mu) + len(mu)
-        if n < threshold:
-            return _F0
-        memo = self._memo
-        got = memo.get((mu, n))
-        if got is not None:
-            return got
-        acc = _F0
-        start = threshold
-        for k in range(n - 1, threshold - 1, -1):
-            cached = memo.get((mu, k))
-            if cached is not None:
-                acc = cached
-                start = k + 1
-                break
-        distinct = sorted(set(mu), reverse=True)
-        removals = []
-        for j in distinct:
+    @staticmethod
+    def removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        out = []
+        for j in sorted(set(mu), reverse=True):
             child = list(mu)
             child.remove(j)
-            removals.append((j, tuple(child)))
-        for k in range(start, n + 1):
-            for j, child in removals:
-                acc = acc + self.windows.value(j, k - 1) * self.value(child, k - 1 - j)
-            memo[(mu, k)] = acc
-        return acc
+            out.append((j, tuple(child)))
+        return out
 
 
 _ORBIT_ENGINES: dict[ArithmeticFunction, OrbitWeightEngine] = {}

@@ -2,7 +2,9 @@
 
 import json
 
-from darcais.cli import JobConfig, build_parser, main
+import pytest
+
+from darcais.cli import build_parser, main
 from darcais.exact import rational
 from darcais.recursion import coefficient_table, table_rows_from_dict
 from darcais.arith import identity, sigma
@@ -137,21 +139,9 @@ def test_verify_suite_exit_codes(capsys):
     assert out.startswith("ok no-formula")
     code, out, _ = run_cli(capsys, "verify", "--suite", "conversion", "--max-n", "6")
     assert code == 0
-
-
-def test_thread_bound_does_not_change_output(capsys, monkeypatch):
-    code, baseline, _ = run_cli(
-        capsys, "scan", "--check", "delta", "--g", "sigma:1", "--h", "one",
-        "--max-n", "15", "--format", "json",
-    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "shapes", "--max-n", "3")
     assert code == 0
-    monkeypatch.setenv("DARCAIS_THREADS", "4")
-    code, pooled, _ = run_cli(
-        capsys, "scan", "--check", "delta", "--g", "sigma:1", "--h", "one",
-        "--max-n", "15", "--format", "json",
-    )
-    assert code == 0
-    assert pooled == baseline
+    assert out.startswith("ok shapes")
 
 
 def test_export_json_roundtrip(capsys, tmp_path):
@@ -212,10 +202,37 @@ def test_determinism_byte_identical(capsys):
 
 def test_parser_and_config():
     parser = build_parser()
-    args = parser.parse_args(
-        ["coeff", "--g", "one", "--h", "id", "--n", "4", "--m", "2", "--method", "lemma"]
-    )
+    args = parser.parse_args(["coeff", "--g", "one", "--h", "id", "--n", "4", "--m", "2"])
     assert args.command == "coeff"
-    config = JobConfig(command="coeff", n=4, m=2)
-    assert config.method == "recursion"
-    assert config.format == "text"
+    assert (args.n, args.m) == (4, 2)
+    assert args.method == "lemma"
+    assert args.format == "text"
+
+
+@pytest.mark.parametrize(
+    "g_table, h_table",
+    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4])],
+    ids=["short-g", "short-h", "vanishing-h"],
+)
+def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table):
+    argv = ["scan", "--check", "delta", "--max-n", "6"]
+    for flag, table in (("--g", g_table), ("--h", h_table)):
+        if table is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(table))
+            argv += [flag, f"table:{path}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "suite, max_n",
+    [("shapes", 1), ("shapes", 2), ("all", 2), ("all", -1), ("no-formula", -3)],
+)
+def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", str(max_n))
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err

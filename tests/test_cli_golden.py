@@ -1,0 +1,73 @@
+"""Golden CLI outputs: the SHA-256 of stdout and the exit code, per invocation.
+
+The digests were recorded before the CLI dispatch, the triangle kernel and
+the weight memo were rewritten; they pin that every subcommand, method,
+format, suite and check still prints byte-identical output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from darcais.cli import main
+
+CASES = [
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '6'), 0, "2121e5fb2c89162c6fc0ff050a90e155178bb0fbf6049dd1ae4deac1ab00930d"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--format', 'json'), 0, "d601eb3c51778fd878bfb48b34ccf8b7848ac18f48ebf6bce2d0ce9f091d2b02"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--method', 'series'), 0, "2121e5fb2c89162c6fc0ff050a90e155178bb0fbf6049dd1ae4deac1ab00930d"),
+    (('poly', '--g', 'one', '--h', 'one', '--n', '5', '--method', 'series', '--format', 'json'), 0, "273b09bad7abc31e656b03f04fc22ebc15732b364ceb76b3cedfa0bf09f9ec22"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--method', 'hook'), 0, "2121e5fb2c89162c6fc0ff050a90e155178bb0fbf6049dd1ae4deac1ab00930d"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '8', '--eval-at', '-24'), 0, "59eb1ad336b61e1975b82285f6da14f88e772e601704746e2b0618aa7419dd0d"),
+    (('poly', '--g', 'tilde:sigma:1', '--h', 'sigma:1', '--n', '5', '--eval-at', '2/3', '--format', 'json'), 0, "0eaa944f163aef059daebcabb6f11469fce25df213da5f598e8c6ff9824bcc31"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '3', '--eval-at', '1/0'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('poly', '--g', 'sigma:1', '--h', 'one', '--n', '3', '--method', 'hook'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--m', '2', '--method', 'recursion'), 0, "cf408df1ac6240d3cda2c92900b1fc694d1a6030dbc8b85588393a5a7ce5a363"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--m', '2', '--method', 'lemma'), 0, "cf408df1ac6240d3cda2c92900b1fc694d1a6030dbc8b85588393a5a7ce5a363"),
+    (('coeff', '--g', 'sigma:1', '--h', 'sigma:1', '--n', '6', '--m', '2', '--method', 'main-theorem'), 0, "a8af02b24f1af4aa8feca373baa1c2904326363be6028242d1c1b77e94df011f"),
+    (('coeff', '--g', 'sigma:3', '--h', 'one', '--n', '6', '--m', '2', '--method', 'thm1'), 0, "39d61e1900de09ba6f770c0d97db82729eb110497820b28abe3a5dc823f0b457"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--m', '2', '--method', 'thm2'), 0, "cf408df1ac6240d3cda2c92900b1fc694d1a6030dbc8b85588393a5a7ce5a363"),
+    (('coeff', '--g', 'id', '--h', 'one', '--n', '6', '--m', '3', '--method', 'composition'), 0, "2a57042a43991d2ca310938e6802d7283954e38c825a548c4bee89c45238b43b"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--m', '2', '--method', 'series'), 0, "cf408df1ac6240d3cda2c92900b1fc694d1a6030dbc8b85588393a5a7ce5a363"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '6', '--m', '2', '--method', 'hook'), 0, "cf408df1ac6240d3cda2c92900b1fc694d1a6030dbc8b85588393a5a7ce5a363"),
+    (('coeff', '--g', 'tilde:sigma:1', '--h', 'id', '--n', '5', '--m', '2', '--scaled', '--format', 'json'), 0, "1cdf841c37d0ff821c10a32daacc02434a3801caf32e24971f980b6977a09824"),
+    (('coeff', '--g', 'sigma:1', '--h', 'id', '--n', '3', '--m', '0', '--method', 'thm2'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('verify', '--suite', 'oracles', '--max-n', '4'), 0, "7fd35c0f26b4902d054baf7d1a77e8c35535bd90ce1fd144e675b07e70d95703"),
+    (('verify', '--suite', 'closed-forms', '--max-n', '4'), 0, "3feb056668844edc1ef29a7125e9f1b753e4519f57dc0902341c593cd82f7c57"),
+    (('verify', '--suite', 'conversion', '--max-n', '4'), 0, "1960a7a9e94c0d790dcc21c13217e0b3745627cb0161b3dd7cfd8b9f953083e3"),
+    (('verify', '--suite', 'no-formula', '--max-n', '4'), 0, "fbcc66f47df674c1507ed5c13d2e8a825c1463e2023a0447afc0a3c631f51c03"),
+    (('verify', '--suite', 'main-theorem', '--max-n', '4'), 0, "c15e2da81d9aebc077a82cf9c5f2613f02f74d096ccfc07907399a88c20f805c"),
+    (('verify', '--suite', 'shapes', '--max-n', '4'), 0, "5b7a6f33698bbae54a6da753cb9e648a414b1d5e2e8ab4b9e1b877cdd2e0fe78"),
+    (('verify', '--suite', 'all', '--max-n', '4'), 0, "91fc19a6944879d931283cdda2dd2133be7581d258926d0111a19a6753afa9bd"),
+    (('scan', '--check', 'lehmer', '--max-n', '12'), 0, "e0b97d736b227b2700c9dbe1447041f00cddb927bd69b3b8938cf896460291d8"),
+    (('scan', '--check', 'lehmer', '--max-n', '12', '--format', 'json'), 0, "ad2f1dd690244939b2b7ecc6f95e85188a9d0d266a21d2fdcda19f54aa1ef66e"),
+    (('scan', '--check', 'lehmer', '--max-n', '12', '--format', 'csv'), 0, "2ad07673d08d2f7564a036c8ee2995c70b3a1560d3e474eb4ee895fb61488551"),
+    (('scan', '--check', 'hook-logconcave', '--max-n', '15'), 0, "e1e7e973028a5fd929c72f97f0ae8c8fffe3a2f6d89183c551f140fdd5f96fb7"),
+    (('scan', '--check', 'hook-logconcave', '--max-n', '15', '--format', 'csv'), 0, "edad34b54bfd6956fa0baa8c955b36cf73911504386e62ba8eca58368dc611cd"),
+    (('scan', '--check', 'hook-top', '--max-n', '15', '--format', 'json'), 0, "3cb06020f470d9c123eb6c32827b041e612ea5e3665cd985e3d10e768e62e1b8"),
+    (('scan', '--check', 'delta', '--g', 'sigma:1', '--h', 'id', '--max-n', '10'), 0, "ada45e1d81c48b056bc4f02cbff701d75590b5757ac20dd77e6d35afa2639938"),
+    (('scan', '--check', 'delta', '--g', 'tilde:sigma:1', '--h', 'one', '--max-n', '8', '--format', 'json'), 0, "f1f630a84d461d474df3b0dc2b793366d55e0182a537aff08cce7e02163e4c2d"),
+    (('scan', '--check', 'delta', '--g', 'table:g.json', '--h', 'one', '--max-n', '3'), 1, "6b35c0247622b3e45529b80a29e845d404a9c8fe752108322a08377b49a15203"),
+    (('export', '--g', 'sigma:1', '--h', 'id', '--max-n', '5'), 0, "1cd0fa4c028c511f8b8a657519527e4c2f509119dd71cd4e7bbc8de4583739a0"),
+    (('export', '--g', 'table:q.json', '--h', 'sigma:1', '--max-n', '4', '--format', 'json'), 0, "26306b45c7b33f737701be077b82d4bb22296ba7e77755539205215ae5021e94"),
+    (('export', '--g', 'one', '--h', 'id', '--max-n', '5', '--format', 'csv'), 0, "50afc0369cca17ddfcf0709a8c66fdd1badcb2851103af0a839226b2f717e309"),
+    (('export', '--g', 'sigma:1', '--h', 'id', '--max-n', '3', '--format', 'text'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.fixture
+def table_dir(tmp_path, monkeypatch):
+    # table descriptors are named by relative path, so the path (which
+    # appears in export output) is the same on every run
+    (tmp_path / "g.json").write_text(json.dumps([1, 1, 8]))
+    (tmp_path / "q.json").write_text(json.dumps([1, "1/2", "-3/4", 2]))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", CASES, ids=[" ".join(argv) for argv, _, _ in CASES]
+)
+def test_cli_output_is_pinned(capsys, table_dir, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

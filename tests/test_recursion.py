@@ -114,13 +114,18 @@ def test_value_sequence_matches_polynomials():
 
 
 def test_top_band_matches_table():
-    for g in (sigma(1), tilde(sigma(1))):
-        for h in (one(), identity(), sigma(1)):
-            band = coefficient_top_band(g, h, 25, depth=2)
-            table = coefficient_table(g, h, 25)
-            for n in range(26):
-                for j in range(min(2, n) + 1):
-                    assert band[n][j] == table.entry(n, n - j), (g.name, h.name, n, j)
+    cases = [(g, h, 25, 2) for g in (sigma(1), tilde(sigma(1))) for h in (one(), identity(), sigma(1))]
+    table_pair = (from_table([1, "1/2", "-3/4", 2, 0, "5/3", 7]), from_table([1, "-2/5", 3, "1/7", 2, 9, "4/3"]))
+    cases += [(*table_pair, 7, 2)]
+    cases += [(sigma(1), identity(), 12, depth) for depth in (0, 1, 3)]
+    for g, h, max_n, depth in cases:
+        band = coefficient_top_band(g, h, max_n, depth=depth)
+        table = coefficient_table(g, h, max_n)
+        assert len(band) == max_n + 1
+        for n in range(max_n + 1):
+            assert len(band[n]) == min(depth, n) + 1
+            for j in range(min(depth, n) + 1):
+                assert band[n][j] == table.entry(n, n - j), (g.name, h.name, depth, n, j)
 
 
 def test_table_dict_roundtrip():
