@@ -4,12 +4,15 @@ An arithmetic function here is a map n >= 1 -> Fraction with value 1 at
 n = 1 (normalization, enforced at construction).  The value at 0 is fixed
 to 0.  Instances memoize evaluated values and carry two flags: whether the
 function is known never to vanish, and whether its values are integers.
+The builtins one, id and sigma_ell are shared instances, so their memos
+(and the weight engines keyed by them) serve every caller.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence, Union
 
 from .exact import format_rational, rational
@@ -75,18 +78,25 @@ def divisor_power_sum(n: int, power: int) -> int:
     return total
 
 
+@cache
 def one() -> ArithmeticFunction:
-    """The constant function 1."""
+    """The constant function 1 (one shared instance)."""
     return ArithmeticFunction("one", lambda n: 1, non_vanishing=True, integer_valued=True)
 
 
+@cache
 def identity() -> ArithmeticFunction:
-    """The identity function n -> n."""
+    """The identity function n -> n (one shared instance)."""
     return ArithmeticFunction("id", lambda n: n, non_vanishing=True, integer_valued=True)
 
 
-def sigma(power: int = 1) -> ArithmeticFunction:
-    """The divisor-power sum sigma_ell; sigma(1) is the classical sigma."""
+@cache
+def sigma(power: int, /) -> ArithmeticFunction:
+    """The divisor-power sum sigma_ell; sigma(1) is the classical sigma.
+
+    One shared instance per ell: the exponent is positional and has no
+    default, so every call for one ell has the same cache key.
+    """
     if power < 0:
         raise ValueError("sigma needs a nonnegative exponent")
     return ArithmeticFunction(

@@ -62,16 +62,14 @@ def _parse_functions(args: argparse.Namespace) -> tuple[ArithmeticFunction, Arit
     try:
         g = from_descriptor(args.g_desc)
         h = from_descriptor(args.h_desc)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise UsageError(f"bad function descriptor: {exc}") from exc
     return g, h
 
 
-def _require_h(args: argparse.Namespace, names: tuple[str, ...]) -> None:
-    if args.h_desc not in names:
-        raise UsageError(
-            f"method {args.method!r} needs h in {names}, got {args.h_desc!r}"
-        )
+def _require_h(args: argparse.Namespace, h: ArithmeticFunction, names: tuple[str, ...]) -> None:
+    if h.name not in names:
+        raise UsageError(f"method {args.method!r} needs h in {names}, got {args.h_desc!r}")
 
 
 def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> Poly:
@@ -81,16 +79,12 @@ def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: Arithm
     if args.method == "recursion":
         return polynomial_sequence(g, h, n)[n]
     if args.method == "series":
-        _require_h(args, ("one", "id"))
-        series = (
-            generating_series_h_one(g, n)
-            if args.h_desc == "one"
-            else generating_series_h_id(g, n)
-        )
+        _require_h(args, h, ("one", "id"))
+        series = generating_series_h_one(g, n) if h.name == "one" else generating_series_h_id(g, n)
         coeff = series.coefficient(n)
         return coeff if isinstance(coeff, Poly) else Poly((coeff,))
     if args.method == "hook":
-        if args.g_desc != "sigma:1" or args.h_desc != "id":
+        if g.name != "sigma:1" or h.name != "id":
             raise UsageError("method 'hook' is only defined for --g sigma:1 --h id")
         return hook_length_polynomial(n)(X - 1)
     raise UsageError(f"method {args.method!r} is not valid for 'poly'")
@@ -111,14 +105,14 @@ def _coeff_from_method(
     if method == "main-theorem":
         return coefficient_from_weights(g, h, n, m)
     if method == "thm1":
-        _require_h(args, ("one",))
+        _require_h(args, h, ("one",))
         return coefficient_h_one(g, n, m)
     if method == "thm2":
-        _require_h(args, ("id",))
+        _require_h(args, h, ("id",))
         return coefficient_h_id(g, n, m)
     if method == "composition":
-        _require_h(args, ("one", "id"))
-        return coefficient_composition_sum(g, n, m, args.h_desc)
+        _require_h(args, h, ("one", "id"))
+        return coefficient_composition_sum(g, n, m, h.name)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -436,8 +430,11 @@ def _run_export(args: argparse.Namespace) -> int:
             lines.append(f"{n}," + ",".join(cells))
         text = "\n".join(lines)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from exc
     else:
         print(text)
     return 0

@@ -25,6 +25,7 @@ over compositions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -39,6 +40,12 @@ from .partitions import (
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# Sizes of the LRU memos keyed by function objects.  Builtins are shared
+# instances, so equal builtin descriptors hit the same entries; table and
+# tilde functions get entries of their own, evicted once unused.
+_ENGINES = 8
+_G_WEIGHTS = 1 << 15
 
 
 def g_weight(g: ArithmeticFunction, mu: Sequence[int]) -> Fraction:
@@ -118,19 +125,12 @@ class HWeights(_WeightMemo):
         return [(mu[-1], mu[:-1])]
 
 
-_HWEIGHTS: dict[ArithmeticFunction, HWeights] = {}
-
-
-def _hweights(h: ArithmeticFunction) -> HWeights:
-    engine = _HWEIGHTS.get(h)
-    if engine is None:
-        engine = _HWEIGHTS[h] = HWeights(h)
-    return engine
+_h_engine = lru_cache(maxsize=_ENGINES)(HWeights)
 
 
 def h_weight(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """hw(mu, n) by the inductive definition (memoized per h)."""
-    return _hweights(h).value(mu, n)
+    return _h_engine(h).value(mu, n)
 
 
 def h_weight_one(mu: Sequence[int], n: int) -> Fraction:
@@ -169,7 +169,7 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
 
 def orbit_weight_sum_direct(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """Sum of hw over all distinct reorderings of mu, term by term."""
-    engine = _hweights(h)
+    engine = _h_engine(h)
     total = _F0
     for lam in orbit_of(mu):
         total += engine.value(lam, n)
@@ -208,29 +208,16 @@ class OrbitWeightEngine(_WeightMemo):
         return out
 
 
-_ORBIT_ENGINES: dict[ArithmeticFunction, OrbitWeightEngine] = {}
-
-
-def _orbit_engine(h: ArithmeticFunction) -> OrbitWeightEngine:
-    engine = _ORBIT_ENGINES.get(h)
-    if engine is None:
-        engine = _ORBIT_ENGINES[h] = OrbitWeightEngine(h)
-    return engine
+_orbit_sum_engine = lru_cache(maxsize=_ENGINES)(OrbitWeightEngine)
 
 
 def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """Sum of hw(lambda, n) over the orbit of the partition mu."""
-    return _orbit_engine(h).value(mu, n)
+    return _orbit_sum_engine(h).value(mu, n)
 
 
-_GWEIGHT_CACHE: dict[tuple[ArithmeticFunction, tuple[int, ...]], Fraction] = {}
-
-
-def _g_weight_cached(g: ArithmeticFunction, mu: tuple[int, ...]) -> Fraction:
-    got = _GWEIGHT_CACHE.get((g, mu))
-    if got is None:
-        got = _GWEIGHT_CACHE[(g, mu)] = g_weight(g, mu)
-    return got
+# g-weights of partitions (tuples), memoized per (g, mu)
+_g_weight_memo = lru_cache(maxsize=_G_WEIGHTS)(g_weight)
 
 
 def _check_coeff_range(n: int, m: int) -> None:
@@ -247,10 +234,10 @@ def coefficient_from_weights(
     matching the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    engine = _orbit_engine(h)
+    engine = _orbit_sum_engine(h)
     total = _F0
     for mu in partitions_of(n - m):
-        gw = _g_weight_cached(g, mu)
+        gw = _g_weight_memo(g, mu)
         if gw:
             total += gw * engine.value(mu, n)
     return total
@@ -265,7 +252,7 @@ def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     _check_coeff_range(n, m)
     total = _F0
     for mu in partitions_of(n - m):
-        gw = _g_weight_cached(g, mu)
+        gw = _g_weight_memo(g, mu)
         if not gw:
             continue
         length = len(mu)
@@ -329,7 +316,7 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     _check_coeff_range(n, m)
     total = _F0
     for mu in partitions_of(n - m):
-        gw = _g_weight_cached(g, mu)
+        gw = _g_weight_memo(g, mu)
         if not gw:
             continue
         falling = _falling_product(n, sum(mu) + len(mu))

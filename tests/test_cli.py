@@ -35,6 +35,11 @@ def test_coeff_methods_agree(capsys):
         assert code == 0
         values[method] = out.strip()
     assert len(set(values.values())) == 1
+    # method gating reads the parsed functions, not the descriptor spelling
+    _, lemma, _ = run_cli(capsys, "coeff", "--n", "4", "--m", "2", "--method", "lemma")
+    for spelling in (("--h", " id", "--method", "thm2"), ("--g", "sigma:01", "--method", "hook")):
+        code, out, _ = run_cli(capsys, "coeff", "--n", "4", "--m", "2", *spelling)
+        assert (code, out) == (0, lemma)
 
 
 def test_poly_alternate_methods(capsys):
@@ -96,9 +101,13 @@ def test_bad_descriptor_is_usage_error(capsys):
     assert "descriptor" in err
 
 
-def test_bad_flags_exit_2(capsys):
+def test_bad_flags_exit_2(capsys, tmp_path):
     assert main(["scan", "--check", "unknown", "--max-n", "5"]) == 2
     capsys.readouterr()
+    output = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "export", "--max-n", "3", "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_scan_lehmer_json(capsys):
@@ -211,8 +220,8 @@ def test_parser_and_config():
 
 @pytest.mark.parametrize(
     "g_table, h_table",
-    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4])],
-    ids=["short-g", "short-h", "vanishing-h"],
+    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4]), ([1, 2.5], None), (None, [1, [2]])],
+    ids=["short-g", "short-h", "vanishing-h", "float-g", "nested-h"],
 )
 def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table):
     argv = ["scan", "--check", "delta", "--max-n", "6"]
@@ -224,7 +233,7 @@ def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

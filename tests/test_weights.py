@@ -4,13 +4,26 @@ The literal inductive sum for the h-weight is reimplemented here, without
 memoization, as the reference against the production implementation.
 """
 
+import gc
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darcais.arith import identity, one, sigma, tilde
+from darcais import weights
+from darcais.arith import (
+    ArithmeticFunction,
+    CumulativeProduct,
+    from_descriptor,
+    from_table,
+    identity,
+    one,
+    sigma,
+    tilde,
+)
 from darcais.partitions import (
     compositions_of,
     multinomial,
@@ -18,7 +31,7 @@ from darcais.partitions import (
     orbit_of,
     partitions_of,
 )
-from darcais.recursion import coefficient_table
+from darcais.recursion import coefficient_table, coefficient_top_band, polynomial_sequence
 from darcais.weights import (
     coefficient_composition_sum,
     coefficient_from_weights,
@@ -247,3 +260,65 @@ def test_composition_sum_route():
             )
     with pytest.raises(ValueError):
         coefficient_composition_sum(sigma(1), 3, 2, "sigma")
+
+
+# non-vanishing rational tables: 1 at n = 1, then up to 7 entries +-p/q
+_entries = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from((1, -1)), st.integers(1, 9), st.integers(1, 9),
+)
+_tables = st.lists(_entries, max_size=7).map(lambda rest: [1, *rest])
+
+
+@given(_tables, _tables)
+@settings(max_examples=200, deadline=None)
+def test_routes_agree_on_random_rational_tables(g_values, h_values):
+    g, h = from_table(g_values), from_table(h_values)
+    max_n = min(7, len(g_values), len(h_values))
+    table = coefficient_table(g, h, max_n)
+    polys = polynomial_sequence(g, h, max_n)
+    band = coefficient_top_band(g, h, max_n, 2)
+    products = CumulativeProduct(h)
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            entry = table.entry(n, m)
+            assert polys[n][m] * products.value(n) == entry, (n, m)
+            assert coefficient_from_weights(g, h, n, m) == entry, (n, m)
+        for j in range(min(2, n) + 1):
+            assert band[n][j] == table.entry(n, n - j), (n, j)
+
+
+def test_builtin_descriptors_share_one_instance():
+    assert sigma(1) is from_descriptor("sigma:1") is from_descriptor("sigma:01")
+    assert one() is from_descriptor(" one")
+    assert identity() is from_descriptor("id")
+    assert sigma(3) is not sigma(1)
+    assert tilde(sigma(1)) is not tilde(sigma(1))
+
+
+def test_weight_memos_are_bounded():
+    for i in range(200):
+        h = from_table([1, i + 2, 3, 5, 7, 11], name="lru-probe")
+        h_weight(h, (1, 2), 5)
+        orbit_weight_sum(h, (2, 1), 5)
+        coefficient_from_weights(sigma(1), h, 4, 2)
+    del h
+    gc.collect()
+    alive = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, ArithmeticFunction) and obj.name == "lru-probe"
+    ]
+    assert len(alive) <= weights._ENGINES
+
+
+def test_equal_names_never_share_a_memo():
+    g_pair = (from_table([1, 2, 3, 4], name="t"), from_table([1, 5, 3, 4], name="t"))
+    h_pair = (from_table([1, 2, 3, 4], name="t"), from_table([1, 3, 3, 4], name="t"))
+    for g, h in [(g, identity()) for g in g_pair] + [(sigma(1), h) for h in h_pair]:
+        assert coefficient_from_weights(g, h, 4, 2) == coefficient_table(g, h, 4).entry(4, 2)
+    assert coefficient_from_weights(g_pair[0], identity(), 4, 2) != coefficient_from_weights(
+        g_pair[1], identity(), 4, 2
+    )
+    assert coefficient_from_weights(sigma(1), h_pair[0], 4, 2) != coefficient_from_weights(
+        sigma(1), h_pair[1], 4, 2
+    )
