@@ -11,43 +11,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ArithmeticFunction, CumulativeProduct, from_descriptor, identity, one, sigma
+from .arith import ArithmeticFunction, CumulativeProduct, from_descriptor
+from .checks import SUITES, run_suite
 from .exact import Poly, X, format_rational, rational
-from .partitions import partitions_of
-from .recursion import coefficient_table, polynomial_sequence, value_sequence
-from .series import (
-    closed_family_check,
-    euler_product_power,
-    generating_series_h_id,
-    generating_series_h_one,
-    hook_length_polynomial,
-    inverse_eisenstein,
-)
+from .recursion import coefficient_table, polynomial_sequence
+from .series import generating_series_h_id, generating_series_h_one, hook_length_polynomial
 from .shapes import (
-    counterexample_search,
     hook_poly_log_concavity_scan,
     hook_poly_top_inequality_scan,
-    is_log_concave,
-    is_ultra_log_concave,
-    is_unimodal,
     lehmer_scan,
     top_margin,
-    top_margin_lower_bound,
-    transfer_check,
 )
 from .weights import (
     coefficient_composition_sum,
     coefficient_from_weights,
     coefficient_h_id,
     coefficient_h_one,
-    conversion_scan,
-    h_weight,
-    h_weight_id,
-    h_weight_one,
 )
+
+# Unused here, but perfbench/test_perfbench.py checks that the benchmark
+# tracer rebinds this name in darcais.cli and in the package root.
+from .series import euler_product_power  # noqa: F401
 
 METHODS = ("recursion", "lemma", "main-theorem", "thm1", "thm2", "composition", "series", "hook")
 CHECKS = ("lehmer", "hook-logconcave", "hook-top", "delta")
@@ -164,181 +152,18 @@ def _run_coeff(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-def _suite_oracles(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    sig = sigma(1)
-    for g in (one(), identity(), sig):
-        for h_desc, h, series_fn in (
-            ("id", identity(), generating_series_h_id),
-            ("one", one(), generating_series_h_one),
-        ):
-            polys = polynomial_sequence(g, h, max_n)
-            series = series_fn(g, max_n)
-            for n in range(max_n + 1):
-                checks += 1
-                if not series.coefficient(n) == polys[n]:
-                    return checks, f"series oracle (g={g.name}, h={h_desc}) differs at n={n}"
-    polys = polynomial_sequence(sig, identity(), max_n)
-    symbolic = euler_product_power(X, max_n)
-    minus_x = Poly((0, -1))
-    for n in range(max_n + 1):
-        checks += 1
-        if not symbolic.coefficient(n) == polys[n](minus_x):
-            return checks, f"symbolic Euler-product coefficient differs at n={n}"
-    for weight, g_pow, point in ((4, 3, -240), (6, 5, 504)):
-        inverse = inverse_eisenstein(weight, max_n)
-        values = value_sequence(sigma(g_pow), one(), Fraction(point), max_n)
-        for n in range(max_n + 1):
-            checks += 1
-            if inverse[n] != values[n]:
-                return checks, f"1/E{weight} differs from the recursion at n={n}"
-    report = lehmer_scan(max_n)
-    checks += max_n
-    if not report.passed:
-        return checks, f"Lehmer cross-check failed: zeros={report.zeros}"
-    return checks, None
-
-
-def _suite_closed_forms(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    for g in (one(), identity(), sigma(1)):
-        for h_desc, route in (("one", coefficient_h_one), ("id", coefficient_h_id)):
-            h = one() if h_desc == "one" else identity()
-            table = coefficient_table(g, h, max_n)
-            for n in range(1, max_n + 1):
-                for m in range(1, n + 1):
-                    checks += 1
-                    if route(g, n, m) != table.entry(n, m):
-                        return checks, (
-                            f"closed form (g={g.name}, h={h_desc}) differs at (n={n}, m={m})"
-                        )
-    for mu in ((1,), (2,), (1, 1), (1, 2), (2, 1), (3, 1)):
-        for n in range(0, max_n + 1):
-            checks += 2
-            if h_weight(one(), mu, n) != h_weight_one(mu, n):
-                return checks, f"h=one weight mismatch at mu={mu}, n={n}"
-            if h_weight(identity(), mu, n) != h_weight_id(mu, n):
-                return checks, f"h=id weight mismatch at mu={mu}, n={n}"
-    return checks, None
-
-
-def _suite_conversion(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    for g in (one(), identity(), sigma(1), sigma(3)):
-        failure = conversion_scan(g, max_n)
-        checks += max_n * (max_n + 1) // 2
-        if failure is not None:
-            return checks, f"conversion identity fails for g={g.name} at (n, m)={failure}"
-    return checks, None
-
-
-def _suite_no_formula(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    polys = polynomial_sequence(sigma(1), identity(), max_n)
-    shift = X + 1
-    partition_counts = [sum(1 for _ in partitions_of(n)) for n in range(max_n + 1)]
-    for n in range(max_n + 1):
-        q = hook_length_polynomial(n)
-        checks += 2
-        if q != polys[n](shift):
-            return checks, f"hook-length identity Q_n(x) = P_n(x+1) fails at n={n}"
-        if q(Fraction(0)) != partition_counts[n]:
-            return checks, f"Q_n(0) != p(n) at n={n}"
-    return checks, None
-
-
-def _suite_main_theorem(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    for g in (one(), identity(), sigma(1), sigma(3), sigma(5)):
-        for h in (one(), identity(), sigma(1)):
-            table = coefficient_table(g, h, max_n)
-            polys = polynomial_sequence(g, h, max_n)
-            products = CumulativeProduct(h)
-            for n in range(1, max_n + 1):
-                hn = products.value(n)
-                for m in range(1, n + 1):
-                    checks += 2
-                    if coefficient_from_weights(g, h, n, m) != table.entry(n, m):
-                        return checks, (
-                            f"weight route differs from the triangle for "
-                            f"(g={g.name}, h={h.name}) at (n={n}, m={m})"
-                        )
-                    if polys[n][m] * hn != table.entry(n, m):
-                        return checks, (
-                            f"recursion differs from the triangle for "
-                            f"(g={g.name}, h={h.name}) at (n={n}, m={m})"
-                        )
-    return checks, None
-
-
-def _suite_shapes(max_n: int) -> tuple[int, str | None]:
-    checks = 0
-    # the two reference quadratics, classified exactly
-    seq_a = [Fraction(5), Fraction(2), Fraction(1)]  # x^2 + 2x + 5, constant first
-    seq_b = [Fraction(3), Fraction(2), Fraction(1)]  # x^2 + 2x + 3
-    checks += 4
-    if not (is_unimodal(seq_a).holds and not is_log_concave(seq_a).holds):
-        return checks, "x^2+2x+5 must be unimodal but not log-concave"
-    if not (is_log_concave(seq_b).holds and not is_ultra_log_concave(seq_b).holds):
-        return checks, "x^2+2x+3 must be log-concave but not ultra-log-concave"
-    sig = sigma(1)
-    for h in (one(), identity()):
-        for n in range(2, max_n + 1):
-            checks += 2
-            margin = top_margin(sig, h, n)
-            if margin <= 0:
-                return checks, f"top margin for (sigma, {h.name}) not positive at n={n}"
-            if margin < top_margin_lower_bound(sig, h, n):
-                return checks, f"top margin below its bound for (sigma, {h.name}) at n={n}"
-        witness = counterexample_search(h, max_n=min(max_n, 50))
-        checks += 1
-        if witness is None:
-            return checks, f"no top-margin counterexample found for h={h.name}"
-    report = hook_poly_top_inequality_scan(max_n)
-    checks += max_n - 1
-    if not report.passed:
-        return checks, f"hook top inequality fails at n={report.first_failure}"
-    scan = hook_poly_log_concavity_scan(min(max_n, 40), check_chain=True)
-    checks += scan.max_n
-    if not scan.passed:
-        return checks, f"hook log-concavity fails at n={scan.first_failure}"
-    for g in (one(), identity(), sig):
-        result = transfer_check(g, min(max_n, 12))
-        checks += min(max_n, 12)
-        if not result.passed:
-            return checks, f"shape transfer fails for g={g.name} at {result.first_failure}"
-    for family in ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"):
-        report = closed_family_check(family, min(max_n, 12))
-        checks += report.checks
-        if not report.passed:
-            return checks, f"closed family check fails: {report.first_failure}"
-    return checks, None
-
-
-# suite -> (runner, default bound, smallest bound it can run at); shapes
-# needs n = 3 for its frozen top-margin counterexample
-_SUITE_RUNNERS = {
-    "oracles": (_suite_oracles, 12, 1),
-    "closed-forms": (_suite_closed_forms, 12, 1),
-    "conversion": (_suite_conversion, 12, 1),
-    "no-formula": (_suite_no_formula, 10, 1),
-    "main-theorem": (_suite_main_theorem, 10, 1),
-    "shapes": (_suite_shapes, 30, 3),
-}
+# verification suites (darcais.checks)
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    bounds = {name: args.max_n or _SUITE_RUNNERS[name][1] for name in names}
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    bounds = {name: args.max_n or SUITES[name].default_n for name in names}
     for name, bound in bounds.items():
-        minimum = _SUITE_RUNNERS[name][2]
+        minimum = SUITES[name].min_n
         if bound < minimum:
             raise UsageError(f"suite {name!r} needs --max-n >= {minimum}, got {bound}")
     for name, bound in bounds.items():
-        checks, failure = _SUITE_RUNNERS[name][0](bound)
+        checks, failure = run_suite(name, bound)
         if failure is not None:
             print(f"FAIL {name}: {failure}")
             return 1
@@ -414,29 +239,31 @@ def _run_export(args: argparse.Namespace) -> int:
     g, h = _parse_functions(args)
     if args.max_n < 0:
         raise UsageError("export needs --max-n >= 0")
+    # open --output before the work, so an unwritable path fails fast
     try:
-        table = coefficient_table(g, h, args.max_n)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(str(exc)) from exc
-    doc = table.to_dict()
-    if args.format == "json":
-        text = json.dumps(doc)
-    else:
-        header = "n/m," + ",".join(str(m) for m in range(args.max_n + 1))
-        lines = [header]
-        for n in range(args.max_n + 1):
-            row = doc["rows"][n]
-            cells = row + [""] * (args.max_n + 1 - len(row))
-            lines.append(f"{n}," + ",".join(cells))
-        text = "\n".join(lines)
-    if args.output:
+        output = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from exc
+    with output as handle:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            table = coefficient_table(g, h, args.max_n)
+        except (ValueError, IndexError) as exc:
+            raise UsageError(str(exc)) from exc
+        doc = table.to_dict()
+        if args.format == "json":
+            text = json.dumps(doc)
+        else:
+            header = "n/m," + ",".join(str(m) for m in range(args.max_n + 1))
+            lines = [header]
+            for n in range(args.max_n + 1):
+                row = doc["rows"][n]
+                cells = row + [""] * (args.max_n + 1 - len(row))
+                lines.append(f"{n}," + ",".join(cells))
+            text = "\n".join(lines)
+        try:
+            print(text, file=handle)
         except OSError as exc:
             raise UsageError(f"cannot write --output: {exc}") from exc
-    else:
-        print(text)
     return 0
 
 
@@ -475,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-verification suite")
     p_verify.set_defaults(func=_run_verify)
-    p_verify.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"), default="all")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=0,
                           help="override the suite's desk-scale bound")
 

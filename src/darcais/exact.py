@@ -19,10 +19,12 @@ _F1 = Fraction(1)
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce an int, a Fraction, or a "p/q" / "p" string to a Fraction."""
+    """Coerce an int, a Fraction, or a "p/q" / "p" string to a Fraction.
+
+    bool is refused although it is an int: a JSON `true` is not a number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -48,12 +50,6 @@ class Poly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
-
-    @classmethod
-    def monomial(cls, coefficient: Union[int, Fraction], degree: int) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -238,12 +234,6 @@ class Series:
         if not coeffs:
             raise ValueError("a series truncation needs at least the q^0 coefficient")
         self._coeffs = coeffs
-
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        return cls((value,) + (0,) * order)
 
     @property
     def order(self) -> int:

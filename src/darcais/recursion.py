@@ -190,10 +190,6 @@ def coefficient_table(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) 
     return CoefficientTable(g, h, max_n)
 
 
-def scaled_coeff(table: CoefficientTable, n: int, m: int) -> Fraction:
-    return table.scaled(n, m)
-
-
 def table_rows_from_dict(doc: dict) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Parse an exported table back into exact rows and normalizers."""
     if doc.get("kind") != "coefficient-table":

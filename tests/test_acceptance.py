@@ -13,42 +13,26 @@ from math import comb
 import pytest
 
 from darcais.arith import CumulativeProduct, from_table, identity, one, sigma
-from darcais.exact import Poly, X
+from darcais.checks import (
+    closed_families,
+    conversion,
+    h_weight_forms,
+    hook_length_identity,
+    hook_log_concavity,
+    hook_top_inequality,
+    inverse_eisenstein_values,
+    lehmer_nonvanishing,
+    reference_quadratics,
+    route_equivalence,
+    series_oracles,
+    symbolic_euler_product,
+    top_margins,
+)
 from darcais.partitions import compositions_of
-from darcais.recursion import (
-    coefficient_table,
-    polynomial_sequence,
-    value_sequence,
-)
-from darcais.series import (
-    closed_family_check,
-    euler_product_power,
-    generating_series_h_id,
-    generating_series_h_one,
-    hook_length_polynomial,
-    inverse_eisenstein,
-)
-from darcais.shapes import (
-    counterexample_search,
-    hook_poly_log_concavity_scan,
-    hook_poly_top_inequality_scan,
-    implication_chain_holds,
-    is_log_concave,
-    is_ultra_log_concave,
-    is_unimodal,
-    lehmer_scan,
-    top_margin,
-    top_margin_lower_bound,
-)
-from darcais.weights import (
-    coefficient_from_weights,
-    coefficient_h_id,
-    coefficient_h_one,
-    conversion_scan,
-    h_weight,
-    h_weight_id,
-    h_weight_one,
-)
+from darcais.recursion import coefficient_table, polynomial_sequence
+from darcais.series import euler_product_power, hook_length_polynomial
+from darcais.shapes import counterexample_search, implication_chain_holds, top_margin
+from darcais.weights import coefficient_h_id, coefficient_h_one, h_weight
 
 G_BUILTINS = [one(), identity(), sigma(1), sigma(3), sigma(5)]
 H_BUILTINS = [one(), identity(), sigma(1)]
@@ -72,29 +56,10 @@ def count_partitions_dp(n: int) -> int:
 def test_criterion_01_route_equivalence():
     """Weight formula == triangle recursion == polynomial recursion, n <= 20."""
     bound = 20
-    checks = 0
-    failure = None
-    for g in G_BUILTINS:
-        for h in H_BUILTINS:
-            table = coefficient_table(g, h, bound)
-            polys = polynomial_sequence(g, h, bound)
-            products = CumulativeProduct(h)
-            for n in range(1, bound + 1):
-                hn = products.value(n)
-                for m in range(1, n + 1):
-                    entry = table.entry(n, m)
-                    checks += 2
-                    if coefficient_from_weights(g, h, n, m) != entry:
-                        failure = f"weights vs triangle at g={g.name}, h={h.name}, ({n},{m})"
-                        break
-                    if polys[n][m] * hn != entry:
-                        failure = f"recursion vs triangle at g={g.name}, h={h.name}, ({n},{m})"
-                        break
-                if failure:
-                    break
-            if failure:
-                break
+    checks, failure = route_equivalence(G_BUILTINS, H_BUILTINS, bound)
     report(1, "route equivalence", failure is None, failure or f"{checks} exact comparisons")
+    # two comparisons per (g, h, n, m) with 1 <= m <= n <= 20: 6,300
+    assert checks == 2 * len(G_BUILTINS) * len(H_BUILTINS) * sum(range(1, bound + 1))
 
 
 def _bullet_values_h_one(g, n):
@@ -164,24 +129,12 @@ def test_criterion_02_closed_form_routes():
 def test_criterion_03_h_weight_identities():
     """Inductive h-weight equals both closed forms for |mu|+len(mu) <= 14,
     n <= 30, plus the itemized reference values."""
-    failure = None
-    checked = 0
     h1, hid = one(), identity()
     compositions: list[tuple[int, ...]] = [()]
     for size in range(1, 14):
         for length in range(1, min(size, 14 - size) + 1):
             compositions.extend(compositions_of(size, length))
-    for mu in compositions:
-        for n in range(0, 31):
-            checked += 2
-            if h_weight(h1, mu, n) != h_weight_one(mu, n):
-                failure = f"h=one at mu={mu}, n={n}"
-                break
-            if h_weight(hid, mu, n) != h_weight_id(mu, n):
-                failure = f"h=id at mu={mu}, n={n}"
-                break
-        if failure:
-            break
+    checked, failure = h_weight_forms(compositions, 30)
 
     if failure is None:
         for n in range(2, 31):
@@ -201,37 +154,22 @@ def test_criterion_03_h_weight_identities():
             if not ok:
                 failure = f"itemized value at n={n}"
                 break
-    report(3, "h-weight identities", failure is None, f"{checked} weight comparisons")
+    report(3, "h-weight identities", failure is None, failure or f"{checked} weight comparisons")
+    # two comparisons per (mu, n) with 0 <= n <= 30
+    assert checked == 2 * len(compositions) * 31
 
 
 def test_criterion_04_generating_function_oracles():
     """Series coefficients equal the recursion polynomials (n <= 30), and the
     symbolic Euler-product expansion equals P_n composed with -x."""
     bound = 30
-    failure = None
-    for g in G_BUILTINS:
-        polys_id = polynomial_sequence(g, identity(), bound)
-        polys_one = polynomial_sequence(g, one(), bound)
-        series_id = generating_series_h_id(g, bound)
-        series_one = generating_series_h_one(g, bound)
-        for n in range(bound + 1):
-            if series_id.coefficient(n) != polys_id[n]:
-                failure = f"h=id series at g={g.name}, n={n}"
-                break
-            if series_one.coefficient(n) != polys_one[n]:
-                failure = f"h=one series at g={g.name}, n={n}"
-                break
-        if failure:
-            break
+    checks, failure = series_oracles(G_BUILTINS, bound)
     if failure is None:
-        symbolic = euler_product_power(X, bound)
-        polys = polynomial_sequence(sigma(1), identity(), bound)
-        negate = Poly([0, -1])
-        for n in range(bound + 1):
-            if symbolic.coefficient(n) != polys[n](negate):
-                failure = f"symbolic Euler product at n={n}"
-                break
-    report(4, "generating-function oracles", failure is None)
+        symbolic, failure = symbolic_euler_product(bound)
+        checks += symbolic
+    report(4, "generating-function oracles", failure is None, failure or f"{checks} coefficients")
+    # one comparison per (g, h in {id, one}, n) and per n for the Euler product
+    assert checks == (2 * len(G_BUILTINS) + 1) * (bound + 1)
 
 
 def test_criterion_05_special_values():
@@ -269,89 +207,73 @@ def test_criterion_05_special_values():
         if reciprocal.coefficient(n) != count_partitions_dp(n):
             failure = f"partition numbers at n={n}"
             break
-    if failure is None:
-        a4 = inverse_eisenstein(4, bound)
-        v4 = value_sequence(sigma(3), one(), Fraction(-240), bound)
-        a6 = inverse_eisenstein(6, bound)
-        v6 = value_sequence(sigma(5), one(), Fraction(504), bound)
-        for n in range(bound + 1):
-            if a4[n] != v4[n]:
-                failure = f"1/E4 identity at n={n}"
-                break
-            if a6[n] != v6[n]:
-                failure = f"1/E6 identity at n={n}"
-                break
-    report(5, "special value identities", failure is None)
+    checks, eisenstein_failure = inverse_eisenstein_values(bound)
+    failure = failure or eisenstein_failure
+    report(5, "special value identities", failure is None, failure or "")
+    # one comparison per n for each of 1/E4 and 1/E6
+    assert checks == 2 * (bound + 1)
 
 
 def test_criterion_06_hook_length_identity():
     """Hook-length polynomials equal the shifted recursion polynomials for
     n <= 18 (corrected shift), and their value at 0 is p(n)."""
     bound = 18
-    failure = None
-    polys = polynomial_sequence(sigma(1), identity(), bound)
-    shift = X + 1
-    for n in range(bound + 1):
-        q = hook_length_polynomial(n)
-        if q != polys[n](shift):
-            failure = f"shift identity at n={n}"
-            break
-        if q(0) != count_partitions_dp(n):
-            failure = f"value at 0 differs from p(n) at n={n}"
-            break
-    report(6, "hook-length identity (corrected shift)", failure is None)
+    checks, failure = hook_length_identity(bound)
+    if failure is None:
+        # against the dynamic-programming count, which enumerates no partitions
+        for n in range(bound + 1):
+            if hook_length_polynomial(n)(0) != count_partitions_dp(n):
+                failure = f"value at 0 differs from p(n) at n={n}"
+                break
+    report(6, "hook-length identity (corrected shift)", failure is None, failure or "")
+    # the shift identity and Q_n(0) = p(n) for each 0 <= n <= 18
+    assert checks == 2 * (bound + 1)
 
 
 def test_criterion_07_conversion_formula():
     """A[n][m](g, id)/n! == A[n][m](g~, one)/m! for n <= 25, independent routes."""
     bound = 25
-    failure = None
-    for g in (one(), identity(), sigma(1), sigma(3)):
-        bad = conversion_scan(g, bound)
-        if bad is not None:
-            failure = f"g={g.name} at (n, m)={bad}"
-            break
-    report(7, "conversion formula", failure is None)
+    gs = (one(), identity(), sigma(1), sigma(3))
+    checks, failure = conversion(gs, bound)
+    report(7, "conversion formula", failure is None, failure or "")
+    # one comparison per (g, n, m) with 1 <= m <= n <= 25
+    assert checks == len(gs) * bound * (bound + 1) // 2
 
 
 def test_criterion_08_closed_families():
     """Pochhammer, Stirling, Lah, symmetric-product, and the g=id three-term
     relation for h in {one, id, sigma}, all n <= 30."""
     bound = 30
-    failure = None
-    for family in ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"):
-        result = closed_family_check(family, bound, h_functions=H_BUILTINS)
-        if not result.passed:
-            failure = f"{result.first_failure}"
-            break
-    report(8, "closed families", failure is None)
+    checks, failure = closed_families(H_BUILTINS, bound)
+    report(8, "closed families", failure is None, failure or "")
+    # Pochhammer 1 <= n <= 30; Stirling 0 <= m <= n <= 30; Lah 1 <= m <= n <= 30;
+    # per h, the three-term relation at 0 <= n <= 30 and the product at 1 <= n <= 30
+    assert checks == (
+        bound + (bound + 1) * (bound + 2) // 2 + bound * (bound + 1) // 2
+        + len(H_BUILTINS) * (2 * bound + 1)
+    )
 
 
 def test_criterion_09_shape_scans():
     """Hook polynomials: exact log-concavity to n <= 100, strict top
     inequality to n <= 200, the implication chain on every sequence, and the
     two reference quadratics."""
-    failure = None
-    scan = hook_poly_log_concavity_scan(100, check_chain=True)
-    if not scan.passed:
-        failure = f"log-concavity fails at n={scan.first_failure}"
+    checks, failure = hook_log_concavity(100)
     if failure is None:
-        ineq = hook_poly_top_inequality_scan(200)
-        if not ineq.passed:
-            failure = f"top inequality fails at n={ineq.first_failure}"
+        top, failure = hook_top_inequality(200)
+        checks += top
+    if failure is None:
+        classified, failure = reference_quadratics()
+        checks += classified
     if failure is None:
         unimodal_not_lc = [Fraction(5), Fraction(2), Fraction(1)]
         lc_not_ultra = [Fraction(3), Fraction(2), Fraction(1)]
-        if not (
-            is_unimodal(unimodal_not_lc).holds
-            and not is_log_concave(unimodal_not_lc).holds
-            and is_log_concave(lc_not_ultra).holds
-            and not is_ultra_log_concave(lc_not_ultra).holds
-            and implication_chain_holds(unimodal_not_lc)
-            and implication_chain_holds(lc_not_ultra)
-        ):
-            failure = "reference quadratics misclassified"
-    report(9, "shape scans", failure is None)
+        if not (implication_chain_holds(unimodal_not_lc) and implication_chain_holds(lc_not_ultra)):
+            failure = "reference quadratics break the implication chain"
+    report(9, "shape scans", failure is None, failure or "")
+    # log-concavity for n <= 100, the top inequality for 2 <= n <= 200, and
+    # four classifications of the reference quadratics
+    assert checks == 100 + 199 + 4
 
 
 @pytest.mark.skipif(
@@ -359,26 +281,14 @@ def test_criterion_09_shape_scans():
     reason="multi-hour sweep; set DARCAIS_LONG_SCANS=1 to run the full n <= 1500 scan",
 )
 def test_criterion_09_long_hook_scan():
-    scan = hook_poly_log_concavity_scan(1500, check_chain=True)
-    report(9, "shape scans (long run, n <= 1500)", scan.passed)
+    _, failure = hook_log_concavity(1500)
+    report(9, "shape scans (long run, n <= 1500)", failure is None, failure or "")
 
 
 def test_criterion_10_top_margin():
     """Positive top margin for g = sigma (both h), the exact displayed lower
     bound, and the concrete counterexample fixture."""
-    failure = None
-    sig = sigma(1)
-    for h in (one(), identity()):
-        for n in range(2, 101):
-            margin = top_margin(sig, h, n)
-            if margin <= 0:
-                failure = f"margin not positive at h={h.name}, n={n}"
-                break
-            if margin < top_margin_lower_bound(sig, h, n):
-                failure = f"margin below bound at h={h.name}, n={n}"
-                break
-        if failure:
-            break
+    checks, failure = top_margins((one(), identity()), 100, search_n=50)
     if failure is None:
         # regression fixture: g = table[1, 1, 8] fails at n = 3 for both h
         for h, expected_margin in ((one(), -4), (identity(), -7)):
@@ -393,16 +303,15 @@ def test_criterion_10_top_margin():
             if top_margin(g_bad, h, witness.n) >= 0:
                 failure = f"stored fixture no longer negative for h={h.name}"
                 break
-    report(10, "top-margin positivity and counterexample", failure is None)
+    report(10, "top-margin positivity and counterexample", failure is None, failure or "")
+    # per h: the margin and its bound for 2 <= n <= 100, plus the witness search
+    assert checks == 2 * (2 * 99 + 1)
 
 
 def test_criterion_11_lehmer_scan():
     """P_n(-24) != 0 for (sigma, id), n <= 300, cross-checked against the
     24th Euler-product power."""
-    result = lehmer_scan(300)
-    detail = ""
-    if result.zeros:
-        detail = f"zeros at {result.zeros}"
-    elif not result.crosscheck_ok:
-        detail = "Euler-product cross-check failed"
-    report(11, "Lehmer-type non-vanishing scan", result.passed, detail or "300 values, two routes")
+    checks, failure = lehmer_nonvanishing(300)
+    report(11, "Lehmer-type non-vanishing scan", failure is None,
+           failure or f"{checks} values, two routes")
+    assert checks == 300

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import darcais.checks
+import darcais.cli
+
 from darcais.cli import build_parser, main
 from darcais.exact import rational
 from darcais.recursion import coefficient_table, table_rows_from_dict
@@ -101,9 +104,14 @@ def test_bad_descriptor_is_usage_error(capsys):
     assert "descriptor" in err
 
 
-def test_bad_flags_exit_2(capsys, tmp_path):
+def test_bad_flags_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["scan", "--check", "unknown", "--max-n", "5"]) == 2
     capsys.readouterr()
+
+    def no_work(*args):
+        raise AssertionError("the table was built before --output was opened")
+
+    monkeypatch.setattr(darcais.cli, "coefficient_table", no_work)
     output = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "export", "--max-n", "3", "--output", str(output))
     assert (code, out) == (2, "")
@@ -220,8 +228,9 @@ def test_parser_and_config():
 
 @pytest.mark.parametrize(
     "g_table, h_table",
-    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4]), ([1, 2.5], None), (None, [1, [2]])],
-    ids=["short-g", "short-h", "vanishing-h", "float-g", "nested-h"],
+    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4]), ([1, 2.5], None), (None, [1, [2]]),
+     ([True, 2, 3, 4], None)],
+    ids=["short-g", "short-h", "vanishing-h", "float-g", "nested-h", "bool-g"],
 )
 def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table):
     argv = ["scan", "--check", "delta", "--max-n", "6"]
@@ -245,3 +254,27 @@ def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
     assert code == 2
     assert out == ""
     assert "--max-n" in err
+
+
+@pytest.mark.parametrize(
+    "suite, name, broken, line",
+    [
+        ("oracles", "inverse_eisenstein", lambda weight, n: [0] * (n + 1),
+         "1/E4 differs from the recursion at n=0"),
+        ("closed-forms", "coefficient_h_one", lambda g, n, m: 0,
+         "closed form (g=one, h=one) differs at (n=1, m=1)"),
+        ("conversion", "conversion_scan", lambda g, n: (2, 1),
+         "conversion identity fails for g=one at (n, m)=(2, 1)"),
+        ("no-formula", "partitions_of", lambda n: iter(()),
+         "Q_n(0) != p(n) at n=0"),
+        ("main-theorem", "coefficient_from_weights", lambda g, h, n, m: 0,
+         "weight route differs from the triangle for (g=one, h=one) at (n=1, m=1)"),
+        ("shapes", "counterexample_search", lambda h, max_n: None,
+         "no top-margin counterexample found for h=one"),
+    ],
+    ids=["oracles", "closed-forms", "conversion", "no-formula", "main-theorem", "shapes"],
+)
+def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line):
+    monkeypatch.setattr(darcais.checks, name, broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "4")
+    assert (code, out, err) == (1, f"FAIL {suite}: {line}\n", "")

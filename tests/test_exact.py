@@ -19,6 +19,8 @@ def test_rational_parsing_and_formatting():
     assert format_rational(Fraction(8, 2)) == "4"
     with pytest.raises(TypeError):
         rational(1.5)
+    with pytest.raises(TypeError):
+        rational(True)
 
 
 def test_poly_add():

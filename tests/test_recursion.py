@@ -11,7 +11,6 @@ from darcais.recursion import (
     coefficient_top_band,
     polynomial,
     polynomial_sequence,
-    scaled_coeff,
     table_rows_from_dict,
     value_sequence,
 )
@@ -76,7 +75,7 @@ def test_table_edges_and_errors():
 
 def test_scaled_coefficients():
     table = coefficient_table(sigma(1), identity(), 6)
-    assert scaled_coeff(table, 2, 1) == Fraction(3, 2)
+    assert table.scaled(2, 1) == Fraction(3, 2)
     for n in range(7):
         assert table.scaled(n, n) == Fraction(1, table.normalizer(n))
     assert coefficient_table(one(), one(), 4).scaled(3, 2) == 2
