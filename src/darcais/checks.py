@@ -154,15 +154,16 @@ def inverse_eisenstein_values(max_n: int) -> Check:
 def lehmer_nonvanishing(max_n: int) -> Check:
     """P_n(-24) != 0 for (sigma, id), 1 <= n <= max_n, on two routes."""
     report = lehmer_scan(max_n)
-    return max_n, None if report.passed else f"Lehmer cross-check failed: zeros={report.zeros}"
+    return report.checks, (None if report.passed
+                           else f"Lehmer cross-check failed: zeros={report.zeros}")
 
 
 def conversion(gs: Functions, max_n: int) -> Check:
     """A[n][m](g, id) / n! == A[n][m](g~, one) / m!, 1 <= m <= n <= max_n."""
     checks = 0
     for g in gs:
-        failure = conversion_scan(g, max_n)
-        checks += max_n * (max_n + 1) // 2
+        made, failure = conversion_scan(g, max_n)
+        checks += made
         if failure is not None:
             return checks, f"conversion identity fails for g={g.name} at (n, m)={failure}"
     return checks, None
@@ -219,15 +220,15 @@ def top_margins(hs: Functions, max_n: int, search_n: int) -> Check:
 def hook_top_inequality(max_n: int) -> Check:
     """Strict top inequality of the hook polynomials, 2 <= n <= max_n."""
     report = hook_poly_top_inequality_scan(max_n)
-    return max_n - 1, (None if report.passed
-                       else f"hook top inequality fails at n={report.first_failure}")
+    return report.checks, (None if report.passed
+                           else f"hook top inequality fails at n={report.first_failure}")
 
 
 def hook_log_concavity(max_n: int) -> Check:
     """Hook polynomials are log-concave, with the implication chain, n <= max_n."""
     scan = hook_poly_log_concavity_scan(max_n, check_chain=True)
-    return scan.max_n, (None if scan.passed
-                        else f"hook log-concavity fails at n={scan.first_failure}")
+    return scan.checks, (None if scan.passed
+                         else f"hook log-concavity fails at n={scan.first_failure}")
 
 
 def shape_transfer(gs: Functions, max_n: int) -> Check:

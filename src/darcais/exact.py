@@ -1,10 +1,13 @@
 """Exact scalars, dense polynomials, and truncated power series.
 
-Scalars are `fractions.Fraction` throughout, so every computation in this
-package is exact and polynomial equality is decidable.  Polynomials are
-dense, coefficients indexed from degree 0.  Truncated series live in the
-ring (polynomials in x)[[q]]: a series coefficient may be a rational or a
-`Poly` in the second variable x.
+Scalars are `fractions.Fraction` (or ints, where an interface says so),
+so every computation in this package is exact and polynomial equality is
+decidable.  Kernels whose inputs are integral may run in plain ints and
+convert their results with `rational`; `rational`, `Poly` and `Series`
+refuse floats and booleans.  Polynomials are dense, coefficients indexed
+from degree 0.  Truncated series live in the ring (polynomials in x)[[q]]:
+a series coefficient may be a rational or a `Poly` in the second variable
+x.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def quotient(a, b):
+    """a / b without leaving the exact domain.
+
+    For two ints: their int quotient when b divides a, else a Fraction,
+    never a float.  Otherwise (a Fraction or Poly operand) plain `/`."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return a / b
+
+
 def format_rational(value: Union[int, Fraction]) -> str:
     """Render a rational as "p/q", or as a plain decimal string if integral."""
     return str(Fraction(value))
@@ -46,7 +60,7 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
+        coeffs = [c if isinstance(c, Fraction) else rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -110,7 +124,7 @@ class Poly:
         return Poly(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -Fraction(other))
+        return self + (-other if isinstance(other, Poly) else -rational(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -169,7 +183,7 @@ class Poly:
         if isinstance(point, Poly):
             acc: Union[Poly, Fraction] = Poly()
         else:
-            point = point if isinstance(point, Fraction) else Fraction(point)
+            point = rational(point)
             acc = _F0
         for c in reversed(self._coeffs):
             acc = acc * point + c
@@ -229,7 +243,7 @@ class Series:
 
     def __init__(self, coefficients: Iterable):
         coeffs = tuple(
-            c if isinstance(c, (Fraction, Poly)) else Fraction(c) for c in coefficients
+            c if isinstance(c, (Fraction, Poly)) else rational(c) for c in coefficients
         )
         if not coeffs:
             raise ValueError("a series truncation needs at least the q^0 coefficient")

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, format_rational, rational
+from .exact import Poly, format_rational, quotient, rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -58,19 +59,20 @@ def value_sequence(
     """P_0(point), ..., P_max_n(point): the recursion run on values.
 
     Evaluation commutes with the recursion, so scans that only need
-    P_n at a fixed point avoid building polynomials entirely.
+    P_n at a fixed point avoid building polynomials entirely.  For
+    integer-valued g and h at an integer point the values stay ints while
+    each division by h(n) is exact; an inexact one yields a Fraction, which
+    every later sum then carries.  The results are Fractions.
     """
-    _require_nonvanishing(h)
+    one, gv, hv = _kernel_inputs(g, h, max_n)
     x0 = rational(point)
-    values = [_F1]
-    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
+    if x0.denominator == 1:
+        x0 = x0.numerator
+    values = [one]
     for n in range(1, max_n + 1):
-        acc = _F0
-        for k in range(1, n + 1):
-            if gv[k]:
-                acc += gv[k] * values[n - k]
-        values.append(x0 * acc / h(n))
-    return values
+        acc = sum(map(mul, gv[1:n + 1], values[n - 1::-1]))
+        values.append(quotient(x0 * acc, hv[n]))
+    return [rational(v) for v in values]
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .arith import ArithmeticFunction, CumulativeProduct, identity, one, sigma
-from .exact import Poly, Series, X
+from .exact import Poly, Series, X, quotient, rational
 from .partitions import hook_multiset, partitions_of, stirling_first_unsigned
 from .recursion import coefficient_table, polynomial_sequence
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -48,54 +48,50 @@ def generating_series_h_one(g: ArithmeticFunction, order: int) -> Series:
 
 
 def _signed_binomial_terms(exponent, kmax: int) -> list:
-    """Coefficients (-1)^k C(exponent, k) for k = 0..kmax.
+    """Coefficients (-1)^k C(exponent, k) for k = 1..kmax, up to the first zero.
 
-    Works for integer exponents (negative included) and for a Poly
-    exponent, via C(r, k) = C(r, k-1) (r - k + 1) / k.
+    Works for integer exponents (negative included), where every term is
+    an int because C(r, k) = C(r, k-1) (r - k + 1) / k divides exactly, and
+    for Fraction and Poly exponents.
     """
-    if isinstance(exponent, Poly):
-        current: Poly | Fraction = Poly((_F1,))
-    else:
-        current = _F1
-    terms = [current]
+    current = 1
+    terms = []
     for k in range(1, kmax + 1):
-        current = current * (exponent - (k - 1)) / k * -1
-        terms.append(current)
-        if not isinstance(current, Poly) and current == 0:
+        current = quotient(-current * (exponent - (k - 1)), k)
+        if current == 0:
             break  # nonnegative integer exponent: the factor is a polynomial
+        terms.append(current)
     return terms
 
 
 def euler_product_power(exponent, order: int) -> Series:
     """prod_{n>=1} (1 - q^n)^r truncated at q^order.
 
-    `exponent` may be any integer or a Poly (typically X), in which case
-    the q^n coefficient is an exact polynomial of degree n in the exponent
-    variable.
+    `exponent` may be any integer or Fraction, or a Poly (typically X), in
+    which case the q^n coefficient is an exact polynomial of degree n in
+    the exponent variable.  An integer exponent runs the expansion in ints.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if not isinstance(exponent, (int, Fraction, Poly)):
+    if isinstance(exponent, bool) or not isinstance(exponent, (int, Fraction, Poly)):
         raise TypeError("exponent must be an integer, Fraction, or Poly")
-    acc: list = [_F1] + [_F0] * order
+    acc: list = [1] + [0] * order
     for n in range(1, order + 1):
-        terms = _signed_binomial_terms(exponent, order // n)
         out = list(acc)  # k = 0 contribution
-        for k in range(1, len(terms)):
-            c = terms[k]
-            if not isinstance(c, Poly) and c == 0:
-                break
+        for k, c in enumerate(_signed_binomial_terms(exponent, order // n), 1):
             shift = n * k
-            for i in range(order - shift + 1):
-                ci = acc[i]
-                if isinstance(ci, Poly) or ci:
-                    out[i + shift] = out[i + shift] + c * ci
+            out[shift:] = [o + c * a if a else o for o, a in zip(out[shift:], acc)]
         acc = out
     return Series(acc)
 
 
 def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:
-    """q-expansion coefficients of 1/E4 or 1/E6, by exact series inversion."""
+    """q-expansion coefficients of 1/E4 or 1/E6.
+
+    E = 1 + scale * sum sigma_power(n) q^n has integer coefficients and
+    constant term 1, so its reciprocal b has the integer recurrence
+    b_n = -sum_{k=1}^{n} a_k b_{n-k}.
+    """
     if weight == 4:
         scale, power = 240, 3
     elif weight == 6:
@@ -103,8 +99,11 @@ def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:
     else:
         raise ValueError(f"weight must be 4 or 6, got {weight}")
     s = sigma(power)
-    eisenstein = Series([_F1] + [Fraction(scale * s(n)) for n in range(1, order + 1)])
-    return list(eisenstein.inverse().coefficients)
+    a = [1] + [scale * s(n).numerator for n in range(1, order + 1)]
+    out = [1]
+    for n in range(1, order + 1):
+        out.append(-sum(map(mul, a[1:n + 1], out[n - 1::-1])))
+    return [rational(c) for c in out]
 
 
 def hook_length_polynomial(n: int) -> Poly:

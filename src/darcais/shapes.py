@@ -195,6 +195,7 @@ class ScanReport:
 
     check: str
     max_n: int
+    checks: int  # values of n the scan compared
     first_failure: int | None
     detail: str = ""
 
@@ -218,16 +219,17 @@ def hook_poly_log_concavity_scan(max_n: int, check_chain: bool = False) -> ScanR
     computed sequence.
     """
     rows = _shifted_rows(max_n)
+    checks = 0
     for n in range(1, max_n + 1):
         row = rows[n]
+        checks += 1
         report = is_log_concave(row, n)
         if not report.holds:
-            return ScanReport(
-                "hook-log-concavity", max_n, n, f"first violation at index {report.witness}"
-            )
+            return ScanReport("hook-log-concavity", max_n, checks, n,
+                              f"first violation at index {report.witness}")
         if check_chain and not implication_chain_holds(row, n):
-            return ScanReport("hook-log-concavity", max_n, n, "implication chain broken")
-    return ScanReport("hook-log-concavity", max_n, None)
+            return ScanReport("hook-log-concavity", max_n, checks, n, "implication chain broken")
+    return ScanReport("hook-log-concavity", max_n, checks, None)
 
 
 def hook_poly_top_inequality_scan(max_n: int) -> ScanReport:
@@ -241,13 +243,15 @@ def hook_poly_top_inequality_scan(max_n: int) -> ScanReport:
     if max_n < 2:
         raise ValueError("the top inequality scan needs max_n >= 2")
     band = coefficient_top_band(sigma(1), identity(), max_n, depth=2)
+    checks = 0
     for n in range(2, max_n + 1):
         a_nn, a_n1, a_n2 = band[n][0], band[n][1], band[n][2]
         top = a_n1 + n * a_nn
         second = a_n2 + (n - 1) * a_n1 + comb(n, 2) * a_nn
+        checks += 1
         if not top * top > second * a_nn:
-            return ScanReport("hook-top-inequality", max_n, n)
-    return ScanReport("hook-top-inequality", max_n, None)
+            return ScanReport("hook-top-inequality", max_n, checks, n)
+    return ScanReport("hook-top-inequality", max_n, checks, None)
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,7 @@ class LehmerReport:
 
     max_n: int
     values: list[Fraction]  # index n, starting at n = 0
+    checks: int  # values of n >= 1 tested for zero and against the product
     zeros: list[int]
     crosscheck_ok: bool
 
@@ -274,7 +279,13 @@ def lehmer_scan(max_n: int) -> LehmerReport:
     if max_n < 1:
         raise ValueError("the scan needs max_n >= 1")
     values = value_sequence(sigma(1), identity(), Fraction(-24), max_n)
-    zeros = [n for n in range(1, max_n + 1) if values[n] == 0]
     product = euler_product_power(24, max_n)
-    crosscheck_ok = all(product.coefficient(n) == values[n] for n in range(max_n + 1))
-    return LehmerReport(max_n, values, zeros, crosscheck_ok)
+    checks, zeros = 0, []
+    crosscheck_ok = product.coefficient(0) == values[0]
+    for n in range(1, max_n + 1):
+        checks += 1
+        if values[n] == 0:
+            zeros.append(n)
+        if product.coefficient(n) != values[n]:
+            crosscheck_ok = False
+    return LehmerReport(max_n, values, checks, zeros, crosscheck_ok)

@@ -342,14 +342,16 @@ def conversion_holds(
 
 def conversion_scan(
     g: ArithmeticFunction, max_n: int
-) -> tuple[int, int] | None:
-    """First (n, m) where the conversion identity fails, or None."""
+) -> tuple[int, tuple[int, int] | None]:
+    """(comparisons made, first (n, m) where the conversion identity fails or None)."""
     g_tilde = tilde(g)
+    checks = 0
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
+            checks += 1
             if not conversion_holds(g, n, m, g_tilde=g_tilde):
-                return (n, m)
-    return None
+                return checks, (n, m)
+    return checks, None
 
 
 def coefficient_composition_sum(

@@ -263,7 +263,7 @@ def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
          "1/E4 differs from the recursion at n=0"),
         ("closed-forms", "coefficient_h_one", lambda g, n, m: 0,
          "closed form (g=one, h=one) differs at (n=1, m=1)"),
-        ("conversion", "conversion_scan", lambda g, n: (2, 1),
+        ("conversion", "conversion_scan", lambda g, n: (3, (2, 1)),
          "conversion identity fails for g=one at (n, m)=(2, 1)"),
         ("no-formula", "partitions_of", lambda n: iter(()),
          "Q_n(0) != p(n) at n=0"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcais.exact import Poly, Series, X, format_rational, rational
+from darcais.exact import Poly, Series, X, format_rational, quotient, rational
 
 HALF = Fraction(1, 2)
 
@@ -21,6 +21,27 @@ def test_rational_parsing_and_formatting():
         rational(1.5)
     with pytest.raises(TypeError):
         rational(True)
+
+
+def test_no_float_or_bool_enters_a_poly_or_series():
+    for build in (
+        lambda: Poly([0.5]),
+        lambda: Poly([1, True]),
+        lambda: Series([0.25, 1]),
+        lambda: Series([1, False]),
+        lambda: Poly([1, 2])(0.5),
+        lambda: Poly([1, 2]) - 0.5,
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_quotient_stays_exact():
+    assert quotient(12, -4) == -3 and type(quotient(12, -4)) is int
+    assert quotient(7, 2) == Fraction(7, 2) and isinstance(quotient(7, 2), Fraction)
+    assert quotient(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert quotient(X * 3, 2) == X * Fraction(3, 2)
 
 
 def test_poly_add():

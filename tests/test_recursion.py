@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darcais.arith import CumulativeProduct, from_table, identity, one, sigma, tilde
 from darcais.exact import Poly, X
@@ -110,6 +112,50 @@ def test_value_sequence_matches_polynomials():
         values = value_sequence(sigma(1), identity(), point, 12)
         polys = polynomial_sequence(sigma(1), identity(), 12)
         assert values == [p(point) for p in polys]
+    with pytest.raises(ValueError):
+        value_sequence(sigma(1), identity(), 1, -1)
+
+
+_nonzero = st.integers(-9, 9).filter(bool)
+_rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+# value_sequence(g, h, point, max_n) inputs, one strategy per kind of run:
+# integer tables whose h is +-1, so every division by h(n) is exact
+_exact_ints = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=7, max_size=7),
+    st.lists(st.sampled_from((1, -1)), min_size=7, max_size=7),
+    st.integers(-30, 30),
+)
+# integer tables with h(2) = 3 and P_2(point) = point (point + g(2)) / 3
+# not an integer, so the values turn into Fractions partway through
+_inexact_ints = st.tuples(
+    st.tuples(st.integers(-3, 3), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+    .map(lambda t: [3 * t[0], *t[1]]),
+    st.lists(_nonzero, min_size=5, max_size=5).map(lambda rest: [3, *rest]),
+    st.integers(-10, 10).map(lambda a: 3 * a + 1),
+)
+# rational tables at a rational point
+_rationals = st.tuples(
+    st.lists(_rational, min_size=7, max_size=7),
+    st.lists(_rational.filter(bool), min_size=7, max_size=7),
+    _rational,
+)
+
+
+@given(st.one_of(_exact_ints, _inexact_ints, _rationals))
+@settings(max_examples=300, deadline=None)
+def test_value_sequence_matches_polynomials_on_random_tables(case):
+    g_rest, h_rest, point = case
+    g, h = from_table([1, *g_rest]), from_table([1, *h_rest])
+    max_n = len(g_rest) + 1
+    values = value_sequence(g, h, point, max_n)
+    polys = polynomial_sequence(g, h, max_n)
+    assert all(isinstance(v, Fraction) for v in values)
+    assert values == [p(point) for p in polys]
+    if isinstance(point, int):  # integer tables
+        if h_rest[0] == 3:
+            assert values[2].denominator == 3
+        else:
+            assert all(v.denominator == 1 for v in values)
 
 
 def test_top_band_matches_table():

@@ -102,12 +102,28 @@ def test_euler_product_24():
 
 
 def test_euler_product_integer_exponents_match_recursion_values():
-    # prod (1-q^n)^r has q^n coefficient P_n(-r) for (sigma, id)
-    for r in (-2, -1, 1, 3, 24):
-        expansion = euler_product_power(r, 30)
-        values = value_sequence(sigma(1), identity(), Fraction(-r), 30)
-        for n in range(31):
-            assert expansion.coefficient(n) == values[n], (r, n)
+    # prod (1-q^n)^r has q^n coefficient P_n(-r) for (sigma, id); the int
+    # expansion also equals the symbolic one evaluated at x = r
+    symbolic = euler_product_power(X, 40)
+    for r in range(-6, 31):
+        direct = euler_product_power(r, 40).coefficients
+        values = value_sequence(sigma(1), identity(), -r, 40)
+        assert len(direct) == len(values) == 41
+        for n in range(41):
+            assert isinstance(direct[n], Fraction) and isinstance(values[n], Fraction)
+            at_r = symbolic.coefficient(n)
+            at_r = at_r(r) if isinstance(at_r, Poly) else at_r
+            assert direct[n] == at_r == values[n], (r, n)
+
+
+def test_euler_product_exponent_types():
+    half = euler_product_power(HALF, 6)
+    assert half * half == euler_product_power(1, 6)
+    assert all(isinstance(c, Fraction) for c in half.coefficients)
+    with pytest.raises(TypeError):
+        euler_product_power(True, 4)
+    with pytest.raises(TypeError):
+        euler_product_power(0.5, 4)
 
 
 def test_euler_product_symbolic_exponent():
@@ -154,6 +170,7 @@ def test_inverse_eisenstein_matches_recursion_values():
     a6 = inverse_eisenstein(6, 20)
     v6 = value_sequence(sigma(5), one(), Fraction(504), 20)
     assert a6 == v6
+    assert all(isinstance(c, Fraction) for c in a4 + a6 + v4 + v6)
 
 
 def test_hook_length_polynomial_examples():

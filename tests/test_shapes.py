@@ -115,8 +115,10 @@ def test_counterexample_search_regression():
 def test_hook_poly_scans_small():
     scan = hook_poly_log_concavity_scan(40, check_chain=True)
     assert scan.passed
+    assert scan.checks == 40  # one comparison per n in 1..40
     ineq = hook_poly_top_inequality_scan(60)
     assert ineq.passed
+    assert ineq.checks == 59  # n in 2..60
     # n = 2 by hand: b = (2, 5/2, 1/2); (5/2)^2 > 2 * 1/2
     assert Fraction(5, 2) ** 2 > 1
 
@@ -139,6 +141,7 @@ def test_scan_route_matches_hook_sums():
 def test_lehmer_scan_small():
     report = lehmer_scan(40)
     assert report.passed
+    assert report.checks == 40
     assert not report.zeros
     assert report.crosscheck_ok
     assert report.values[1] == -24

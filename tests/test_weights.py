@@ -237,8 +237,8 @@ def test_conversion_examples():
     assert conversion_holds(sigma(1), 3, 2)
     assert coefficient_h_id(sigma(1), 3, 2) / factorial(3) == Fraction(3, 2)
     assert coefficient_h_one(tilde(sigma(1)), 3, 2) / factorial(2) == Fraction(3, 2)
-    assert conversion_scan(identity(), 9) is None
-    assert conversion_scan(one(), 9) is None
+    assert conversion_scan(identity(), 9) == (45, None)
+    assert conversion_scan(one(), 9) == (45, None)
     # Lah specialization: A(id, id)[n][m] / n! = C(n-1, m-1) / m!
     for n in range(1, 9):
         for m in range(1, n + 1):
