@@ -38,7 +38,7 @@ class ArithmeticFunction:
         self._eval = evaluator
         self.non_vanishing = non_vanishing
         self.integer_valued = integer_valued
-        first = Fraction(evaluator(1))
+        first = rational(evaluator(1))
         if first != 1:
             raise ValueError(f"{name!r} is not normalized: value at 1 is {first}")
         self._memo = {1: _F1}
@@ -50,7 +50,7 @@ class ArithmeticFunction:
             raise ValueError(f"arithmetic functions are defined for n >= 0, got {n}")
         value = self._memo.get(n)
         if value is None:
-            value = Fraction(self._eval(n))
+            value = rational(self._eval(n))
             if self.non_vanishing and value == 0:
                 raise ArithmeticError(
                     f"{self.name!r} is flagged non-vanishing but vanishes at {n}"

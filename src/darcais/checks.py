@@ -153,9 +153,8 @@ def inverse_eisenstein_values(max_n: int) -> Check:
 
 def lehmer_nonvanishing(max_n: int) -> Check:
     """P_n(-24) != 0 for (sigma, id), 1 <= n <= max_n, on two routes."""
-    report = lehmer_scan(max_n)
-    return report.checks, (None if report.passed
-                           else f"Lehmer cross-check failed: zeros={report.zeros}")
+    _, (checks, failure) = lehmer_scan(max_n)
+    return checks, failure and "Lehmer cross-check failed: {1} at n={0}".format(*failure)
 
 
 def conversion(gs: Functions, max_n: int) -> Check:
@@ -219,26 +218,24 @@ def top_margins(hs: Functions, max_n: int, search_n: int) -> Check:
 
 def hook_top_inequality(max_n: int) -> Check:
     """Strict top inequality of the hook polynomials, 2 <= n <= max_n."""
-    report = hook_poly_top_inequality_scan(max_n)
-    return report.checks, (None if report.passed
-                           else f"hook top inequality fails at n={report.first_failure}")
+    checks, n = hook_poly_top_inequality_scan(max_n)
+    return checks, None if n is None else f"hook top inequality fails at n={n}"
 
 
 def hook_log_concavity(max_n: int) -> Check:
     """Hook polynomials are log-concave, with the implication chain, n <= max_n."""
-    scan = hook_poly_log_concavity_scan(max_n, check_chain=True)
-    return scan.checks, (None if scan.passed
-                         else f"hook log-concavity fails at n={scan.first_failure}")
+    checks, n = hook_poly_log_concavity_scan(max_n)
+    return checks, None if n is None else f"hook log-concavity fails at n={n}"
 
 
 def shape_transfer(gs: Functions, max_n: int) -> Check:
     """(Ultra-)log-concavity of P_n for (g/n, one) carries over to (g, id)."""
     checks = 0
     for g in gs:
-        result = transfer_check(g, max_n)
-        checks += max_n
-        if not result.passed:
-            return checks, f"shape transfer fails for g={g.name} at {result.first_failure}"
+        made, failure = transfer_check(g, max_n)
+        checks += made
+        if failure is not None:
+            return checks, f"shape transfer fails for g={g.name} at {failure}"
     return checks, None
 
 
@@ -246,10 +243,10 @@ def closed_families(hs: Functions, max_n: int) -> Check:
     """Pochhammer, Stirling, Lah, three-term and symmetric-product families."""
     checks = 0
     for family in ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"):
-        report = closed_family_check(family, max_n, h_functions=hs)
-        checks += report.checks
-        if not report.passed:
-            return checks, f"closed family check fails: {report.first_failure}"
+        made, failure = closed_family_check(family, max_n, hs)
+        checks += made
+        if failure is not None:
+            return checks, f"closed family check fails: {failure}"
     return checks, None
 
 

@@ -1,9 +1,9 @@
 """Command-line front end: compute, cross-verify, scan, export.
 
 Exit codes: 0 success, 1 verification failure (first counterexample goes
-to stdout), 2 usage error.  All output is deterministic for a fixed
-invocation; rationals are always serialized as "p/q" strings (plain
-decimal strings for integers), never as floats.
+to stdout), 2 usage error, 3 internal error.  All output is deterministic
+for a fixed invocation; rationals are always serialized as "p/q" strings
+(plain decimal strings for integers), never as floats.
 """
 
 from __future__ import annotations
@@ -205,16 +205,17 @@ def _run_scan(args: argparse.Namespace) -> int:
     max_n, check = args.max_n, args.check
     if max_n < _SCAN_MIN_N[check]:
         raise UsageError(f"{check} scan needs --max-n >= {_SCAN_MIN_N[check]}")
+    g, h = _parse_functions(args)
+    if check != "delta" and (g.name, h.name) != ("sigma:1", "id"):
+        raise UsageError(f"{check} scan is only defined for --g sigma:1 --h id")
     if check == "lehmer":
-        report = lehmer_scan(max_n)
-        _emit_value_rows([(n, report.values[n]) for n in range(1, max_n + 1)], args.format)
-        if not report.passed:
-            detail = f"zeros at {report.zeros}" if report.zeros else "Euler-product cross-check failed"
-            print(f"FAIL lehmer: {detail}", file=sys.stderr)
+        values, (_, failure) = lehmer_scan(max_n)
+        _emit_value_rows([(n, values[n]) for n in range(1, max_n + 1)], args.format)
+        if failure is not None:
+            print("FAIL lehmer: {1} at n={0}".format(*failure), file=sys.stderr)
             return 1
         return 0
     if check == "delta":
-        g, h = _parse_functions(args)
         try:
             rows = [(n, top_margin(g, h, n)) for n in range(2, max_n + 1)]
         except (ValueError, IndexError) as exc:
@@ -226,13 +227,12 @@ def _run_scan(args: argparse.Namespace) -> int:
             return 1
         return 0
     if check == "hook-logconcave":
-        report = hook_poly_log_concavity_scan(max_n, check_chain=True)
+        name, (_, failure) = "hook-log-concavity", hook_poly_log_concavity_scan(max_n)
     else:
-        report = hook_poly_top_inequality_scan(max_n)
-    _emit_summary(
-        {"check": report.check, "max_n": report.max_n, "passed": report.passed,
-         "first_failure": report.first_failure}, args.format)
-    return 0 if report.passed else 1
+        name, (_, failure) = "hook-top-inequality", hook_poly_top_inequality_scan(max_n)
+    _emit_summary({"check": name, "max_n": max_n, "passed": failure is None,
+                   "first_failure": failure}, args.format)
+    return 0 if failure is None else 1
 
 
 def _run_export(args: argparse.Namespace) -> int:
@@ -334,6 +334,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

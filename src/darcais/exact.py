@@ -45,7 +45,7 @@ def quotient(a, b):
 
 def format_rational(value: Union[int, Fraction]) -> str:
     """Render a rational as "p/q", or as a plain decimal string if integral."""
-    return str(Fraction(value))
+    return str(rational(value))
 
 
 class Poly:

@@ -14,7 +14,6 @@ meaningful evidence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -133,26 +132,12 @@ def hook_length_polynomial(n: int) -> Poly:
     return total
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    """Outcome of a closed-family verification sweep."""
-
-    family: str
-    max_n: int
-    checks: int
-    first_failure: tuple | None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
-
-
 _FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")
 
 
 def closed_family_check(
-    family: str, max_n: int, h_functions: list[ArithmeticFunction] | None = None
-) -> FamilyReport:
+    family: str, max_n: int, h_functions: list[ArithmeticFunction]
+) -> tuple[int, tuple | None]:
     """Verify one closed polynomial family against the recursion engine.
 
     pochhammer:         P_n for (one, one) equals x (x+1)^(n-1)
@@ -163,26 +148,20 @@ def closed_family_check(
                         (h(0) = 0, so the P_0 term drops at n = 0)
     symmetric_product:  H(n) P_n for (one, h) equals prod_{k=0}^{n-1} (x + h(k))
 
-    Returns the first failing (family, n[, m]) if any.
+    Returns (comparisons made, first failing (family, n[, m]) or None).
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if h_functions is None:
-        h_functions = [one(), identity(), sigma(1)]
     checks = 0
-    failure: tuple | None = None
 
     if family == "pochhammer":
-        fn_one = one()
-        polys = polynomial_sequence(fn_one, fn_one, max_n)
+        polys = polynomial_sequence(one(), one(), max_n)
         for n in range(1, max_n + 1):
-            expected = (X * (X + 1) ** (n - 1)) if n >= 1 else Poly((_F1,))
             checks += 1
-            if polys[n] != expected:
-                failure = (family, n)
-                break
+            if polys[n] != X * (X + 1) ** (n - 1):
+                return checks, (family, n)
 
     elif family == "stirling":
         table = coefficient_table(one(), identity(), max_n)
@@ -190,27 +169,19 @@ def closed_family_check(
             for m in range(n + 1):
                 checks += 1
                 if table.entry(n, m) != stirling_first_unsigned(n, m):
-                    failure = (family, n, m)
-                    break
-            if failure:
-                break
+                    return checks, (family, n, m)
 
     elif family == "lah":
         table = coefficient_table(identity(), identity(), max_n)
         for n in range(1, max_n + 1):
             for m in range(1, n + 1):
                 checks += 1
-                expected = (factorial(n) // factorial(m)) * comb(n - 1, m - 1)
-                if table.entry(n, m) != expected:
-                    failure = (family, n, m)
-                    break
-            if failure:
-                break
+                if table.entry(n, m) != (factorial(n) // factorial(m)) * comb(n - 1, m - 1):
+                    return checks, (family, n, m)
 
     elif family == "chebyshev3term":
-        g = identity()
         for h in h_functions:
-            polys = polynomial_sequence(g, h, max_n + 2)
+            polys = polynomial_sequence(identity(), h, max_n + 2)
             for n in range(max_n + 1):
                 lhs = (
                     polys[n] * h(n)
@@ -219,24 +190,17 @@ def closed_family_check(
                 )
                 checks += 1
                 if not lhs.is_zero():
-                    failure = (family, h.name, n)
-                    break
-            if failure:
-                break
+                    return checks, (family, h.name, n)
 
     elif family == "symmetric_product":
-        g = one()
         for h in h_functions:
-            polys = polynomial_sequence(g, h, max_n)
+            polys = polynomial_sequence(one(), h, max_n)
             products = CumulativeProduct(h)
             expected = Poly((_F1,))
             for n in range(1, max_n + 1):
                 expected = expected * (X + h(n - 1))  # h(0) = 0 gives the x factor
                 checks += 1
                 if polys[n] * products.value(n) != expected:
-                    failure = (family, h.name, n)
-                    break
-            if failure:
-                break
+                    return checks, (family, h.name, n)
 
-    return FamilyReport(family=family, max_n=max_n, checks=checks, first_failure=failure)
+    return checks, None

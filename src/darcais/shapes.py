@@ -5,7 +5,9 @@ exactly on sequences of nonnegative rationals.  The scans combine routes
 from the recursion engine and the oracles: hook-polynomial scans use the
 shift identity Q_n(x) = P_n(x+1) for (sigma, id) on top of the integer
 coefficient triangle, and the Lehmer scan runs the recursion on values at
-x = -24 and cross-checks the 24th Euler-product power.
+x = -24 and cross-checks the 24th Euler-product power.  Each scan returns
+(checks, first_failure): the comparisons it made and where the first one
+failed, or None.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import comb
 from typing import Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
+from .exact import rational
 from .recursion import (
     coefficient_table,
     coefficient_top_band,
@@ -39,24 +42,15 @@ class ShapeReport:
 
 
 def _as_nonnegative(seq: Sequence) -> list[Fraction]:
-    out = [v if isinstance(v, Fraction) else Fraction(v) for v in seq]
+    out = [rational(v) for v in seq]
     for v in out:
         if v < 0:
             raise ValueError("shape predicates are defined for nonnegative sequences")
     return out
 
 
-def _resolve_n(seq: Sequence, n: int | None) -> int:
-    if n is None:
-        return len(seq) - 1
-    if len(seq) != n + 1:
-        raise ValueError(f"sequence of length {len(seq)} does not match n = {n}")
-    return n
-
-
-def is_unimodal(seq: Sequence, n: int | None = None) -> ShapeReport:
+def is_unimodal(seq: Sequence) -> ShapeReport:
     """Nondecreasing up to some peak, then nonincreasing."""
-    n = _resolve_n(seq, n)
     values = _as_nonnegative(seq)
     i = 0
     while i + 1 < len(values) and values[i] <= values[i + 1]:
@@ -64,33 +58,31 @@ def is_unimodal(seq: Sequence, n: int | None = None) -> ShapeReport:
     while i + 1 < len(values) and values[i] >= values[i + 1]:
         i += 1
     holds = i + 1 >= len(values)
-    return ShapeReport("unimodal", n, holds, None if holds else i + 1)
+    return ShapeReport("unimodal", len(values) - 1, holds, None if holds else i + 1)
 
 
-def is_log_concave(seq: Sequence, n: int | None = None) -> ShapeReport:
+def is_log_concave(seq: Sequence) -> ShapeReport:
     """a_j^2 >= a_{j-1} a_{j+1} for every interior j."""
-    n = _resolve_n(seq, n)
     values = _as_nonnegative(seq)
     for j in range(1, len(values) - 1):
         if values[j] * values[j] < values[j - 1] * values[j + 1]:
-            return ShapeReport("log-concave", n, False, j)
-    return ShapeReport("log-concave", n, True, None)
+            return ShapeReport("log-concave", len(values) - 1, False, j)
+    return ShapeReport("log-concave", len(values) - 1, True, None)
 
 
-def is_ultra_log_concave(seq: Sequence, n: int | None = None) -> ShapeReport:
-    """Log-concavity of the associated sequence a_k / C(n, k)."""
-    n = _resolve_n(seq, n)
+def is_ultra_log_concave(seq: Sequence) -> ShapeReport:
+    """Log-concavity of the associated sequence a_k / C(n, k), n = len(seq) - 1."""
     values = _as_nonnegative(seq)
-    scaled = [v / comb(n, k) for k, v in enumerate(values)]
-    inner = is_log_concave(scaled, n)
+    n = len(values) - 1
+    inner = is_log_concave([v / comb(n, k) for k, v in enumerate(values)])
     return ShapeReport("ultra-log-concave", n, inner.holds, inner.witness)
 
 
-def implication_chain_holds(seq: Sequence, n: int | None = None) -> bool:
+def implication_chain_holds(seq: Sequence) -> bool:
     """ultra-log-concave => log-concave => unimodal on this sequence."""
-    ultra = is_ultra_log_concave(seq, n)
-    log = is_log_concave(seq, n)
-    uni = is_unimodal(seq, n)
+    ultra = is_ultra_log_concave(seq)
+    log = is_log_concave(seq)
+    uni = is_unimodal(seq)
     if ultra.holds and not log.holds:
         return False
     if log.holds and not uni.holds:
@@ -98,43 +90,23 @@ def implication_chain_holds(seq: Sequence, n: int | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    """Shape transfer from the (g/n, one) polynomials to the (g, id) ones."""
+def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, str] | None]:
+    """Whenever P_n for (g/n, one) is (ultra-)log-concave, so must be P_n for (g, id).
 
-    g_name: str
-    max_n: int
-    premise_log: list[int]      # n where the h=one side is log-concave
-    premise_ultra: list[int]    # n where the h=one side is ultra-log-concave
-    first_failure: tuple | None  # (n, predicate) breaking the implication
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
-
-
-def transfer_check(g: ArithmeticFunction, max_n: int) -> TransferReport:
-    """Whenever P_n for (g/n, one) is (ultra-)log-concave, so must be P_n for (g, id)."""
-    g_tilde = tilde(g)
-    source = coefficient_table(g_tilde, one(), max_n)
+    Returns (values of n scanned, first (n, predicate) breaking the implication or None).
+    """
+    source = coefficient_table(tilde(g), one(), max_n)
     target = coefficient_table(g, identity(), max_n)
-    premise_log: list[int] = []
-    premise_ultra: list[int] = []
-    failure: tuple | None = None
+    checks = 0
     for n in range(1, max_n + 1):
         src = [source.scaled(n, m) for m in range(n + 1)]
         dst = [target.scaled(n, m) for m in range(n + 1)]
-        if is_log_concave(src, n).holds:
-            premise_log.append(n)
-            if not is_log_concave(dst, n).holds:
-                failure = (n, "log-concave")
-                break
-        if is_ultra_log_concave(src, n).holds:
-            premise_ultra.append(n)
-            if not is_ultra_log_concave(dst, n).holds:
-                failure = (n, "ultra-log-concave")
-                break
-    return TransferReport(g.name, max_n, premise_log, premise_ultra, failure)
+        checks += 1
+        if is_log_concave(src).holds and not is_log_concave(dst).holds:
+            return checks, (n, "log-concave")
+        if is_ultra_log_concave(src).holds and not is_ultra_log_concave(dst).holds:
+            return checks, (n, "ultra-log-concave")
+    return checks, None
 
 
 def top_margin(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Fraction:
@@ -170,38 +142,19 @@ class MarginCounterexample:
     margin: Fraction
 
 
-def counterexample_search(
-    h: ArithmeticFunction, max_n: int = 50, start: int = 2, limit: int = 1 << 20
-) -> MarginCounterexample | None:
-    """Double g(3) on g = table[1, 1, G] until the top margin fails somewhere.
+def counterexample_search(h: ArithmeticFunction, max_n: int = 50) -> MarginCounterexample | None:
+    """Double g(3) from 2 up to 2^20 on g = table[1, 1, g(3)] until the top margin fails.
 
     Existence is guaranteed for any h with positive values: the g(3) term
     grows without bound while the rest of the margin is fixed.
     """
-    big = start
-    while big <= limit:
+    for big in (1 << k for k in range(1, 21)):
         g = from_table([1, 1, big])
         for n in range(2, max_n + 1):
             margin = top_margin(g, h, n)
             if margin < 0:
                 return MarginCounterexample((1, 1, big), h.name, n, margin)
-        big *= 2
     return None
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Outcome of an exact scan over 1 <= n <= max_n."""
-
-    check: str
-    max_n: int
-    checks: int  # values of n the scan compared
-    first_failure: int | None
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
 
 
 def _shifted_rows(max_n: int) -> list[list[int]]:
@@ -210,35 +163,31 @@ def _shifted_rows(max_n: int) -> list[list[int]]:
     return [list(shifted_coefficient_numerators(table.row(n))) for n in range(max_n + 1)]
 
 
-def hook_poly_log_concavity_scan(max_n: int, check_chain: bool = False) -> ScanReport:
-    """Exact log-concavity of the hook-polynomial coefficients for n <= max_n.
+def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
+    """Exact log-concavity of the hook-polynomial coefficients, and
+    ultra => log-concave => unimodal on each of them, for 1 <= n <= max_n.
 
     Q_n comes from the shift identity on the integer triangle; the common
-    positive denominator n! drops out of every log-concavity comparison.
-    With check_chain, also assert ultra => log-concave => unimodal on each
-    computed sequence.
+    positive denominator n! drops out of every comparison.  Returns
+    (values of n compared, first failing n or None).
     """
     rows = _shifted_rows(max_n)
     checks = 0
     for n in range(1, max_n + 1):
-        row = rows[n]
         checks += 1
-        report = is_log_concave(row, n)
-        if not report.holds:
-            return ScanReport("hook-log-concavity", max_n, checks, n,
-                              f"first violation at index {report.witness}")
-        if check_chain and not implication_chain_holds(row, n):
-            return ScanReport("hook-log-concavity", max_n, checks, n, "implication chain broken")
-    return ScanReport("hook-log-concavity", max_n, checks, None)
+        if not (is_log_concave(rows[n]).holds and implication_chain_holds(rows[n])):
+            return checks, n
+    return checks, None
 
 
-def hook_poly_top_inequality_scan(max_n: int) -> ScanReport:
+def hook_poly_top_inequality_scan(max_n: int) -> tuple[int, int | None]:
     """Strict b_{n,n-1}^2 > b_{n,n-2} b_{n,n} for the hook polynomials, 2 <= n <= max_n.
 
     Uses the diagonal band of the triangle: with N_j = n! b_{n,j},
     N_{n}   = A[n][n],
     N_{n-1} = A[n][n-1] + n A[n][n],
     N_{n-2} = A[n][n-2] + (n-1) A[n][n-1] + C(n,2) A[n][n].
+    Returns (values of n compared, first failing n or None).
     """
     if max_n < 2:
         raise ValueError("the top inequality scan needs max_n >= 2")
@@ -250,42 +199,29 @@ def hook_poly_top_inequality_scan(max_n: int) -> ScanReport:
         second = a_n2 + (n - 1) * a_n1 + comb(n, 2) * a_nn
         checks += 1
         if not top * top > second * a_nn:
-            return ScanReport("hook-top-inequality", max_n, checks, n)
-    return ScanReport("hook-top-inequality", max_n, checks, None)
+            return checks, n
+    return checks, None
 
 
-@dataclass(frozen=True)
-class LehmerReport:
-    """Values P_n(-24) for (sigma, id) and the Euler-product cross-check."""
-
-    max_n: int
-    values: list[Fraction]  # index n, starting at n = 0
-    checks: int  # values of n >= 1 tested for zero and against the product
-    zeros: list[int]
-    crosscheck_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.zeros and self.crosscheck_ok
-
-
-def lehmer_scan(max_n: int) -> LehmerReport:
+def lehmer_scan(max_n: int) -> tuple[list[Fraction], tuple[int, tuple[int, str] | None]]:
     """P_n(-24) != 0 for 1 <= n <= max_n, checked exactly.
 
     The values come from the recursion run at x = -24; independently, the
     q-expansion of the 24th power of the Euler product must reproduce them
-    coefficient by coefficient.
+    coefficient by coefficient.  Returns the values (index n from 0) and
+    (values of n >= 1 compared, first (n, "zero" or "Euler-product mismatch") or None).
     """
     if max_n < 1:
         raise ValueError("the scan needs max_n >= 1")
     values = value_sequence(sigma(1), identity(), Fraction(-24), max_n)
     product = euler_product_power(24, max_n)
-    checks, zeros = 0, []
-    crosscheck_ok = product.coefficient(0) == values[0]
+    if product.coefficient(0) != values[0]:
+        return values, (0, (0, "Euler-product mismatch"))
+    checks = 0
     for n in range(1, max_n + 1):
         checks += 1
         if values[n] == 0:
-            zeros.append(n)
+            return values, (checks, (n, "zero"))
         if product.coefficient(n) != values[n]:
-            crosscheck_ok = False
-    return LehmerReport(max_n, values, checks, zeros, crosscheck_ok)
+            return values, (checks, (n, "Euler-product mismatch"))
+    return values, (checks, None)

@@ -72,6 +72,14 @@ def test_non_vanishing_flag_checked_on_evaluation():
         bad(3)
 
 
+def test_float_evaluator_results_are_refused():
+    halves = ArithmeticFunction("f", lambda n: 1 if n == 1 else 0.5, non_vanishing=True)
+    with pytest.raises(TypeError):
+        halves(2)
+    with pytest.raises(TypeError):
+        ArithmeticFunction("g", lambda n: 1.0)
+
+
 def test_descriptor_grammar(tmp_path):
     assert from_descriptor("one").name == "one"
     assert from_descriptor("id")(5) == 5

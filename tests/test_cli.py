@@ -6,9 +6,10 @@ import pytest
 
 import darcais.checks
 import darcais.cli
+import darcais.shapes
 
 from darcais.cli import build_parser, main
-from darcais.exact import rational
+from darcais.exact import Series, rational
 from darcais.recursion import coefficient_table, table_rows_from_dict
 from darcais.arith import identity, sigma
 
@@ -278,3 +279,85 @@ def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line
     monkeypatch.setattr(darcais.checks, name, broken)
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "4")
     assert (code, out, err) == (1, f"FAIL {suite}: {line}\n", "")
+
+
+def _dip(numerators):
+    # a zero before the last coefficient breaks log-concavity from n = 3 on
+    return lambda row: numerators(row) if len(row) < 4 else [1] * (len(row) - 2) + [0, 1]
+
+
+def _zero_at_3(value_sequence):
+    def broken(*args):
+        values = value_sequence(*args)
+        values[3] = 0
+        return values
+    return broken
+
+
+def _product_off_at_2(euler_product_power):
+    def broken(exponent, order):
+        coefficients = list(euler_product_power(exponent, order).coefficients)
+        coefficients[2] += 1
+        return Series(coefficients)
+    return broken
+
+
+LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
+
+
+@pytest.mark.parametrize(
+    "name, breaker, argv, out, err",
+    [
+        ("shifted_coefficient_numerators", _dip, ("scan", "--check", "hook-logconcave"),
+         "check=hook-log-concavity max_n=5 passed=False first_failure=3\n", ""),
+        ("coefficient_top_band", lambda band: lambda g, h, max_n, depth: [[0, 0, 0]] * (max_n + 1),
+         ("scan", "--check", "hook-top"),
+         "check=hook-top-inequality max_n=5 passed=False first_failure=2\n", ""),
+        ("value_sequence", _zero_at_3, ("scan", "--check", "lehmer"),
+         LEHMER_ROWS.format(0), "FAIL lehmer: zero at n=3\n"),
+        ("euler_product_power", _product_off_at_2, ("scan", "--check", "lehmer"),
+         LEHMER_ROWS.format(-1472), "FAIL lehmer: Euler-product mismatch at n=2\n"),
+        ("value_sequence", _zero_at_3, ("verify", "--suite", "oracles"),
+         "FAIL oracles: Lehmer cross-check failed: zero at n=3\n", ""),
+        ("euler_product_power", _product_off_at_2, ("verify", "--suite", "oracles"),
+         "FAIL oracles: Lehmer cross-check failed: Euler-product mismatch at n=2\n", ""),
+    ],
+    ids=["hook-logconcave", "hook-top", "lehmer-zero", "lehmer-product",
+         "verify-lehmer-zero", "verify-lehmer-product"],
+)
+def test_scan_failure_is_exit_1(capsys, monkeypatch, name, breaker, argv, out, err):
+    monkeypatch.setattr(darcais.shapes, name, breaker(getattr(darcais.shapes, name)))
+    assert run_cli(capsys, *argv, "--max-n", "5") == (1, out, err)
+
+
+@pytest.mark.parametrize("check", ["lehmer", "hook-logconcave", "hook-top"])
+@pytest.mark.parametrize(
+    "flags",
+    [("--g", "table:g.json"), ("--h", "one"), ("--g", "sigma:3"), ("--g", "id", "--h", "sigma:1")],
+    ids=["g-table", "h-one", "g-sigma3", "swapped"],
+)
+def test_scans_without_functions_refuse_g_and_h(capsys, monkeypatch, tmp_path, check, flags):
+    (tmp_path / "g.json").write_text(json.dumps([1, 2]))
+    monkeypatch.chdir(tmp_path)
+    for name in ("lehmer_scan", "hook_poly_log_concavity_scan", "hook_poly_top_inequality_scan"):
+        monkeypatch.setattr(darcais.cli, name, None)  # any call would be an internal error
+    code, out, err = run_cli(capsys, "scan", "--check", check, "--max-n", "5", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("check", ["lehmer", "hook-logconcave", "hook-top"])
+def test_scans_accept_their_own_g_and_h(capsys, check):
+    argv = ("scan", "--check", check, "--max-n", "6")
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert run_cli(capsys, *argv, "--g", "sigma:1", "--h", "id") == default
+
+
+def test_internal_error_is_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("table build failed")
+
+    monkeypatch.setattr(darcais.cli, "coefficient_table", broken)
+    code, out, err = run_cli(capsys, "export", "--max-n", "3")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: table build failed\n")

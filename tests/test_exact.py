@@ -23,6 +23,11 @@ def test_rational_parsing_and_formatting():
         rational(True)
 
 
+def test_format_rational_refuses_floats():
+    with pytest.raises(TypeError):
+        format_rational(0.1)
+
+
 def test_no_float_or_bool_enters_a_poly_or_series():
     for build in (
         lambda: Poly([0.5]),

@@ -192,12 +192,13 @@ def test_hook_length_polynomial_shift_identity():
 
 
 def test_closed_family_checks_pass():
+    hs = [one(), identity(), sigma(1)]
     for family in ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"):
-        report = closed_family_check(family, 10)
-        assert report.passed, report
-        assert report.checks > 0
+        checks, failure = closed_family_check(family, 10, hs)
+        assert failure is None, (family, failure)
+        assert checks > 0
     with pytest.raises(ValueError):
-        closed_family_check("legendre", 5)
+        closed_family_check("legendre", 5, hs)
 
 
 def test_chebyshev_three_term_instance():

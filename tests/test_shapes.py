@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcais.arith import from_table, identity, one, sigma
+from darcais.arith import from_table, identity, one, sigma, tilde
 from darcais.recursion import coefficient_table
 from darcais.shapes import (
     counterexample_search,
@@ -42,8 +42,14 @@ def test_predicate_basics():
     assert not report.holds and report.witness == 2
     with pytest.raises(ValueError):
         is_log_concave([1, -1, 1])
-    with pytest.raises(ValueError):
-        is_ultra_log_concave([1, 2], n=3)
+    # n is the degree, len(seq) - 1: [1, 2] / (C(1, 0), C(1, 1)) is log-concave
+    report = is_ultra_log_concave([1, 2])
+    assert report.holds and report.n == 1
+
+
+def test_predicates_refuse_floats():
+    with pytest.raises(TypeError):
+        is_log_concave([0.5, 1, 0.25])
 
 
 # log-concave => unimodal needs a contiguous support (no interior zeros),
@@ -113,12 +119,9 @@ def test_counterexample_search_regression():
 
 
 def test_hook_poly_scans_small():
-    scan = hook_poly_log_concavity_scan(40, check_chain=True)
-    assert scan.passed
-    assert scan.checks == 40  # one comparison per n in 1..40
-    ineq = hook_poly_top_inequality_scan(60)
-    assert ineq.passed
-    assert ineq.checks == 59  # n in 2..60
+    # (comparisons made, first failing n): one per n in 1..40, then 2..60
+    assert hook_poly_log_concavity_scan(40) == (40, None)
+    assert hook_poly_top_inequality_scan(60) == (59, None)
     # n = 2 by hand: b = (2, 5/2, 1/2); (5/2)^2 > 2 * 1/2
     assert Fraction(5, 2) ** 2 > 1
 
@@ -139,22 +142,21 @@ def test_scan_route_matches_hook_sums():
 
 
 def test_lehmer_scan_small():
-    report = lehmer_scan(40)
-    assert report.passed
-    assert report.checks == 40
-    assert not report.zeros
-    assert report.crosscheck_ok
-    assert report.values[1] == -24
-    assert report.values[2] == 252
+    values, result = lehmer_scan(40)
+    assert result == (40, None)
+    assert values[1] == -24
+    assert values[2] == 252
     with pytest.raises(ValueError):
         lehmer_scan(0)
 
 
 def test_transfer_check():
     for g in (one(), identity(), sigma(1)):
-        report = transfer_check(g, 15)
-        assert report.passed, report
+        assert transfer_check(g, 15) == (15, None)
     # for g = id the h = one side is the ultra-log-concave binomial row,
     # so the premise is non-vacuous
-    report = transfer_check(identity(), 15)
-    assert report.premise_ultra
+    source = coefficient_table(tilde(identity()), one(), 15)
+    assert all(
+        is_ultra_log_concave([source.scaled(n, m) for m in range(n + 1)]).holds
+        for n in range(1, 16)
+    )

@@ -32,6 +32,7 @@ from darcais.partitions import (
     partitions_of,
 )
 from darcais.recursion import coefficient_table, coefficient_top_band, polynomial_sequence
+from darcais.series import generating_series_h_id, generating_series_h_one
 from darcais.weights import (
     coefficient_composition_sum,
     coefficient_from_weights,
@@ -286,6 +287,19 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
             assert coefficient_from_weights(g, h, n, m) == entry, (n, m)
         for j in range(min(2, n) + 1):
             assert band[n][j] == table.entry(n, n - j), (n, j)
+    # the closed forms and the generating series, for h = one and h = id
+    max_n = min(7, len(g_values))
+    for h, closed_form, series in (
+        (one(), coefficient_h_one, generating_series_h_one(g, max_n)),
+        (identity(), coefficient_h_id, generating_series_h_id(g, max_n)),
+    ):
+        table = coefficient_table(g, h, max_n)
+        products = CumulativeProduct(h)
+        for n in range(1, max_n + 1):
+            for m in range(1, n + 1):
+                entry = table.entry(n, m)
+                assert closed_form(g, n, m) == entry, (h.name, n, m)
+                assert series.coefficient(n)[m] * products.value(n) == entry, (h.name, n, m)
 
 
 def test_builtin_descriptors_share_one_instance():
