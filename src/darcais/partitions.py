@@ -8,8 +8,7 @@ deterministic order.
 
 from __future__ import annotations
 
-from collections import Counter
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Sequence
 
 
@@ -55,14 +54,6 @@ def orbit_of(mu: Sequence[int]) -> Iterator[tuple[int, ...]]:
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
-def orbit_size(mu: Sequence[int]) -> int:
-    """len(mu)! / prod_j multiplicity_j!"""
-    size = factorial(len(mu))
-    for count in Counter(mu).values():
-        size //= factorial(count)
-    return size
-
-
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All compositions of n with exactly k parts, lexicographically."""
     if n < 1 or not 1 <= k <= n:
@@ -80,18 +71,6 @@ def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
             prefix.pop()
 
     yield from build(n, k, [])
-
-
-def composition_count(n: int, k: int) -> int:
-    """c_k(n) = C(n-1, k-1)."""
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(f"composition counts need n >= 1 and 1 <= k <= n, got n={n}, k={k}")
-    return comb(n - 1, k - 1)
-
-
-def multiplicities(mu: Sequence[int]) -> Counter:
-    """Multiplicity of each part value in the composition."""
-    return Counter(mu)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

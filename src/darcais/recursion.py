@@ -121,14 +121,13 @@ class CoefficientTable:
     otherwise.  The rows are the full-depth band, reversed.
     """
 
-    __slots__ = ("g", "h", "max_n", "integer_entries", "_rows", "_normalizers")
+    __slots__ = ("g", "h", "max_n", "_rows", "_normalizers")
 
     def __init__(self, g: ArithmeticFunction, h: ArithmeticFunction, max_n: int):
         one, gv, hv = _kernel_inputs(g, h, max_n)
         self.g = g
         self.h = h
         self.max_n = max_n
-        self.integer_entries = g.integer_valued and h.integer_valued
         rows = _band(one, gv, hv, max_n)
         for n, row in enumerate(rows):
             rows[n] = row[::-1]
@@ -162,19 +161,14 @@ class CoefficientTable:
         """The literal coefficient of x^m in P_n, i.e. A[n][m] / H(n)."""
         self._check_index(n, m)
         a = self._rows[n][m]
-        hn = self._normalizers[n]
-        if self.integer_entries:
-            return Fraction(a, hn)
-        return a / hn
+        return Fraction(a, self._normalizers[n])
 
     def poly(self, n: int) -> Poly:
         """P_n reconstructed from row n."""
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
         hn = self._normalizers[n]
-        if self.integer_entries:
-            return Poly(tuple(Fraction(a, hn) for a in self._rows[n]))
-        return Poly(tuple(a / hn for a in self._rows[n]))
+        return Poly(tuple(Fraction(a, hn) for a in self._rows[n]))
 
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""

@@ -167,6 +167,8 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     """Exact log-concavity of the hook-polynomial coefficients, and
     ultra => log-concave => unimodal on each of them, for 1 <= n <= max_n.
 
+    Once a row is log-concave, the first link of the chain holds whatever
+    its ultra-log-concavity, so the chain comes down to unimodality.
     Q_n comes from the shift identity on the integer triangle; the common
     positive denominator n! drops out of every comparison.  Returns
     (values of n compared, first failing n or None).
@@ -175,7 +177,7 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     checks = 0
     for n in range(1, max_n + 1):
         checks += 1
-        if not (is_log_concave(rows[n]).holds and implication_chain_holds(rows[n])):
+        if not (is_log_concave(rows[n]).holds and is_unimodal(rows[n]).holds):
             return checks, n
     return checks, None
 

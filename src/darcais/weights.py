@@ -17,35 +17,32 @@ reorderings of a partition drives the coefficient formula
 
     A[n][m] = sum over partitions mu of n-m of gw(mu) * orbit_sum(mu, n)
 
-which this module evaluates along several independent routes: the general
-weight route, closed forms for h = one and h = id, and brute-force sums
-over compositions.
+which `_partition_sum` evaluates once for three h-sides: the general
+orbit-weight engine and the closed forms for h = one and h = id.  The
+brute-force sum over compositions is a route of its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction, CumulativeProduct, tilde
-from .partitions import (
-    compositions_of,
-    multiplicities,
-    multinomial,
-    orbit_of,
-    partitions_of,
-)
+from .partitions import compositions_of, multinomial, partitions_of
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Sizes of the LRU memos keyed by function objects.  Builtins are shared
-# instances, so equal builtin descriptors hit the same entries; table and
-# tilde functions get entries of their own, evicted once unused.
+# Sizes of the LRU memos: engines per h, g-weights per (g, partition) and
+# R per partition.  Builtins are shared instances, so equal builtin
+# descriptors hit the same entries; table and tilde functions get entries
+# of their own, evicted once unused.
 _ENGINES = 8
 _G_WEIGHTS = 1 << 15
+_RECIPROCALS = 1 << 15
 
 
 def g_weight(g: ArithmeticFunction, mu: Sequence[int]) -> Fraction:
@@ -59,6 +56,16 @@ def g_weight(g: ArithmeticFunction, mu: Sequence[int]) -> Fraction:
     return out
 
 
+def _distinct_removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(j, mu minus one copy of j) for each distinct part j of the
+    non-increasing partition mu, largest j first."""
+    return [
+        (part, mu[:i] + mu[i + 1:])
+        for i, part in enumerate(mu)
+        if i == 0 or mu[i - 1] != part
+    ]
+
+
 class _WeightMemo:
     """Memoized weights W(mu, n) for one fixed h, by a running sum over k.
 
@@ -67,47 +74,39 @@ class _WeightMemo:
         W(mu, k) = W(mu, k-1) + sum over (j, child) in removals(mu) of
                        h_j(k-1) * W(child, k-1-j).
 
-    Every truncation W(mu, k) is cached, so asking for W(mu, n) resumes
-    from the highest cached k instead of starting over.  Subclasses give
+    Each key mu has one row of running sums, W(mu, t), W(mu, t+1), ...
+    from its threshold t = |mu| + len(mu), so asking for W(mu, n) extends
+    the row from where it ends instead of starting over.  Subclasses give
     the key normalisation and the (part, child) removals.
     """
 
-    __slots__ = ("windows", "_memo")
+    __slots__ = ("windows", "_rows")
 
     def __init__(self, h: ArithmeticFunction):
         if not h.non_vanishing:
             raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
         self.windows = CumulativeProduct(h)
-        self._memo: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        self._rows: dict[tuple[int, ...], list[Fraction]] = {}
 
     def value(self, mu: Sequence[int], n: int) -> Fraction:
+        if n < 0:
+            raise ValueError(f"{self.domain} defined for n >= 0")
         mu = self.key(mu)
         if not mu:
-            if n < 0:
-                raise ValueError(f"{self.domain} defined for n >= 0")
             return _F1
         threshold = sum(mu) + len(mu)
         if n < threshold:
             return _F0
-        memo = self._memo
-        got = memo.get((mu, n))
-        if got is not None:
-            return got
-        acc = _F0
-        start = threshold
-        for k in range(n - 1, threshold - 1, -1):
-            cached = memo.get((mu, k))
-            if cached is not None:
-                acc = cached
-                start = k + 1
-                break
-        removals = self.removals(mu)
-        window = self.windows.window
-        for k in range(start, n + 1):
-            for j, child in removals:
-                acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
-            memo[(mu, k)] = acc
-        return acc
+        row = self._rows.setdefault(mu, [])
+        if threshold + len(row) <= n:
+            acc = row[-1] if row else _F0
+            removals = self.removals(mu)
+            window = self.windows.window
+            for k in range(threshold + len(row), n + 1):
+                for j, child in removals:
+                    acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
+                row.append(acc)
+        return row[n - threshold]
 
 
 class HWeights(_WeightMemo):
@@ -125,12 +124,54 @@ class HWeights(_WeightMemo):
         return [(mu[-1], mu[:-1])]
 
 
+class OrbitWeightEngine(_WeightMemo):
+    """Orbit-summed weight with a partition-level memo.
+
+    Peeling the last part of every composition in the orbit groups the
+    terms by which part value was last, giving the multiset recursion
+
+        W(mu, n) = W(mu, n-1)
+                   + sum over distinct parts j of
+                         h_j(n-1) * W(mu minus one copy of j, n-1-j)
+
+    for n >= |mu| + len(mu), with W(mu, n) = 0 below that threshold and
+    W((), n) = 1.  Keys are partitions, so the memo stays small where the
+    literal orbit sum would visit exponentially many compositions.
+    """
+
+    __slots__ = ()
+    domain = "orbit weights are"
+    removals = staticmethod(_distinct_removals)
+
+    @staticmethod
+    def key(mu: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sorted(mu, reverse=True))
+
+
 _h_engine = lru_cache(maxsize=_ENGINES)(HWeights)
+_orbit_sum_engine = lru_cache(maxsize=_ENGINES)(OrbitWeightEngine)
+# g-weights of partitions (tuples), memoized per (g, mu)
+_g_weight_memo = lru_cache(maxsize=_G_WEIGHTS)(g_weight)
 
 
 def h_weight(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """hw(mu, n) by the inductive definition (memoized per h)."""
     return _h_engine(h).value(mu, n)
+
+
+def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
+    """Sum of hw(lambda, n) over the orbit of the partition mu."""
+    return _orbit_sum_engine(h).value(mu, n)
+
+
+def _falling_product(n: int, length: int) -> int:
+    """n (n-1) ... (n-length+1); zero when length exceeds n."""
+    out = 1
+    for k in range(length):
+        out *= n - k
+        if out == 0:
+            return 0
+    return out
 
 
 def h_weight_one(mu: Sequence[int], n: int) -> Fraction:
@@ -153,12 +194,9 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("hw is defined for n >= 0")
-    size, length = sum(mu), len(mu)
-    numerator = 1
-    for k in range(size + length):
-        numerator *= n - k
-        if numerator == 0:
-            return _F0
+    numerator = _falling_product(n, sum(mu) + len(mu))
+    if not numerator:
+        return _F0
     denominator = 1
     prefix = 0
     for k, part in enumerate(mu, start=1):
@@ -167,57 +205,25 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def orbit_weight_sum_direct(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
-    """Sum of hw over all distinct reorderings of mu, term by term."""
-    engine = _h_engine(h)
+@lru_cache(maxsize=_RECIPROCALS)
+def _reciprocal_sum(mu: tuple[int, ...]) -> Fraction:
+    if not mu:
+        return _F1
     total = _F0
-    for lam in orbit_of(mu):
-        total += engine.value(lam, n)
-    return total
+    for _, child in _distinct_removals(mu):
+        total += _reciprocal_sum(child)
+    return total / (sum(mu) + len(mu))
 
 
-class OrbitWeightEngine(_WeightMemo):
-    """Orbit-summed weight with a partition-level memo.
+def orbit_reciprocal_sum(mu: Sequence[int]) -> Fraction:
+    """sum over reorderings lam of mu of prod_k 1/(k + lam_1 + ... + lam_k).
 
-    Peeling the last part of every composition in the orbit groups the
-    terms by which part value was last, giving the multiset recursion
+    Peeling the last part: every reordering ends in some distinct part j,
+    and the final factor is 1/(len(mu) + |mu|) regardless of j, so
 
-        W(mu, n) = W(mu, n-1)
-                   + sum over distinct parts j of
-                         h_j(n-1) * W(mu minus one copy of j, n-1-j)
-
-    for n >= |mu| + len(mu), with W(mu, n) = 0 below that threshold and
-    W((), n) = 1.  Keys are partitions, so the memo stays small where the
-    literal orbit sum would visit exponentially many compositions.
+        R(mu) = (sum over distinct parts j of R(mu minus j)) / (|mu| + len(mu)).
     """
-
-    __slots__ = ()
-    domain = "orbit weights are"
-
-    @staticmethod
-    def key(mu: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sorted(mu, reverse=True))
-
-    @staticmethod
-    def removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        out = []
-        for j in sorted(set(mu), reverse=True):
-            child = list(mu)
-            child.remove(j)
-            out.append((j, tuple(child)))
-        return out
-
-
-_orbit_sum_engine = lru_cache(maxsize=_ENGINES)(OrbitWeightEngine)
-
-
-def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
-    """Sum of hw(lambda, n) over the orbit of the partition mu."""
-    return _orbit_sum_engine(h).value(mu, n)
-
-
-# g-weights of partitions (tuples), memoized per (g, mu)
-_g_weight_memo = lru_cache(maxsize=_G_WEIGHTS)(g_weight)
+    return _reciprocal_sum(tuple(sorted(mu, reverse=True)))
 
 
 def _check_coeff_range(n: int, m: int) -> None:
@@ -225,22 +231,29 @@ def _check_coeff_range(n: int, m: int) -> None:
         raise ValueError(f"coefficient indices need 1 <= m <= n, got n={n}, m={m}")
 
 
-def coefficient_from_weights(
-    g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int
+def _partition_sum(
+    g: ArithmeticFunction, n: int, m: int, h_side: Callable[[tuple[int, ...]], Fraction | int]
 ) -> Fraction:
-    """A[n][m] as the partition sum of g-weights times orbit-summed h-weights.
+    """sum over partitions mu of n-m of gw(mu) * h_side(mu).
 
     For m = n the sum has the single empty-partition term and gives 1,
     matching the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    engine = _orbit_sum_engine(h)
     total = _F0
     for mu in partitions_of(n - m):
         gw = _g_weight_memo(g, mu)
         if gw:
-            total += gw * engine.value(mu, n)
+            total += gw * h_side(mu)
     return total
+
+
+def coefficient_from_weights(
+    g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int
+) -> Fraction:
+    """A[n][m] as the partition sum of g-weights times orbit-summed h-weights."""
+    engine = _orbit_sum_engine(h)
+    return _partition_sum(g, n, m, lambda mu: engine.value(mu, n))
 
 
 def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
@@ -249,62 +262,12 @@ def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
         sum over partitions mu of n-m of
             gw(mu) * multinomial(len(mu); multiplicities) * C(n - |mu|, len(mu)).
     """
-    _check_coeff_range(n, m)
-    total = _F0
-    for mu in partitions_of(n - m):
-        gw = _g_weight_memo(g, mu)
-        if not gw:
-            continue
+
+    def h_side(mu: tuple[int, ...]) -> int:
         length = len(mu)
-        orbit = multinomial(length, list(multiplicities(mu).values()))
-        total += gw * orbit * comb(n - sum(mu), length)
-    return total
+        return multinomial(length, list(Counter(mu).values())) * comb(n - sum(mu), length)
 
-
-def orbit_reciprocal_sum_direct(mu: Sequence[int]) -> Fraction:
-    """sum over reorderings lam of mu of prod_k 1/(k + lam_1 + ... + lam_k)."""
-    total = _F0
-    for lam in orbit_of(mu):
-        term = _F1
-        prefix = 0
-        for k, part in enumerate(lam, start=1):
-            prefix += part
-            term /= k + prefix
-        total += term
-    return total
-
-
-_RECIPROCAL_MEMO: dict[tuple[int, ...], Fraction] = {(): _F1}
-
-
-def orbit_reciprocal_sum(mu: Sequence[int]) -> Fraction:
-    """Memoized orbit reciprocal sum.
-
-    Peeling the last part: every reordering ends in some distinct part j,
-    and the final factor is 1/(len(mu) + |mu|) regardless of j, so
-
-        R(mu) = (sum over distinct parts j of R(mu minus j)) / (|mu| + len(mu)).
-    """
-    mu = tuple(sorted(mu, reverse=True))
-    got = _RECIPROCAL_MEMO.get(mu)
-    if got is None:
-        acc = _F0
-        for j in sorted(set(mu), reverse=True):
-            child = list(mu)
-            child.remove(j)
-            acc += orbit_reciprocal_sum(tuple(child))
-        got = _RECIPROCAL_MEMO[mu] = acc / (sum(mu) + len(mu))
-    return got
-
-
-def _falling_product(n: int, length: int) -> int:
-    """n (n-1) ... (n-length+1); zero when length exceeds n."""
-    out = 1
-    for k in range(length):
-        out *= n - k
-        if out == 0:
-            return 0
-    return out
+    return _partition_sum(g, n, m, h_side)
 
 
 def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
@@ -313,16 +276,12 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
         sum over partitions mu of n-m of
             gw(mu) * (n)(n-1)...(n-|mu|-len(mu)+1) * orbit_reciprocal_sum(mu).
     """
-    _check_coeff_range(n, m)
-    total = _F0
-    for mu in partitions_of(n - m):
-        gw = _g_weight_memo(g, mu)
-        if not gw:
-            continue
+
+    def h_side(mu: tuple[int, ...]) -> Fraction | int:
         falling = _falling_product(n, sum(mu) + len(mu))
-        if falling:
-            total += gw * falling * orbit_reciprocal_sum(mu)
-    return total
+        return falling * _reciprocal_sum(mu) if falling else 0
+
+    return _partition_sum(g, n, m, h_side)
 
 
 def conversion_holds(

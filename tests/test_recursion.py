@@ -96,14 +96,12 @@ def test_integer_fast_path_and_nonnegativity():
     for g in (sigma(1), sigma(3)):
         for h in (one(), identity()):
             table = coefficient_table(g, h, 30)
-            assert table.integer_entries
             for n in range(31):
                 for m in range(n + 1):
                     entry = table.entry(n, m)
                     assert isinstance(entry, int)
                     assert entry >= 0
     rational_table = coefficient_table(tilde(sigma(1)), identity(), 5)
-    assert not rational_table.integer_entries
     assert isinstance(rational_table.entry(3, 2), Fraction)
 
 

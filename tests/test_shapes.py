@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darcais import shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
 from darcais.recursion import coefficient_table
 from darcais.shapes import (
@@ -124,6 +125,29 @@ def test_hook_poly_scans_small():
     assert hook_poly_top_inequality_scan(60) == (59, None)
     # n = 2 by hand: b = (2, 5/2, 1/2); (5/2)^2 > 2 * 1/2
     assert Fraction(5, 2) ** 2 > 1
+
+
+def test_hook_log_concavity_scan_checks_each_row_once(monkeypatch):
+    calls = []
+    real = shapes.is_log_concave
+    monkeypatch.setattr(shapes, "is_log_concave", lambda seq: calls.append(1) or real(seq))
+    assert hook_poly_log_concavity_scan(30) == (30, None)
+    assert len(calls) == 30
+
+
+def test_hook_log_concavity_scan_fails_a_log_concave_row_that_is_not_unimodal(monkeypatch):
+    # [1, 0, 0, 1] is log-concave (every a_j^2 >= a_{j-1} a_{j+1} is 0 >= 0)
+    # but not unimodal, so the scan must stop at the row that holds it
+    assert is_log_concave([1, 0, 0, 1]).holds and not is_unimodal([1, 0, 0, 1]).holds
+    real = shapes._shifted_rows
+
+    def rows_with_a_gap(max_n):
+        rows = real(max_n)
+        rows[7] = [1, 0, 0, 1]
+        return rows
+
+    monkeypatch.setattr(shapes, "_shifted_rows", rows_with_a_gap)
+    assert hook_poly_log_concavity_scan(12) == (7, 7)
 
 
 def test_scan_route_matches_hook_sums():

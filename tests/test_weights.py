@@ -1,10 +1,13 @@
 """Partition weights, closed forms, and the independent coefficient routes.
 
-The literal inductive sum for the h-weight is reimplemented here, without
-memoization, as the reference against the production implementation.
+The literal inductive sum for the h-weight and the direct orbit sums come
+from `oracles`, written without memoization, as the reference against the
+production implementation.
 """
 
 import gc
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -27,7 +30,6 @@ from darcais.arith import (
 from darcais.partitions import (
     compositions_of,
     multinomial,
-    multiplicities,
     orbit_of,
     partitions_of,
 )
@@ -45,28 +47,10 @@ from darcais.weights import (
     h_weight_id,
     h_weight_one,
     orbit_reciprocal_sum,
-    orbit_reciprocal_sum_direct,
     orbit_weight_sum,
-    orbit_weight_sum_direct,
 )
 
-
-def h_weight_literal(h, mu, n):
-    """Reference: the unmemoized inductive sum, peeling the last part."""
-    mu = tuple(mu)
-    if not mu:
-        return Fraction(1)
-    threshold = sum(mu) + len(mu)
-    if n < threshold:
-        return Fraction(0)
-    last, head = mu[-1], mu[:-1]
-    total = Fraction(0)
-    for k in range(threshold - 1, n):
-        window = Fraction(1)
-        for j in range(last):
-            window *= h(k - j)
-        total += window * h_weight_literal(h, head, k - last)
-    return total
+from oracles import h_weight_literal, orbit_reciprocal_sum_direct, orbit_weight_sum_direct
 
 
 def all_compositions_up_to(size):
@@ -176,7 +160,7 @@ def test_orbit_weight_sum_h_one_closed_identity():
     for size in range(0, 13):
         for mu in partitions_of(size):
             length = len(mu)
-            orbit_factor = multinomial(length, list(multiplicities(mu).values()))
+            orbit_factor = multinomial(length, list(Counter(mu).values()))
             for n in range(0, 18):
                 expected = orbit_factor * comb(n - size, length) if n - size >= length else 0
                 assert orbit_weight_sum(h1, mu, n) == expected
@@ -323,6 +307,23 @@ def test_weight_memos_are_bounded():
         if isinstance(obj, ArithmeticFunction) and obj.name == "lru-probe"
     ]
     assert len(alive) <= weights._ENGINES
+    # every module-level memo, R(mu) included, is a bounded LRU cache
+    containers = [
+        name for name, value in vars(weights).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert containers == []
+    for size in range(14):
+        orbit_reciprocal_sum(next(partitions_of(size)))
+        coefficient_h_id(sigma(1), size + 1, 1)
+    memos = [
+        value for value in vars(weights).values()
+        if callable(getattr(value, "cache_info", None))
+    ]
+    assert len(memos) >= 4
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_equal_names_never_share_a_memo():
@@ -336,3 +337,33 @@ def test_equal_names_never_share_a_memo():
     assert coefficient_from_weights(sigma(1), h_pair[0], 4, 2) != coefficient_from_weights(
         sigma(1), h_pair[1], 4, 2
     )
+
+
+def test_negative_n_is_refused_by_every_h_weight():
+    for h in (one(), identity(), sigma(1)):
+        for mu in ((), (1,), (2, 1)):
+            with pytest.raises(ValueError):
+                h_weight(h, mu, -1)
+            with pytest.raises(ValueError):
+                orbit_weight_sum(h, mu, -1)
+    for closed_form in (h_weight_one, h_weight_id):
+        with pytest.raises(ValueError):
+            closed_form((1,), -1)
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending", "random"])
+def test_memo_rows_resume_in_any_query_order(order):
+    ns = list(range(0, 15))
+    if order == "descending":
+        ns.reverse()
+    elif order == "random":
+        random.Random(20).shuffle(ns)
+    for h in (one(), identity(), sigma(1)):
+        for mu in ((1,), (2, 1), (1, 1, 2), (3, 1, 1)):
+            orbit_engine = weights.OrbitWeightEngine(h)
+            h_engine = weights.HWeights(h)
+            orbit = list(orbit_of(mu))
+            for n in ns:
+                expected = orbit_weight_sum_direct(h, mu, n)
+                assert orbit_engine.value(mu, n) == expected, (h.name, mu, n)
+                assert sum(h_engine.value(lam, n) for lam in orbit) == expected, (h.name, mu, n)
