@@ -2,8 +2,9 @@
 
 An arithmetic function here is a map n >= 1 -> Fraction with value 1 at
 n = 1 (normalization, enforced at construction).  The value at 0 is fixed
-to 0.  Instances memoize evaluated values and carry two flags: whether the
-function is known never to vanish, and whether its values are integers.
+to 0.  Instances memoize evaluated values and carry one flag: whether the
+function is known never to vanish.  Whether its values are integers is
+read from the values themselves, by the kernels that tabulate them.
 The builtins one, id and sigma_ell are shared instances, so their memos
 (and the weight engines keyed by them) serve every caller.
 """
@@ -24,7 +25,7 @@ _F1 = Fraction(1)
 class ArithmeticFunction:
     """Memoized evaluator for a normalized arithmetic function."""
 
-    __slots__ = ("name", "non_vanishing", "integer_valued", "_eval", "_memo")
+    __slots__ = ("name", "non_vanishing", "_eval", "_memo")
 
     def __init__(
         self,
@@ -32,12 +33,10 @@ class ArithmeticFunction:
         evaluator: Callable[[int], Union[int, Fraction]],
         *,
         non_vanishing: bool = False,
-        integer_valued: bool = False,
     ):
         self.name = name
         self._eval = evaluator
         self.non_vanishing = non_vanishing
-        self.integer_valued = integer_valued
         first = rational(evaluator(1))
         if first != 1:
             raise ValueError(f"{name!r} is not normalized: value at 1 is {first}")
@@ -81,13 +80,13 @@ def divisor_power_sum(n: int, power: int) -> int:
 @cache
 def one() -> ArithmeticFunction:
     """The constant function 1 (one shared instance)."""
-    return ArithmeticFunction("one", lambda n: 1, non_vanishing=True, integer_valued=True)
+    return ArithmeticFunction("one", lambda n: 1, non_vanishing=True)
 
 
 @cache
 def identity() -> ArithmeticFunction:
     """The identity function n -> n (one shared instance)."""
-    return ArithmeticFunction("id", lambda n: n, non_vanishing=True, integer_valued=True)
+    return ArithmeticFunction("id", lambda n: n, non_vanishing=True)
 
 
 @cache
@@ -100,10 +99,7 @@ def sigma(power: int, /) -> ArithmeticFunction:
     if power < 0:
         raise ValueError("sigma needs a nonnegative exponent")
     return ArithmeticFunction(
-        f"sigma:{power}",
-        lambda n: divisor_power_sum(n, power),
-        non_vanishing=True,
-        integer_valued=True,
+        f"sigma:{power}", lambda n: divisor_power_sum(n, power), non_vanishing=True
     )
 
 
@@ -132,12 +128,7 @@ def from_table(
             raise IndexError(f"table of length {len(table)} queried at n = {n}")
         return table[n - 1]
 
-    return ArithmeticFunction(
-        name,
-        evaluate,
-        non_vanishing=all(v != 0 for v in table),
-        integer_valued=all(v.denominator == 1 for v in table),
-    )
+    return ArithmeticFunction(name, evaluate, non_vanishing=all(v != 0 for v in table))
 
 
 def from_descriptor(descriptor: str) -> ArithmeticFunction:

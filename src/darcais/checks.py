@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import ArithmeticFunction, CumulativeProduct, identity, one, sigma
-from .exact import Poly, X
+from .exact import X
 from .partitions import partitions_of
 from .recursion import coefficient_table, polynomial_sequence, value_sequence
 from .series import (
@@ -128,12 +128,11 @@ def series_oracles(gs: Functions, max_n: int) -> Check:
 def symbolic_euler_product(max_n: int) -> Check:
     """prod (1 - q^k)^x == sum P_n(-x) q^n for (sigma, id)."""
     checks = 0
-    polys = polynomial_sequence(sigma(1), identity(), max_n)
+    polys = value_sequence(sigma(1), identity(), -X, max_n)
     symbolic = euler_product_power(X, max_n)
-    minus_x = Poly((0, -1))
     for n in range(max_n + 1):
         checks += 1
-        if not symbolic.coefficient(n) == polys[n](minus_x):
+        if not symbolic.coefficient(n) == polys[n]:
             return checks, f"symbolic Euler-product coefficient differs at n={n}"
     return checks, None
 
@@ -171,13 +170,12 @@ def conversion(gs: Functions, max_n: int) -> Check:
 def hook_length_identity(max_n: int) -> Check:
     """Q_n(x) == P_n(x+1) for (sigma, id), and Q_n(0) == p(n)."""
     checks = 0
-    polys = polynomial_sequence(sigma(1), identity(), max_n)
-    shift = X + 1
+    polys = value_sequence(sigma(1), identity(), X + 1, max_n)
     partition_counts = [sum(1 for _ in partitions_of(n)) for n in range(max_n + 1)]
     for n in range(max_n + 1):
         q = hook_length_polynomial(n)
         checks += 2
-        if q != polys[n](shift):
+        if q != polys[n]:
             return checks, f"hook-length identity Q_n(x) = P_n(x+1) fails at n={n}"
         if q(Fraction(0)) != partition_counts[n]:
             return checks, f"Q_n(0) != p(n) at n={n}"

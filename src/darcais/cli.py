@@ -109,7 +109,7 @@ def _run_poly(args: argparse.Namespace) -> int:
     if args.eval_at is not None:
         try:
             eval_at = rational(args.eval_at)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --eval-at value {args.eval_at!r}: {exc}") from exc
     g, h = _parse_functions(args)
     try:

@@ -24,11 +24,15 @@ _F1 = Fraction(1)
 def rational(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an int, a Fraction, or a "p/q" / "p" string to a Fraction.
 
-    bool is refused although it is an int: a JSON `true` is not a number."""
+    bool is refused although it is an int: a JSON `true` is not a number.
+    A "p/0" string is a ValueError, like any other malformed string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -169,14 +173,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def times_x(self, k: int = 1) -> "Poly":
-        """Multiply by x^k (degree shift)."""
-        if k < 0:
-            raise ValueError("degree shift must be nonnegative")
-        if not self._coeffs:
-            return self
-        return Poly((_F0,) * k + self._coeffs)
 
     def __call__(self, point):
         """Horner evaluation; `point` may be a scalar or another Poly."""

@@ -85,28 +85,19 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-_STIRLING_ROWS: list[list[int]] = [[1]]
-
-
-def stirling_first_unsigned(n: int, m: int) -> int:
-    """Unsigned Stirling numbers of the first kind, |s(n, m)|.
+def stirling_rows(max_n: int) -> Iterator[list[int]]:
+    """Rows [|s(n, 0)|, ..., |s(n, n)|] of the unsigned Stirling numbers of
+    the first kind for n = 0..max_n, in order.
 
     Triangle recurrence |s(n+1, m)| = n |s(n, m)| + |s(n, m-1)|.
     """
-    if n < 0 or m < 0:
-        raise ValueError("Stirling numbers need n, m >= 0")
-    if m > n:
-        return 0
-    while len(_STIRLING_ROWS) <= n:
-        k = len(_STIRLING_ROWS) - 1
-        prev = _STIRLING_ROWS[-1]
-        row = [0] * (k + 2)
-        for j in range(k + 2):
-            above = prev[j] if j <= k else 0
-            left = prev[j - 1] if 1 <= j <= k + 1 else 0
-            row[j] = k * above + left
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][m]
+    if max_n < 0:
+        raise ValueError("Stirling numbers need n >= 0")
+    row = [1]
+    yield row
+    for k in range(max_n):
+        row = [k * above + left for above, left in zip(row + [0], [0] + row)]
+        yield row
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:

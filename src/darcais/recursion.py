@@ -1,16 +1,19 @@
 """The defining polynomial recursion and the coefficient-triangle recursion.
 
-Two deliberately separate code paths live here.  `polynomial_sequence`
-builds P_n from
+Two deliberately separate routes live here.  `value_sequence` runs the
+defining recursion
 
     P_0 = 1,   P_n = (x / h(n)) * sum_{k=1}^{n} g(k) P_{n-k}
 
-while `CoefficientTable` fills the triangle A[n][m] of normalized
-coefficients (P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
+in one loop, on values at a scalar point or on polynomials at a Poly
+point; `polynomial_sequence` is that loop at x = X.  `CoefficientTable`
+fills the triangle A[n][m] of normalized coefficients
+(P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
 
     A[n][m] = sum_{k=1}^{n-m+1} g(k) * h(n-1)...h(n-k+1) * A[n-k][m-1]
 
-so that each route can serve as an oracle for the other.
+so that each route can serve as an oracle for the other.  Both take g
+and h as plain ints when the tabulated values are all integers.
 """
 
 from __future__ import annotations
@@ -21,71 +24,53 @@ from operator import mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, format_rational, quotient, rational
+from .exact import Poly, X, format_rational, quotient, rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _require_nonvanishing(h: ArithmeticFunction) -> None:
-    if not h.non_vanishing:
-        raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
-
-
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
-    """P_0, ..., P_max_n by the defining recursion."""
-    _require_nonvanishing(h)
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    polys = [Poly((_F1,))]
-    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
-    for n in range(1, max_n + 1):
-        acc = Poly()
-        for k in range(1, n + 1):
-            if gv[k]:
-                acc = acc + polys[n - k] * gv[k]
-        polys.append((acc / h(n)).times_x())
-    return polys
+    """P_0, ..., P_max_n: the defining recursion run at the point X."""
+    return value_sequence(g, h, X, max_n)
 
 
-def polynomial(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Poly:
-    """P_n by the defining recursion; degree n, zero constant term for n >= 1."""
-    return polynomial_sequence(g, h, n)[n]
+def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: int) -> list:
+    """P_0(point), ..., P_max_n(point) by the defining recursion, run in the
+    ring of `point`.
 
-
-def value_sequence(
-    g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: int
-) -> list[Fraction]:
-    """P_0(point), ..., P_max_n(point): the recursion run on values.
-
-    Evaluation commutes with the recursion, so scans that only need
-    P_n at a fixed point avoid building polynomials entirely.  For
-    integer-valued g and h at an integer point the values stay ints while
-    each division by h(n) is exact; an inexact one yields a Fraction, which
-    every later sum then carries.  The results are Fractions.
+    Evaluation commutes with the recursion: at an int or Fraction point
+    the results are Fractions, at a Poly point (X, -X, X + 1, ...) they
+    are the polynomials P_n(point).  When g, h and a scalar point are
+    integral the values stay ints while each division by h(n) is exact;
+    an inexact one yields a Fraction, which every later sum then carries.
     """
     one, gv, hv = _kernel_inputs(g, h, max_n)
-    x0 = rational(point)
-    if x0.denominator == 1:
-        x0 = x0.numerator
+    if isinstance(point, Poly):
+        x0, one = point, Poly((one,))
+    else:
+        x0 = rational(point)
+        if x0.denominator == 1:
+            x0 = x0.numerator
     values = [one]
     for n in range(1, max_n + 1):
         acc = sum(map(mul, gv[1:n + 1], values[n - 1::-1]))
         values.append(quotient(x0 * acc, hv[n]))
-    return [rational(v) for v in values]
+    return values if isinstance(x0, Poly) else [rational(v) for v in values]
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
-    """(one, gv, hv): the unit and g, h at 0..max_n, as plain ints when both
-    functions are integer-valued, exact Fractions otherwise."""
-    _require_nonvanishing(h)
+    """(one, gv, hv): the unit and g, h at 0..max_n, as plain ints when all
+    of those values are integers, exact Fractions otherwise."""
+    if not h.non_vanishing:
+        raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if g.integer_valued and h.integer_valued:
-        return (1, [0] + [g(k).numerator for k in range(1, max_n + 1)],
-                [0] + [h(k).numerator for k in range(1, max_n + 1)])
-    return (_F1, [_F0] + [g(k) for k in range(1, max_n + 1)],
-            [_F0] + [h(k) for k in range(1, max_n + 1)])
+    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
+    hv = [_F0] + [h(k) for k in range(1, max_n + 1)]
+    if all(v.denominator == 1 for v in gv + hv):
+        return 1, [v.numerator for v in gv], [v.numerator for v in hv]
+    return _F1, gv, hv
 
 
 def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
@@ -116,9 +101,9 @@ def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
 class CoefficientTable:
     """Triangle A[n][m] for 0 <= m <= n <= max_n plus the normalizers H(n).
 
-    Entries are plain ints when both g and h are integer-valued (the
-    triangle recursion then never leaves the integers), exact Fractions
-    otherwise.  The rows are the full-depth band, reversed.
+    Entries are plain ints when g(1..max_n) and h(1..max_n) are all
+    integers (the triangle recursion then never leaves the integers),
+    exact Fractions otherwise.  The rows are the full-depth band, reversed.
     """
 
     __slots__ = ("g", "h", "max_n", "_rows", "_normalizers")

@@ -20,7 +20,7 @@ from operator import mul
 
 from .arith import ArithmeticFunction, CumulativeProduct, identity, one, sigma
 from .exact import Poly, Series, X, quotient, rational
-from .partitions import hook_multiset, partitions_of, stirling_first_unsigned
+from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
 _F1 = Fraction(1)
@@ -165,10 +165,10 @@ def closed_family_check(
 
     elif family == "stirling":
         table = coefficient_table(one(), identity(), max_n)
-        for n in range(max_n + 1):
+        for n, stirling in enumerate(stirling_rows(max_n)):
             for m in range(n + 1):
                 checks += 1
-                if table.entry(n, m) != stirling_first_unsigned(n, m):
+                if table.entry(n, m) != stirling[m]:
                     return checks, (family, n, m)
 
     elif family == "lah":

@@ -41,12 +41,18 @@ class ShapeReport:
     witness: int | None  # first violating index when holds is False
 
 
-def _as_nonnegative(seq: Sequence) -> list[Fraction]:
-    out = [rational(v) for v in seq]
-    for v in out:
-        if v < 0:
+def _as_nonnegative(seq: Sequence) -> list:
+    """The values as given, so int sequences are compared in ints.
+
+    `rational` refuses floats and booleans; "p/q" strings are refused too,
+    since they would compare as text."""
+    values = list(seq)
+    for v in values:
+        if isinstance(v, str):
+            raise TypeError(f"shape predicates need numbers, got {v!r}")
+        if rational(v) < 0:
             raise ValueError("shape predicates are defined for nonnegative sequences")
-    return out
+    return values
 
 
 def is_unimodal(seq: Sequence) -> ShapeReport:
@@ -71,11 +77,16 @@ def is_log_concave(seq: Sequence) -> ShapeReport:
 
 
 def is_ultra_log_concave(seq: Sequence) -> ShapeReport:
-    """Log-concavity of the associated sequence a_k / C(n, k), n = len(seq) - 1."""
+    """Log-concavity of the associated sequence a_k / C(n, k), n = len(seq) - 1,
+    cross-multiplied: a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2."""
     values = _as_nonnegative(seq)
     n = len(values) - 1
-    inner = is_log_concave([v / comb(n, k) for k, v in enumerate(values)])
-    return ShapeReport("ultra-log-concave", n, inner.holds, inner.witness)
+    binomials = [comb(n, k) for k in range(n + 1)]
+    for j in range(1, n):
+        if (values[j] * values[j] * binomials[j - 1] * binomials[j + 1]
+                < values[j - 1] * values[j + 1] * binomials[j] * binomials[j]):
+            return ShapeReport("ultra-log-concave", n, False, j)
+    return ShapeReport("ultra-log-concave", n, True, None)
 
 
 def implication_chain_holds(seq: Sequence) -> bool:

@@ -108,6 +108,12 @@ def test_bad_descriptor_is_usage_error(capsys):
 def test_bad_flags_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["scan", "--check", "unknown", "--max-n", "5"]) == 2
     capsys.readouterr()
+    # a zero denominator in a table file is bad input, not an internal error
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([1, "1/0", 3]))
+    code, out, err = run_cli(capsys, "coeff", "--g", f"table:{bad}", "--n", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
     def no_work(*args):
         raise AssertionError("the table was built before --output was opened")

@@ -4,7 +4,11 @@ The digests were recorded before the CLI dispatch, the triangle kernel and
 the weight memo were rewritten; they pin that every subcommand, method,
 format, suite and check still prints byte-identical output.  The lehmer
 scan to n = 400 was recorded on the Fraction value and Euler-product
-kernels, before they moved to ints.
+kernels, before they moved to ints.  The last three cases were recorded
+while `polynomial_sequence` had a loop of its own and the int path was
+chosen by a per-function flag: `tilde:id` now takes the int path, and the
+rational table `q.json` (four values, so n = 5 is a usage error) goes
+through the one recursion loop.
 """
 
 import hashlib
@@ -55,6 +59,9 @@ CASES = [
     (('export', '--g', 'table:q.json', '--h', 'sigma:1', '--max-n', '4', '--format', 'json'), 0, "26306b45c7b33f737701be077b82d4bb22296ba7e77755539205215ae5021e94"),
     (('export', '--g', 'one', '--h', 'id', '--max-n', '5', '--format', 'csv'), 0, "50afc0369cca17ddfcf0709a8c66fdd1badcb2851103af0a839226b2f717e309"),
     (('export', '--g', 'sigma:1', '--h', 'id', '--max-n', '3', '--format', 'text'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('export', '--g', 'tilde:id', '--h', 'id', '--max-n', '6'), 0, "495e7922ae3de8781ae781c6a3a7a9715ca3d7cc4eabf5cfa7a723ca6b7e971f"),
+    (('poly', '--g', 'table:q.json', '--h', 'sigma:1', '--n', '4', '--format', 'json'), 0, "0fabe8b660493e1279cd41d0d49eed6ad712aa1e3b502e826767cfecc9cf135a"),
+    (('poly', '--g', 'table:q.json', '--h', 'sigma:1', '--n', '5', '--format', 'json'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

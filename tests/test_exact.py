@@ -21,6 +21,8 @@ def test_rational_parsing_and_formatting():
         rational(1.5)
     with pytest.raises(TypeError):
         rational(True)
+    with pytest.raises(ValueError):
+        rational("1/0")
 
 
 def test_format_rational_refuses_floats():

@@ -18,7 +18,7 @@ from darcais.partitions import (
     multinomial,
     orbit_of,
     partitions_of,
-    stirling_first_unsigned,
+    stirling_rows,
 )
 
 from oracles import composition_count, orbit_size
@@ -112,20 +112,18 @@ def test_multinomial():
 
 def test_stirling_first_unsigned():
     # oracle: |s(n, m)| are the coefficients of x(x+1)...(x+n-1)
-    rising = Poly([1])
-    for k in range(4):
-        rising = rising * (X + k)
-    assert rising[2] == stirling_first_unsigned(4, 2) == 11
-    assert stirling_first_unsigned(3, 2) == 3
-    assert stirling_first_unsigned(4, 1) == 6
-    for n in range(9):
-        assert stirling_first_unsigned(n, n) == 1
-        assert sum(stirling_first_unsigned(n, m) for m in range(n + 1)) == factorial(n)
-        expansion = Poly([1])
-        for k in range(n):
-            expansion = expansion * (X + k)
-        for m in range(n + 1):
-            assert expansion[m] == stirling_first_unsigned(n, m)
+    rows = list(stirling_rows(8))
+    assert len(rows) == 9
+    assert rows[4][2] == 11 and rows[3][2] == 3 and rows[4][1] == 6
+    expansion = Poly([1])
+    for n, row in enumerate(rows):
+        assert len(row) == n + 1 and row[n] == 1
+        assert sum(row) == factorial(n)
+        assert list(expansion.padded(n + 1)) == row
+        expansion = expansion * (X + n)
+    assert list(stirling_rows(0)) == [[1]]
+    with pytest.raises(ValueError):
+        list(stirling_rows(-1))
 
 
 def test_conjugate():

@@ -11,7 +11,6 @@ from darcais.exact import Poly, X
 from darcais.recursion import (
     coefficient_table,
     coefficient_top_band,
-    polynomial,
     polynomial_sequence,
     table_rows_from_dict,
     value_sequence,
@@ -23,15 +22,15 @@ HALF = Fraction(1, 2)
 def test_polynomial_base_cases():
     for g in (one(), identity(), sigma(1)):
         for h in (one(), identity(), sigma(1)):
-            assert polynomial(g, h, 0) == Poly([1])
-            assert polynomial(g, h, 1) == X
+            assert polynomial_sequence(g, h, 0)[0] == Poly([1])
+            assert polynomial_sequence(g, h, 1)[1] == X
 
 
 def test_polynomial_examples():
-    assert polynomial(sigma(1), identity(), 2) == (X**2 + 3 * X) * HALF
-    assert polynomial(one(), one(), 3) == X * (X + 1) ** 2
+    assert polynomial_sequence(sigma(1), identity(), 2)[2] == (X**2 + 3 * X) * HALF
+    assert polynomial_sequence(one(), one(), 3)[3] == X * (X + 1) ** 2
     # h = id, g = 1 gives the scaled rising factorial
-    p4 = polynomial(one(), identity(), 4)
+    p4 = polynomial_sequence(one(), identity(), 4)[4]
     assert p4 * 24 == X * (X + 1) * (X + 2) * (X + 3)
 
 
@@ -50,7 +49,7 @@ def test_vanishing_h_rejected():
     h = from_table([1, 0, 1])
     assert not h.non_vanishing
     with pytest.raises(ValueError):
-        polynomial(sigma(1), h, 2)
+        polynomial_sequence(sigma(1), h, 2)
     with pytest.raises(ValueError):
         coefficient_table(sigma(1), h, 2)
 
@@ -105,6 +104,16 @@ def test_integer_fast_path_and_nonnegativity():
     assert isinstance(rational_table.entry(3, 2), Fraction)
 
 
+def test_int_path_is_read_from_the_values():
+    # n/n = 1 is a Fraction-valued transform with integer values
+    table = coefficient_table(tilde(identity()), one(), 6)
+    assert all(isinstance(a, int) for n in range(7) for a in table.row(n))
+    # only the tabulated values count: g(3) = 1/2 is past max_n = 2
+    g = from_table([1, 2, "1/2"])
+    assert all(isinstance(a, int) for n in range(3) for a in coefficient_table(g, one(), 2).row(n))
+    assert isinstance(coefficient_table(g, one(), 3).entry(3, 1), Fraction)
+
+
 def test_value_sequence_matches_polynomials():
     for point in (Fraction(-24), Fraction(1), Fraction(2, 3)):
         values = value_sequence(sigma(1), identity(), point, 12)
@@ -149,6 +158,8 @@ def test_value_sequence_matches_polynomials_on_random_tables(case):
     polys = polynomial_sequence(g, h, max_n)
     assert all(isinstance(v, Fraction) for v in values)
     assert values == [p(point) for p in polys]
+    # the same loop in the polynomial ring, at the point X + point
+    assert value_sequence(g, h, X + point, max_n) == [p(X + point) for p in polys]
     if isinstance(point, int):  # integer tables
         if h_rest[0] == 3:
             assert values[2].denominator == 3

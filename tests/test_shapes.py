@@ -51,6 +51,9 @@ def test_predicate_basics():
 def test_predicates_refuse_floats():
     with pytest.raises(TypeError):
         is_log_concave([0.5, 1, 0.25])
+    # the values are compared as given, and "10" < "9" as text
+    with pytest.raises(TypeError):
+        is_unimodal(["1", "10", "9"])
 
 
 # log-concave => unimodal needs a contiguous support (no interior zeros),
@@ -74,6 +77,19 @@ def test_implication_chain(seq):
         assert log.holds
     if log.holds:
         assert is_unimodal(seq).holds
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=50), max_size=8),
+    st.fractions(min_value="1/50", max_value=50, max_denominator=50),
+)
+@settings(max_examples=200, deadline=None)
+def test_predicates_agree_on_ints_and_their_rational_multiples(ints, scale):
+    # the predicates compare the values as given, so an int sequence is
+    # judged in ints; a positive rescaling changes none of the three shapes
+    scaled = [Fraction(v) / scale for v in ints]
+    for predicate in (is_unimodal, is_log_concave, is_ultra_log_concave):
+        assert predicate(ints) == predicate(scaled)
 
 
 def test_top_margin_examples():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcais import weights
+from darcais import partitions, weights
 from darcais.arith import (
     ArithmeticFunction,
     CumulativeProduct,
@@ -307,9 +307,12 @@ def test_weight_memos_are_bounded():
         if isinstance(obj, ArithmeticFunction) and obj.name == "lru-probe"
     ]
     assert len(alive) <= weights._ENGINES
-    # every module-level memo, R(mu) included, is a bounded LRU cache
+    # every module-level memo, R(mu) included, is a bounded LRU cache, and
+    # the partition helpers keep no module state at all
     containers = [
-        name for name, value in vars(weights).items()
+        f"{module.__name__}.{name}"
+        for module in (weights, partitions)
+        for name, value in vars(module).items()
         if not name.startswith("__") and isinstance(value, (dict, list, set))
     ]
     assert containers == []
