@@ -5,14 +5,19 @@ so every computation in this package is exact and polynomial equality is
 decidable.  Kernels whose inputs are integral may run in plain ints and
 convert their results with `rational`; `rational`, `Poly` and `Series`
 refuse floats and booleans.  Polynomials are dense, coefficients indexed
-from degree 0.  Truncated series live in the ring (polynomials in x)[[q]]:
-a series coefficient may be a rational or a `Poly` in the second variable
-x.
+from degree 0, and stored in primitive-part form: int numerators over one
+denominator, so polynomial arithmetic (and with it the defining recursion
+at X) runs in ints.  Truncated series live in the ring
+(polynomials in x)[[q]]: a series coefficient may be a rational or a
+`Poly` in the second variable x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -53,79 +58,124 @@ def format_rational(value: Union[int, Fraction]) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the rationals, in primitive-part form.
 
-    Immutable.  ``p[m]`` is the coefficient of x^m; trailing zeros are
-    stripped, so the zero polynomial has an empty coefficient tuple and
-    degree -1.  Scalars (int, Fraction) mix freely in arithmetic and
-    comparisons.
+    Immutable.  The coefficients are int numerators over one positive int
+    denominator, kept canonical: the gcd of the denominator and all
+    numerators is 1, trailing zeros are stripped, and the zero polynomial
+    is ``((), 1)`` with degree -1.  Arithmetic therefore runs on ints and
+    reduces once per result, and equality is a tuple comparison.
+    ``p[m]`` and ``coefficients`` give the coefficients as Fractions.
+    Scalars (int, Fraction) mix freely in arithmetic and comparisons.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable = ()):
         coeffs = [c if isinstance(c, Fraction) else rational(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        # over the lcm of reduced denominators the numerators are already
+        # coprime to it, so only trailing zeros need removing
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self._nums = tuple(nums)
+        self._den = den
+
+    @classmethod
+    def _reduced(cls, nums: list, den: int, modulus: int) -> "Poly":
+        """nums / den (den > 0) in canonical form, given that every factor
+        common to den and all of nums divides `modulus`."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return cls()
+        if modulus != 1:
+            g = gcd(modulus, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return cls._canonical(tuple(nums), den)
+
+    @classmethod
+    def _canonical(cls, nums: tuple, den: int) -> "Poly":
+        """Wrap parts that are already in canonical form."""
+        p = object.__new__(cls)
+        p._nums = nums
+        p._den = den
+        return p
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        d = self._den
+        return tuple(Fraction(c, d) for c in self._nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def padded(self, length: int) -> tuple[Fraction, ...]:
         """Coefficients from degree 0 up to degree length-1, zero-filled."""
-        if length < len(self._coeffs):
+        if length < len(self._nums):
             raise ValueError("padded length is below the degree")
-        return self._coeffs + (_F0,) * (length - len(self._coeffs))
+        return self.coefficients + (_F0,) * (length - len(self._nums))
 
     def __getitem__(self, m: int) -> Fraction:
-        if 0 <= m < len(self._coeffs):
-            return self._coeffs[m]
+        if 0 <= m < len(self._nums):
+            return Fraction(self._nums[m], self._den)
         return _F0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return not self._coeffs
-            return len(self._coeffs) == 1 and self._coeffs[0] == other
+                return not self._nums
+            return (
+                len(self._nums) == 1
+                and self._nums[0] == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not self._coeffs:
-                return Poly((other,))
-            return Poly((self._coeffs[0] + other,) + self._coeffs[1:])
-        if not isinstance(other, Poly):
+            b, db = (other.numerator,), other.denominator
+        elif isinstance(other, Poly):
+            b, db = other._nums, other._den
+        else:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, da = self._nums, self._den
+        # Over lcm(da, db) a prime can cancel from the sum only if it divides
+        # da and db equally often, so gcd(da, db) bounds the cancellation.
+        common = gcd(da, db)
+        if da != db:
+            sa, sb = db // common, da // common
+            if sa != 1:
+                a = list(map(mul, a, repeat(sa, len(a))))
+                da *= sa
+            if sb != 1:
+                b = list(map(mul, b, repeat(sb, len(b))))
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        out = list(map(add, a, b))
+        out.extend(a[len(b):])
+        return Poly._reduced(out, da, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._canonical(tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else -rational(other))
@@ -135,36 +185,62 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self._coeffs))
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, da, b, db = self._nums, self._den, other._nums, other._den
         if not a or not b:
             return Poly()
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        # content(a * b) = content(a) * content(b) (Gauss), and each side is
+        # already coprime to its own denominator, so cancelling each
+        # numerator against the other's denominator leaves a reduced product.
+        if db != 1:
+            g = gcd(db, *a)
+            if g != 1:
+                a, db = [c // g for c in a], db // g
+        if da != 1:
+            g = gcd(da, *b)
+            if g != 1:
+                b, da = [c // g for c in b], da // g
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                for i, ca in enumerate(a, j):
+                    out[i] += ca * cb
+        return Poly._canonical(tuple(out), da * db)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> "Poly":
+        """self * p/q for coprime p and q > 0.  The input is reduced, so only
+        gcd(p, d) and gcd(q, numerators) can cancel."""
+        nums, d = self._nums, self._den
+        if not p or not nums:
+            return Poly()
+        g = gcd(p, d)
+        p, d = p // g, d // g
+        if q != 1:
+            g = gcd(q, *nums)
+            if g != 1:
+                nums, q = [c // g for c in nums], q // g
+        if p != 1:
+            nums = map(mul, nums, repeat(p, len(nums)))
+        return Poly._canonical(tuple(nums), d * q)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        inv = Fraction(1, 1) / scalar
-        return Poly(tuple(c * inv for c in self._coeffs))
+        p, q = scalar.numerator, scalar.denominator
+        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a nonnegative integer exponent")
-        result = Poly((_F1,))
+        result = Poly((1,))
         base = self
         e = exponent
         while e:
@@ -175,22 +251,35 @@ class Poly:
         return result
 
     def __call__(self, point):
-        """Horner evaluation; `point` may be a scalar or another Poly."""
+        """Horner evaluation; `point` may be a scalar or another Poly.
+
+        At a rational p/q the sum sum_m a_m p^m q^(deg-m) runs in ints and is
+        divided by d * q^deg once; at a Poly point the numerators are
+        composed first and the result divided by d."""
         if isinstance(point, Poly):
-            acc: Union[Poly, Fraction] = Poly()
-        else:
-            point = rational(point)
-            acc = _F0
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+            acc = Poly()
+            for c in reversed(self._nums):
+                acc = acc * point + c
+            return acc / self._den
+        point = rational(point)
+        nums = self._nums
+        if not nums:
+            return _F0
+        p, q = point.numerator, point.denominator
+        acc = nums[-1]
+        scale = 1
+        for c in nums[-2::-1]:
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, self._den * scale)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coefficients
+        if not coeffs:
             return "0"
         terms = []
-        for m in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[m]
+        for m in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[m]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -209,7 +298,7 @@ class Poly:
         return text
 
     def __repr__(self) -> str:
-        return f"Poly([{', '.join(format_rational(c) for c in self._coeffs)}])"
+        return f"Poly([{', '.join(format_rational(c) for c in self.coefficients)}])"
 
 
 #: The variable x, for building polynomials by arithmetic.

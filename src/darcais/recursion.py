@@ -61,13 +61,14 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
     """(one, gv, hv): the unit and g, h at 0..max_n, as plain ints when all
-    of those values are integers, exact Fractions otherwise."""
-    if not h.non_vanishing:
-        raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
+    of those values are integers, exact Fractions otherwise.  A zero among
+    h(1..max_n) is refused; values of h past max_n are never read."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
     hv = [_F0] + [h(k) for k in range(1, max_n + 1)]
+    if 0 in hv[1:]:
+        raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0, 1)}")
+    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
     if all(v.denominator == 1 for v in gv + hv):
         return 1, [v.numerator for v in gv], [v.numerator for v in hv]
     return _F1, gv, hv
@@ -152,8 +153,7 @@ class CoefficientTable:
         """P_n reconstructed from row n."""
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
-        hn = self._normalizers[n]
-        return Poly(tuple(Fraction(a, hn) for a in self._rows[n]))
+        return Poly(self._rows[n]) / self._normalizers[n]
 
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""

@@ -128,7 +128,7 @@ def hook_length_polynomial(n: int) -> Poly:
                 new[i] += t2 * c
                 new[i + 1] += c
             numerator = new
-        total = total + Poly(Fraction(c, denominator) for c in numerator)
+        total = total + Poly(numerator) / denominator
     return total
 
 

@@ -80,17 +80,18 @@ class _WeightMemo:
     the key normalisation and the (part, child) removals.
     """
 
-    __slots__ = ("windows", "_rows")
+    __slots__ = ("windows", "_rows", "_nonzero_to")
 
     def __init__(self, h: ArithmeticFunction):
-        if not h.non_vanishing:
-            raise ValueError(f"h = {h.name!r} is not flagged non-vanishing")
         self.windows = CumulativeProduct(h)
         self._rows: dict[tuple[int, ...], list[Fraction]] = {}
+        self._nonzero_to = 0  # h(1..this) are known to be nonzero
 
     def value(self, mu: Sequence[int], n: int) -> Fraction:
         if n < 0:
             raise ValueError(f"{self.domain} defined for n >= 0")
+        if n > self._nonzero_to:
+            self._require_nonzero(n)
         mu = self.key(mu)
         if not mu:
             return _F1
@@ -107,6 +108,14 @@ class _WeightMemo:
                     acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
                 row.append(acc)
         return row[n - threshold]
+
+    def _require_nonzero(self, n: int) -> None:
+        """Refuse a zero among h(1..n), as the recursion to n does."""
+        h = self.windows.base
+        for k in range(self._nonzero_to + 1, n + 1):
+            if h(k) == 0:
+                raise ValueError(f"h = {h.name!r} vanishes at n = {k}")
+            self._nonzero_to = k
 
 
 class HWeights(_WeightMemo):

@@ -60,3 +60,42 @@ def composition_count(n, k):
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"composition counts need n >= 1 and 1 <= k <= n, got n={n}, k={k}")
     return comb(n - 1, k - 1)
+
+
+# A polynomial as a plain list of Fractions, constant term first, with no
+# trailing zero: the representation `exact.Poly` had before it kept
+# integer numerators over one denominator.
+
+def poly_trim(coefficients):
+    out = [Fraction(c) for c in coefficients]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(a, b):
+    size = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (size - len(a))
+    b = list(b) + [Fraction(0)] * (size - len(b))
+    return poly_trim(x + y for x, y in zip(a, b))
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_eval(a, point):
+    """Horner's rule at a rational point, or at a polynomial point (a list)."""
+    if isinstance(point, list):
+        acc = []
+        for c in reversed(a):
+            acc = poly_add(poly_mul(acc, point), [c])
+        return acc
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * point + c
+    return acc

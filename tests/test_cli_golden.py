@@ -8,7 +8,10 @@ kernels, before they moved to ints.  The last three cases were recorded
 while `polynomial_sequence` had a loop of its own and the int path was
 chosen by a per-function flag: `tilde:id` now takes the int path, and the
 rational table `q.json` (four values, so n = 5 is a usage error) goes
-through the one recursion loop.
+through the one recursion loop.  The three cases after those were
+recorded while `Poly` kept one Fraction per coefficient, before it moved
+to integer numerators over one denominator; `--eval-at=-7/3` pins the
+evaluation at a negative rational point.
 """
 
 import hashlib
@@ -62,6 +65,9 @@ CASES = [
     (('export', '--g', 'tilde:id', '--h', 'id', '--max-n', '6'), 0, "495e7922ae3de8781ae781c6a3a7a9715ca3d7cc4eabf5cfa7a723ca6b7e971f"),
     (('poly', '--g', 'table:q.json', '--h', 'sigma:1', '--n', '4', '--format', 'json'), 0, "0fabe8b660493e1279cd41d0d49eed6ad712aa1e3b502e826767cfecc9cf135a"),
     (('poly', '--g', 'table:q.json', '--h', 'sigma:1', '--n', '5', '--format', 'json'), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '40', '--format', 'json'), 0, "a5d78036628791bd9eb2331cd27e04fb3289705c00518ab83b83185fd1bb15fe"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '40', '--eval-at=-7/3'), 0, "24a9d5ef7689f795ee4299a7dfee0616237a8beda7f06795c9f193d00ddf12a2"),
+    (('poly', '--g', 'tilde:sigma:1', '--h', 'sigma:1', '--n', '30', '--format', 'json'), 0, "6106a3e4eb477fd6921525dfe56cd545e9d3ef44aa619b86e69422d83e644d3e"),
 ]
 
 

@@ -1,12 +1,14 @@
 """Exact polynomial and truncated-series arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darcais.exact import Poly, Series, X, format_rational, quotient, rational
+from oracles import poly_add, poly_eval, poly_mul, poly_trim
 
 HALF = Fraction(1, 2)
 
@@ -138,6 +140,56 @@ def test_series_exp_examples():
     # the recursion-built polynomial for (sigma, id)
     arg = Series([Poly(), X, X * Fraction(3, 2)])
     assert arg.exp().coefficient(2) == (X**2 + 3 * X) * HALF
+
+
+def assert_canonical(p):
+    nums, den = p._nums, p._den
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert den > 0 and gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert nums or den == 1
+
+
+wide_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=36)
+scalars = st.one_of(st.integers(-12, 12), wide_rationals)
+coefficient_lists = st.lists(st.one_of(st.integers(-9, 9), wide_rationals), max_size=6)
+
+
+@given(coefficient_lists, coefficient_lists, scalars, st.integers(0, 3), wide_rationals)
+@settings(max_examples=150, deadline=None)
+def test_poly_matches_fraction_list_oracle(a, b, s, e, point):
+    pa, pb = Poly(a), Poly(b)
+    ta, tb = poly_trim(a), poly_trim(b)
+    ts = poly_trim([s])
+    power = [Fraction(1)]
+    for _ in range(e):
+        power = poly_mul(power, ta)
+    cases = [
+        (pa, ta),
+        (pa + pb, poly_add(ta, tb)),
+        (pa - pb, poly_add(ta, poly_mul(tb, [-1]))),
+        (pa * pb, poly_mul(ta, tb)),
+        (pa + s, poly_add(ta, ts)),
+        (s - pa, poly_add(ts, poly_mul(ta, [-1]))),
+        (pa * s, poly_mul(ta, ts)),
+        (s * pa, poly_mul(ta, ts)),
+        (-pa, poly_mul(ta, [-1])),
+        (pa**e, power),
+        (pa(pb), poly_eval(ta, tb)),
+    ]
+    if s != 0:
+        cases.append((pa / s, poly_mul(ta, [1 / Fraction(s)])))
+    for p, expected in cases:
+        assert_canonical(p)
+        assert list(p.coefficients) == expected
+        assert p.degree == len(expected) - 1
+    assert pa(point) == poly_eval(ta, point)
+    assert pa(s) == poly_eval(ta, Fraction(s))
+    assert (pa == s) == (ta == ts)
+    assert Poly([s]) == s and (Poly([s]) == s + 1) is False
+    rebuilt = (pa + pb) - pb
+    assert rebuilt == pa and hash(rebuilt) == hash(pa)
+    assert (pa == pb) == (ta == tb)
 
 
 series_coeffs = st.lists(small_rationals, min_size=1, max_size=5)

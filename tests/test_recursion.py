@@ -15,6 +15,7 @@ from darcais.recursion import (
     table_rows_from_dict,
     value_sequence,
 )
+from darcais.weights import coefficient_from_weights
 
 HALF = Fraction(1, 2)
 
@@ -52,6 +53,21 @@ def test_vanishing_h_rejected():
         polynomial_sequence(sigma(1), h, 2)
     with pytest.raises(ValueError):
         coefficient_table(sigma(1), h, 2)
+
+
+def test_only_the_tabulated_h_values_must_be_nonzero():
+    h = from_table([1, 2, 0])
+    assert value_sequence(sigma(1), h, 1, 2) == [1, 1, 2]
+    assert polynomial_sequence(sigma(1), h, 2)[2] == (X**2 + 3 * X) * HALF
+    assert coefficient_table(sigma(1), h, 2).poly(2) == (X**2 + 3 * X) * HALF
+    assert coefficient_from_weights(sigma(1), h, 2, 1) == 3
+    with pytest.raises(ValueError, match="vanishes at n = 3"):
+        value_sequence(sigma(1), h, 1, 3)
+    with pytest.raises(ValueError, match="vanishes at n = 3"):
+        coefficient_table(sigma(1), h, 3)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="vanishes at n = 3"):
+            coefficient_from_weights(sigma(1), h, 3, m)
 
 
 def test_table_examples():
