@@ -1,12 +1,12 @@
-"""Normalized arithmetic functions and their cumulative products.
+"""Normalized arithmetic functions.
 
 An arithmetic function here is a map n >= 1 -> Fraction with value 1 at
 n = 1 (normalization, enforced at construction).  The value at 0 is fixed
-to 0.  Instances memoize evaluated values and carry one flag: whether the
-function is known never to vanish.  Whether its values are integers is
-read from the values themselves, by the kernels that tabulate them.
-The builtins one, id and sigma_ell are shared instances, so their memos
-(and the weight engines keyed by them) serve every caller.
+to 0.  Instances memoize evaluated values and carry no flags: whether the
+values are integers, and whether h vanishes among the values a route
+reads, is decided from the values themselves by the kernels that
+tabulate them.  The builtins one, id and sigma_ell are shared instances,
+so their memos (and the weight engines keyed by them) serve every caller.
 """
 
 from __future__ import annotations
@@ -25,18 +25,11 @@ _F1 = Fraction(1)
 class ArithmeticFunction:
     """Memoized evaluator for a normalized arithmetic function."""
 
-    __slots__ = ("name", "non_vanishing", "_eval", "_memo")
+    __slots__ = ("name", "_eval", "_memo")
 
-    def __init__(
-        self,
-        name: str,
-        evaluator: Callable[[int], Union[int, Fraction]],
-        *,
-        non_vanishing: bool = False,
-    ):
+    def __init__(self, name: str, evaluator: Callable[[int], Union[int, Fraction]]):
         self.name = name
         self._eval = evaluator
-        self.non_vanishing = non_vanishing
         first = rational(evaluator(1))
         if first != 1:
             raise ValueError(f"{name!r} is not normalized: value at 1 is {first}")
@@ -49,12 +42,7 @@ class ArithmeticFunction:
             raise ValueError(f"arithmetic functions are defined for n >= 0, got {n}")
         value = self._memo.get(n)
         if value is None:
-            value = rational(self._eval(n))
-            if self.non_vanishing and value == 0:
-                raise ArithmeticError(
-                    f"{self.name!r} is flagged non-vanishing but vanishes at {n}"
-                )
-            self._memo[n] = value
+            value = self._memo[n] = rational(self._eval(n))
         return value
 
     def __repr__(self) -> str:
@@ -80,13 +68,13 @@ def divisor_power_sum(n: int, power: int) -> int:
 @cache
 def one() -> ArithmeticFunction:
     """The constant function 1 (one shared instance)."""
-    return ArithmeticFunction("one", lambda n: 1, non_vanishing=True)
+    return ArithmeticFunction("one", lambda n: 1)
 
 
 @cache
 def identity() -> ArithmeticFunction:
     """The identity function n -> n (one shared instance)."""
-    return ArithmeticFunction("id", lambda n: n, non_vanishing=True)
+    return ArithmeticFunction("id", lambda n: n)
 
 
 @cache
@@ -98,16 +86,12 @@ def sigma(power: int, /) -> ArithmeticFunction:
     """
     if power < 0:
         raise ValueError("sigma needs a nonnegative exponent")
-    return ArithmeticFunction(
-        f"sigma:{power}", lambda n: divisor_power_sum(n, power), non_vanishing=True
-    )
+    return ArithmeticFunction(f"sigma:{power}", lambda n: divisor_power_sum(n, power))
 
 
 def tilde(g: ArithmeticFunction) -> ArithmeticFunction:
     """The transform n -> g(n)/n; normalized whenever g is."""
-    return ArithmeticFunction(
-        f"tilde:{g.name}", lambda n: g(n) / n, non_vanishing=g.non_vanishing
-    )
+    return ArithmeticFunction(f"tilde:{g.name}", lambda n: g(n) / n)
 
 
 def from_table(
@@ -128,7 +112,7 @@ def from_table(
             raise IndexError(f"table of length {len(table)} queried at n = {n}")
         return table[n - 1]
 
-    return ArithmeticFunction(name, evaluate, non_vanishing=all(v != 0 for v in table))
+    return ArithmeticFunction(name, evaluate)
 
 
 def from_descriptor(descriptor: str) -> ArithmeticFunction:
@@ -160,33 +144,3 @@ def from_descriptor(descriptor: str) -> ArithmeticFunction:
         return from_table(data, name=descriptor)
     raise ValueError(f"unknown function descriptor {descriptor!r}")
 
-
-class CumulativeProduct:
-    """Prefix products H(n) = h(1) h(2) ... h(n) with H(0) = 1."""
-
-    __slots__ = ("base", "_values", "_windows")
-
-    def __init__(self, base: ArithmeticFunction):
-        self.base = base
-        self._values = [_F1]
-        self._windows: dict[tuple[int, int], Fraction] = {}
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("cumulative products need n >= 0")
-        while len(self._values) <= n:
-            k = len(self._values)
-            self._values.append(self._values[-1] * self.base(k))
-        return self._values[n]
-
-    def window(self, m: int, n: int) -> Fraction:
-        """h_m(n) = H(n)/H(n-m) = h(n) h(n-1) ... h(n-m+1); h_0(n) = 1 (memoized)."""
-        got = self._windows.get((m, n))
-        if got is None:
-            if not 0 <= m <= n:
-                raise ValueError(f"window needs 0 <= m <= n, got m={m}, n={n}")
-            got = _F1
-            for k in range(m):
-                got *= self.base(n - k)
-            self._windows[(m, n)] = got
-        return got

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .arith import ArithmeticFunction, CumulativeProduct, identity, one, sigma
+from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import X
 from .partitions import partitions_of
 from .recursion import coefficient_table, polynomial_sequence, value_sequence
@@ -60,9 +60,8 @@ def route_equivalence(gs: Functions, hs: Functions, max_n: int) -> Check:
         for h in hs:
             table = coefficient_table(g, h, max_n)
             polys = polynomial_sequence(g, h, max_n)
-            products = CumulativeProduct(h)
             for n in range(1, max_n + 1):
-                hn = products.value(n)
+                hn = table.normalizer(n)
                 for m in range(1, n + 1):
                     checks += 2
                     if coefficient_from_weights(g, h, n, m) != table.entry(n, m):

@@ -13,9 +13,10 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
-from .arith import ArithmeticFunction, CumulativeProduct, from_descriptor
+from .arith import ArithmeticFunction, from_descriptor
 from .checks import SUITES, run_suite
 from .exact import Poly, X, format_rational, rational
 from .recursion import coefficient_table, polynomial_sequence
@@ -38,6 +39,7 @@ from .weights import (
 from .series import euler_product_power  # noqa: F401
 
 METHODS = ("recursion", "lemma", "main-theorem", "thm1", "thm2", "composition", "series", "hook")
+POLY_METHODS = ("recursion", "series", "hook")
 CHECKS = ("lehmer", "hook-logconcave", "hook-top", "delta")
 FORMATS = ("text", "json", "csv")
 
@@ -81,13 +83,14 @@ def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: Arithm
 def _coeff_from_method(
     args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction
 ) -> Fraction:
+    """A[n][m]; for the POLY_METHODS, the coefficient of x^m in P_n instead."""
     n, m, method = args.n, args.m, args.method
     if not 0 <= m <= n:
         raise UsageError(f"coefficient indices need 0 <= m <= n, got n={n}, m={m}")
     if method in ("main-theorem", "thm1", "thm2", "composition") and m == 0:
         raise UsageError(f"method {method!r} needs m >= 1")
-    if method in ("recursion", "series", "hook"):
-        return _poly_from_method(args, g, h)[m] * CumulativeProduct(h).value(n)
+    if method in POLY_METHODS:
+        return _poly_from_method(args, g, h)[m]
     if method == "lemma":
         return Fraction(coefficient_table(g, h, n).entry(n, m))
     if method == "main-theorem":
@@ -136,8 +139,10 @@ def _run_coeff(args: argparse.Namespace) -> int:
     g, h = _parse_functions(args)
     try:
         value = _coeff_from_method(args, g, h)
-        if args.scaled:
-            value = Fraction(value) / CumulativeProduct(h).value(args.n)
+        literal = args.method in POLY_METHODS
+        if args.scaled != literal:  # convert by H(n) = h(1) ... h(n)
+            hn = prod(h(k) for k in range(1, args.n + 1))
+            value = Fraction(value) / hn if args.scaled else value * hn
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "json":
@@ -157,7 +162,7 @@ def _run_coeff(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    bounds = {name: args.max_n or SUITES[name].default_n for name in names}
+    bounds = {name: SUITES[name].default_n if args.max_n is None else args.max_n for name in names}
     for name, bound in bounds.items():
         minimum = SUITES[name].min_n
         if bound < minimum:
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a cross-verification suite")
     p_verify.set_defaults(func=_run_verify)
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=0,
+    p_verify.add_argument("--max-n", dest="max_n", type=int, default=None,
                           help="override the suite's desk-scale bound")
 
     p_scan = sub.add_parser("scan", help="run an exact scan")

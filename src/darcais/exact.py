@@ -7,9 +7,10 @@ convert their results with `rational`; `rational`, `Poly` and `Series`
 refuse floats and booleans.  Polynomials are dense, coefficients indexed
 from degree 0, and stored in primitive-part form: int numerators over one
 denominator, so polynomial arithmetic (and with it the defining recursion
-at X) runs in ints.  Truncated series live in the ring
-(polynomials in x)[[q]]: a series coefficient may be a rational or a
-`Poly` in the second variable x.
+at X) runs in ints.  A `Series` holds the coefficients of a power series
+in q truncated at a fixed order, each a rational or a `Poly` in x, and
+has the two operations the generating-function oracles need: `exp` and
+`inverse`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class Poly:
     is ``((), 1)`` with degree -1.  Arithmetic therefore runs on ints and
     reduces once per result, and equality is a tuple comparison.
     ``p[m]`` and ``coefficients`` give the coefficients as Fractions.
-    Scalars (int, Fraction) mix freely in arithmetic and comparisons.
+    Scalars (int, Fraction) mix freely in arithmetic and comparisons; a
+    bool operand is refused in arithmetic (TypeError).
     """
 
     __slots__ = ("_nums", "_den")
@@ -149,10 +151,10 @@ class Poly:
         return bool(self._nums)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            b, db = (other.numerator,), other.denominator
-        elif isinstance(other, Poly):
+        if isinstance(other, Poly):
             b, db = other._nums, other._den
+        elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            b, db = (other.numerator,), other.denominator
         else:
             return NotImplemented
         a, da = self._nums, self._den
@@ -184,7 +186,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -230,7 +232,7 @@ class Poly:
         return Poly._canonical(tuple(nums), d * q)
 
     def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        if not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool):
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
@@ -305,23 +307,11 @@ class Poly:
 X = Poly((0, 1))
 
 
-def _invert_constant(c):
-    """Reciprocal of a series constant term; only scalars are invertible."""
-    if isinstance(c, Poly):
-        if c.degree > 0 or c.is_zero():
-            raise ZeroDivisionError("series constant term is not an invertible scalar")
-        return _F1 / c[0]
-    if c == 0:
-        raise ZeroDivisionError("series constant term is zero")
-    return _F1 / c
-
-
 class Series:
     """Power series in q truncated at a fixed order (inclusive).
 
-    A truncation of order N stores exactly N+1 coefficients; binary
-    operations on two truncations work at the minimum of the two orders.
-    Coefficients are Fractions or Polys in x.
+    A truncation of order N stores exactly N+1 coefficients, each a
+    Fraction or a Poly in x.
     """
 
     __slots__ = ("_coeffs",)
@@ -357,46 +347,14 @@ class Series:
     def __hash__(self):
         return hash(self._coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return Series(tuple(a + b for a, b in zip(self._coeffs[:n], other._coeffs[:n])))
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return Series(tuple(a - b for a, b in zip(self._coeffs[:n], other._coeffs[:n])))
-
-    def __neg__(self):
-        return Series(tuple(-c for c in self._coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return Series(tuple(c * other for c in self._coeffs))
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        a, b = self._coeffs, other._coeffs
-        out = []
-        for i in range(n):
-            acc = a[0] * b[i]
-            for k in range(1, i + 1):
-                acc = acc + a[k] * b[i - k]
-            out.append(acc)
-        return Series(out)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "Series":
         """Multiplicative inverse to the truncation order.
 
-        The constant term must be an invertible scalar (nonzero rational,
-        possibly packaged as a degree-0 Poly).
+        The constant term must be a nonzero rational: zero raises
+        ZeroDivisionError, a Poly TypeError.
         """
         a = self._coeffs
-        r0 = _invert_constant(a[0])
+        r0 = _F1 / a[0]
         out = [r0]
         for n in range(1, len(a)):
             acc = a[1] * out[n - 1]

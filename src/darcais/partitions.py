@@ -1,4 +1,4 @@
-"""Partitions, compositions, orbits, hook lengths, and counting helpers.
+"""Partitions, compositions, hook lengths, and counting helpers.
 
 Compositions and partitions are plain tuples of positive ints; a partition
 is the non-increasing representative.  The empty tuple is the unique
@@ -31,27 +31,6 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
             prefix.pop()
 
     yield from descend(n, n, [])
-
-
-def orbit_of(mu: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All distinct reorderings of the parts, in lexicographic order.
-
-    Uses the classical next-permutation sweep starting from the sorted
-    arrangement, so repeated parts are never emitted twice.
-    """
-    arr = sorted(mu)
-    while True:
-        yield tuple(arr)
-        i = len(arr) - 2
-        while i >= 0 and arr[i] >= arr[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(arr) - 1
-        while arr[j] <= arr[i]:
-            j -= 1
-        arr[i], arr[j] = arr[j], arr[i]
-        arr[i + 1:] = reversed(arr[i + 1:])
 
 
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:

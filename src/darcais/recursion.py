@@ -149,12 +149,6 @@ class CoefficientTable:
         a = self._rows[n][m]
         return Fraction(a, self._normalizers[n])
 
-    def poly(self, n: int) -> Poly:
-        """P_n reconstructed from row n."""
-        if not 0 <= n <= self.max_n:
-            raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
-        return Poly(self._rows[n]) / self._normalizers[n]
-
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""
         return {
@@ -169,20 +163,6 @@ class CoefficientTable:
 
 def coefficient_table(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> CoefficientTable:
     return CoefficientTable(g, h, max_n)
-
-
-def table_rows_from_dict(doc: dict) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Parse an exported table back into exact rows and normalizers."""
-    if doc.get("kind") != "coefficient-table":
-        raise ValueError("not a coefficient-table document")
-    rows = [[rational(cell) for cell in row] for row in doc["rows"]]
-    for n, row in enumerate(rows):
-        if len(row) != n + 1:
-            raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-    normalizers = [rational(v) for v in doc["normalizers"]]
-    if len(normalizers) != len(rows):
-        raise ValueError("normalizer count does not match row count")
-    return rows, normalizers
 
 
 def coefficient_top_band(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .arith import ArithmeticFunction, CumulativeProduct, identity, one, sigma
+from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import Poly, Series, X, quotient, rational
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
@@ -40,9 +40,7 @@ def generating_series_h_one(g: ArithmeticFunction, order: int) -> Series:
     """1 / (1 - x * sum_{k>=1} g(k) q^k) truncated; q^n coefficient is P_n for h = one."""
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    denominator = Series(
-        [Poly((_F1,))] + [Poly((0, -g(k))) for k in range(1, order + 1)]
-    )
+    denominator = Series([1] + [Poly((0, -g(k))) for k in range(1, order + 1)])
     return denominator.inverse()
 
 
@@ -195,12 +193,12 @@ def closed_family_check(
     elif family == "symmetric_product":
         for h in h_functions:
             polys = polynomial_sequence(one(), h, max_n)
-            products = CumulativeProduct(h)
-            expected = Poly((_F1,))
+            expected, hn = Poly((_F1,)), _F1
             for n in range(1, max_n + 1):
                 expected = expected * (X + h(n - 1))  # h(0) = 0 gives the x factor
+                hn *= h(n)
                 checks += 1
-                if polys[n] * products.value(n) != expected:
+                if polys[n] * hn != expected:
                     return checks, (family, h.name, n)
 
     return checks, None

@@ -27,10 +27,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Sequence
 
-from .arith import ArithmeticFunction, CumulativeProduct, tilde
+from .arith import ArithmeticFunction, tilde
 from .partitions import compositions_of, multinomial, partitions_of
 
 _F0 = Fraction(0)
@@ -76,22 +76,24 @@ class _WeightMemo:
 
     Each key mu has one row of running sums, W(mu, t), W(mu, t+1), ...
     from its threshold t = |mu| + len(mu), so asking for W(mu, n) extends
-    the row from where it ends instead of starting over.  Subclasses give
-    the key normalisation and the (part, child) removals.
+    the row from where it ends instead of starting over.  The windows
+    h_j(k) are memoized per (j, k) as the rows ask for them.  Subclasses
+    give the key normalisation and the (part, child) removals.
     """
 
-    __slots__ = ("windows", "_rows", "_nonzero_to")
+    __slots__ = ("h", "_h_values", "_windows", "_rows")
 
     def __init__(self, h: ArithmeticFunction):
-        self.windows = CumulativeProduct(h)
+        self.h = h
+        self._h_values = [_F0]  # h(0), h(1), ...; none past h(0) is zero
+        self._windows: dict[tuple[int, int], Fraction] = {}
         self._rows: dict[tuple[int, ...], list[Fraction]] = {}
-        self._nonzero_to = 0  # h(1..this) are known to be nonzero
 
     def value(self, mu: Sequence[int], n: int) -> Fraction:
         if n < 0:
             raise ValueError(f"{self.domain} defined for n >= 0")
-        if n > self._nonzero_to:
-            self._require_nonzero(n)
+        if n >= len(self._h_values):
+            self._read_h(n)
         mu = self.key(mu)
         if not mu:
             return _F1
@@ -102,20 +104,28 @@ class _WeightMemo:
         if threshold + len(row) <= n:
             acc = row[-1] if row else _F0
             removals = self.removals(mu)
-            window = self.windows.window
+            window = self._window
             for k in range(threshold + len(row), n + 1):
                 for j, child in removals:
                     acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
                 row.append(acc)
         return row[n - threshold]
 
-    def _require_nonzero(self, n: int) -> None:
-        """Refuse a zero among h(1..n), as the recursion to n does."""
-        h = self.windows.base
-        for k in range(self._nonzero_to + 1, n + 1):
-            if h(k) == 0:
+    def _read_h(self, n: int) -> None:
+        """Read h up to h(n), refusing a zero as the recursion to n does."""
+        h, values = self.h, self._h_values
+        for k in range(len(values), n + 1):
+            value = h(k)
+            if value == 0:
                 raise ValueError(f"h = {h.name!r} vanishes at n = {k}")
-            self._nonzero_to = k
+            values.append(value)
+
+    def _window(self, j: int, k: int) -> Fraction:
+        """h_j(k) = h(k) h(k-1) ... h(k-j+1), for 1 <= j <= k <= the last n read."""
+        got = self._windows.get((j, k))
+        if got is None:
+            got = self._windows[(j, k)] = prod(self._h_values[k - j + 1:k + 1], start=_F1)
+        return got
 
 
 class HWeights(_WeightMemo):

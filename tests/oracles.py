@@ -8,7 +8,26 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from darcais.partitions import orbit_of
+
+def orbit_of(mu):
+    """All distinct reorderings of the parts, in lexicographic order.
+
+    Uses the classical next-permutation sweep starting from the sorted
+    arrangement, so repeated parts are never emitted twice.
+    """
+    arr = sorted(mu)
+    while True:
+        yield tuple(arr)
+        i = len(arr) - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(arr) - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1:] = reversed(arr[i + 1:])
 
 
 def h_weight_literal(h, mu, n):

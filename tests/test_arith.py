@@ -1,16 +1,13 @@
-"""Arithmetic-function registry, the tilde transform, and cumulative products."""
+"""Arithmetic-function registry, the tilde transform, and table functions."""
 
 import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from darcais.arith import (
     ArithmeticFunction,
-    CumulativeProduct,
     from_descriptor,
     from_table,
     identity,
@@ -47,13 +44,11 @@ def test_tilde():
     tid = tilde(identity())
     assert all(tid(n) == 1 for n in range(1, 20))
     assert tilde(one())(4) == Fraction(1, 4)
-    assert tilde(sigma(1)).non_vanishing
 
 
 def test_from_table():
     fn = from_table([1, 2, 100])
     assert fn(3) == 100
-    assert fn.non_vanishing
     with pytest.raises(IndexError):
         from_table([1])(2)
     with pytest.raises(ValueError):
@@ -65,14 +60,8 @@ def test_from_table():
     assert rational_table(2) == Fraction(1, 2)
 
 
-def test_non_vanishing_flag_checked_on_evaluation():
-    bad = ArithmeticFunction("claims-nonzero", lambda n: 1 if n < 3 else 0, non_vanishing=True)
-    with pytest.raises(ArithmeticError):
-        bad(3)
-
-
 def test_float_evaluator_results_are_refused():
-    halves = ArithmeticFunction("f", lambda n: 1 if n == 1 else 0.5, non_vanishing=True)
+    halves = ArithmeticFunction("f", lambda n: 1 if n == 1 else 0.5)
     with pytest.raises(TypeError):
         halves(2)
     with pytest.raises(TypeError):
@@ -92,27 +81,6 @@ def test_descriptor_grammar(tmp_path):
     for bad in ("sigma", "sigma:x", "gamma", "tilde:", "id2"):
         with pytest.raises(ValueError):
             from_descriptor(bad)
-
-
-def test_cumulative_product_basics():
-    products = CumulativeProduct(identity())
-    assert products.value(0) == 1
-    assert products.value(5) == 120
-    assert products.window(2, 4) == 12
-    assert products.window(0, 9) == 1
-    assert all(CumulativeProduct(one()).window(m, 9) == 1 for m in range(10))
-    assert all(CumulativeProduct(identity()).window(1, k) == k for k in range(1, 12))
-    with pytest.raises(ValueError):
-        products.window(5, 4)
-
-
-@given(st.integers(min_value=0, max_value=50), st.data())
-@settings(max_examples=60, deadline=None)
-def test_window_equals_ratio(n, data):
-    m = data.draw(st.integers(min_value=0, max_value=n))
-    for h in (identity(), sigma(1)):
-        products = CumulativeProduct(h)
-        assert products.window(m, n) == products.value(n) / products.value(n - m)
 
 
 def test_sigma_multiplicative_on_coprime_pairs():

@@ -10,7 +10,7 @@ import darcais.shapes
 
 from darcais.cli import build_parser, main
 from darcais.exact import Series, rational
-from darcais.recursion import coefficient_table, table_rows_from_dict
+from darcais.recursion import coefficient_table
 from darcais.arith import identity, sigma
 
 
@@ -108,6 +108,10 @@ def test_bad_descriptor_is_usage_error(capsys):
 def test_bad_flags_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["scan", "--check", "unknown", "--max-n", "5"]) == 2
     capsys.readouterr()
+    # 0 is a bound like any other, below every suite's minimum, not "default"
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracles", "--max-n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'oracles' needs --max-n >= 1, got 0\n"
     # a zero denominator in a table file is bad input, not an internal error
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, "1/0", 3]))
@@ -174,12 +178,10 @@ def test_export_json_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out)
-    rows, normalizers = table_rows_from_dict(doc)
     table = coefficient_table(sigma(1), identity(), 6)
     for n in range(7):
-        assert normalizers[n] == table.normalizer(n)
-        for m in range(n + 1):
-            assert rows[n][m] == table.entry(n, m)
+        assert rational(doc["normalizers"][n]) == table.normalizer(n)
+        assert [rational(cell) for cell in doc["rows"][n]] == list(table.row(n))
     # file output matches stdout output
     path = tmp_path / "table.json"
     code, _, _ = run_cli(

@@ -40,6 +40,11 @@ def test_no_float_or_bool_enters_a_poly_or_series():
         lambda: Series([1, False]),
         lambda: Poly([1, 2])(0.5),
         lambda: Poly([1, 2]) - 0.5,
+        lambda: X + True,
+        lambda: True + X,
+        lambda: X * True,
+        lambda: X / True,
+        lambda: True - X,
     ):
         with pytest.raises(TypeError):
             build()
@@ -118,10 +123,6 @@ def test_series_invariants():
     assert len(s.coefficients) == s.order + 1
     with pytest.raises(IndexError):
         s.coefficient(3)
-    # arithmetic on two truncations uses the minimum order
-    t = Series([1, 1])
-    assert (s * t).order == 1
-    assert (s + t).order == 1
 
 
 def test_series_inverse_geometric():
@@ -198,15 +199,17 @@ series_coeffs = st.lists(small_rationals, min_size=1, max_size=5)
 @given(series_coeffs.filter(lambda cs: cs[0] != 0))
 @settings(max_examples=60, deadline=None)
 def test_series_inverse_roundtrip(coeffs):
-    s = Series(coeffs)
-    product = s * s.inverse()
-    assert product.coefficient(0) == 1
-    assert all(product.coefficient(n) == 0 for n in range(1, product.order + 1))
+    product = poly_mul(coeffs, Series(coeffs).inverse().coefficients)
+    assert poly_trim(product[:len(coeffs)]) == [1]
 
 
 @given(series_coeffs, series_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_series_exp_additivity(a_coeffs, b_coeffs):
-    a = Series([Fraction(0)] + a_coeffs)
-    b = Series([Fraction(0)] + b_coeffs)
-    assert a.exp() * b.exp() == (a + b).exp()
+    # exp(a) exp(b) = exp(a + b), truncated at the smaller order
+    size = 1 + min(len(a_coeffs), len(b_coeffs))
+    a = [Fraction(0)] + a_coeffs[:size - 1]
+    b = [Fraction(0)] + b_coeffs[:size - 1]
+    total = (poly_add(a, b) + [Fraction(0)] * size)[:size]
+    product = poly_mul(Series(a).exp().coefficients, Series(b).exp().coefficients)
+    assert poly_trim(product[:size]) == poly_trim(Series(total).exp().coefficients)

@@ -16,12 +16,11 @@ from darcais.partitions import (
     conjugate,
     hook_multiset,
     multinomial,
-    orbit_of,
     partitions_of,
     stirling_rows,
 )
 
-from oracles import composition_count, orbit_size
+from oracles import composition_count, orbit_of, orbit_size
 
 
 def count_partitions_dp(n: int) -> int:

@@ -17,6 +17,8 @@ from darcais.series import (
     inverse_eisenstein,
 )
 
+from oracles import poly_mul, poly_trim
+
 HALF = Fraction(1, 2)
 
 
@@ -118,7 +120,8 @@ def test_euler_product_integer_exponents_match_recursion_values():
 
 def test_euler_product_exponent_types():
     half = euler_product_power(HALF, 6)
-    assert half * half == euler_product_power(1, 6)
+    square = poly_mul(half.coefficients, half.coefficients)[:7]
+    assert poly_trim(square) == poly_trim(euler_product_power(1, 6).coefficients)
     assert all(isinstance(c, Fraction) for c in half.coefficients)
     with pytest.raises(TypeError):
         euler_product_power(True, 4)

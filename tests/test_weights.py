@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from darcais import partitions, weights
 from darcais.arith import (
     ArithmeticFunction,
-    CumulativeProduct,
     from_descriptor,
     from_table,
     identity,
@@ -30,7 +29,6 @@ from darcais.arith import (
 from darcais.partitions import (
     compositions_of,
     multinomial,
-    orbit_of,
     partitions_of,
 )
 from darcais.recursion import coefficient_table, coefficient_top_band, polynomial_sequence
@@ -50,7 +48,7 @@ from darcais.weights import (
     orbit_weight_sum,
 )
 
-from oracles import h_weight_literal, orbit_reciprocal_sum_direct, orbit_weight_sum_direct
+from oracles import h_weight_literal, orbit_of, orbit_reciprocal_sum_direct, orbit_weight_sum_direct
 
 
 def all_compositions_up_to(size):
@@ -263,11 +261,10 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
     table = coefficient_table(g, h, max_n)
     polys = polynomial_sequence(g, h, max_n)
     band = coefficient_top_band(g, h, max_n, 2)
-    products = CumulativeProduct(h)
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             entry = table.entry(n, m)
-            assert polys[n][m] * products.value(n) == entry, (n, m)
+            assert polys[n][m] * table.normalizer(n) == entry, (n, m)
             assert coefficient_from_weights(g, h, n, m) == entry, (n, m)
         for j in range(min(2, n) + 1):
             assert band[n][j] == table.entry(n, n - j), (n, j)
@@ -278,12 +275,11 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
         (identity(), coefficient_h_id, generating_series_h_id(g, max_n)),
     ):
         table = coefficient_table(g, h, max_n)
-        products = CumulativeProduct(h)
         for n in range(1, max_n + 1):
             for m in range(1, n + 1):
                 entry = table.entry(n, m)
                 assert closed_form(g, n, m) == entry, (h.name, n, m)
-                assert series.coefficient(n)[m] * products.value(n) == entry, (h.name, n, m)
+                assert series.coefficient(n)[m] * table.normalizer(n) == entry, (h.name, n, m)
 
 
 def test_builtin_descriptors_share_one_instance():
