@@ -13,7 +13,7 @@ so a tracer that rebinds them (perfbench/tracer.py) sees every call.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import X
@@ -51,6 +51,19 @@ from .weights import (
 
 Check = tuple[int, Optional[str]]
 Functions = Sequence[ArithmeticFunction]
+
+
+def _in_order(check: Callable, items: Iterable, message: str = "{1}") -> Check:
+    """check(item) for each item in order, which returns (count, failure or
+    None): the counts added up, and the first failure described by
+    message.format(item, failure)."""
+    total = 0
+    for item in items:
+        checks, failure = check(item)
+        total += checks
+        if failure is not None:
+            return total, message.format(item, failure)
+    return total, None
 
 
 def route_equivalence(gs: Functions, hs: Functions, max_n: int) -> Check:
@@ -157,13 +170,8 @@ def lehmer_nonvanishing(max_n: int) -> Check:
 
 def conversion(gs: Functions, max_n: int) -> Check:
     """A[n][m](g, id) / n! == A[n][m](g~, one) / m!, 1 <= m <= n <= max_n."""
-    checks = 0
-    for g in gs:
-        made, failure = conversion_scan(g, max_n)
-        checks += made
-        if failure is not None:
-            return checks, f"conversion identity fails for g={g.name} at (n, m)={failure}"
-    return checks, None
+    return _in_order(lambda g: conversion_scan(g, max_n), gs,
+                     "conversion identity fails for g={0.name} at (n, m)={1}")
 
 
 def hook_length_identity(max_n: int) -> Check:
@@ -227,24 +235,15 @@ def hook_log_concavity(max_n: int) -> Check:
 
 def shape_transfer(gs: Functions, max_n: int) -> Check:
     """(Ultra-)log-concavity of P_n for (g/n, one) carries over to (g, id)."""
-    checks = 0
-    for g in gs:
-        made, failure = transfer_check(g, max_n)
-        checks += made
-        if failure is not None:
-            return checks, f"shape transfer fails for g={g.name} at {failure}"
-    return checks, None
+    return _in_order(lambda g: transfer_check(g, max_n), gs,
+                     "shape transfer fails for g={0.name} at {1}")
 
 
 def closed_families(hs: Functions, max_n: int) -> Check:
     """Pochhammer, Stirling, Lah, three-term and symmetric-product families."""
-    checks = 0
-    for family in ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"):
-        made, failure = closed_family_check(family, max_n, hs)
-        checks += made
-        if failure is not None:
-            return checks, f"closed family check fails: {failure}"
-    return checks, None
+    return _in_order(lambda family: closed_family_check(family, max_n, hs),
+                     ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"),
+                     "closed family check fails: {1}")
 
 
 class Suite(NamedTuple):
@@ -287,10 +286,4 @@ SUITES = {
 
 def run_suite(name: str, max_n: int) -> Check:
     """Run a suite's checks in order, stopping at the first failure."""
-    total = 0
-    for step in SUITES[name].steps:
-        checks, failure = step(max_n)
-        total += checks
-        if failure is not None:
-            return total, failure
-    return total, None
+    return _in_order(lambda step: step(max_n), SUITES[name].steps)

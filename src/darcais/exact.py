@@ -68,7 +68,8 @@ class Poly:
     reduces once per result, and equality is a tuple comparison.
     ``p[m]`` and ``coefficients`` give the coefficients as Fractions.
     Scalars (int, Fraction) mix freely in arithmetic and comparisons; a
-    bool operand is refused in arithmetic (TypeError).
+    bool operand, or a float, is refused in arithmetic, in powers and in
+    `==` (TypeError).
     """
 
     __slots__ = ("_nums", "_den")
@@ -134,6 +135,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self._den == other._den and self._nums == other._nums
+        if isinstance(other, (bool, float)):
+            raise TypeError(f"a polynomial does not compare with {other!r}")
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self._nums
@@ -240,8 +243,10 @@ class Poly:
         return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers need a nonnegative integer exponent")
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise TypeError(f"polynomial powers need an integer exponent, got {exponent!r}")
+        if exponent < 0:
+            raise ValueError("polynomial powers need a nonnegative exponent")
         result = Poly((1,))
         base = self
         e = exponent
@@ -357,10 +362,7 @@ class Series:
         r0 = _F1 / a[0]
         out = [r0]
         for n in range(1, len(a)):
-            acc = a[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + a[k] * out[n - k]
-            out.append(-r0 * acc)
+            out.append(-r0 * sum(map(mul, a[1:n + 1], out[n - 1::-1])))
         return Series(out)
 
     def exp(self) -> "Series":
@@ -372,12 +374,10 @@ class Series:
         a = self._coeffs
         if not (a[0] == 0):
             raise ValueError("series exponential needs a zero constant term")
+        ka = [k * c for k, c in enumerate(a)]
         out: list = [_F1]
         for n in range(1, len(a)):
-            acc = a[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + (k * a[k]) * out[n - k]
-            out.append(acc / n)
+            out.append(sum(map(mul, ka[1:n + 1], out[n - 1::-1])) / n)
         return Series(out)
 
     def __repr__(self) -> str:

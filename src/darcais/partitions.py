@@ -34,22 +34,27 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n with exactly k parts, lexicographically."""
+    """All compositions of n with exactly k parts, lexicographically.
+
+    A loop, not a recursion, so k is not bounded by the stack: from the
+    first composition (1, ..., 1, n-k+1), each step moves one unit from
+    the rightmost part above 1 to the part before it, and the rest of
+    that part to the end.
+    """
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"compositions need n >= 1 and 1 <= k <= n, got n={n}, k={k}")
-
-    def build(remaining: int, parts_left: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if parts_left == 1:
-            prefix.append(remaining)
-            yield tuple(prefix)
-            prefix.pop()
+    parts = [1] * (k - 1) + [n - k + 1]
+    while True:
+        yield tuple(parts)
+        j = k - 1
+        while j and parts[j] == 1:
+            j -= 1
+        if not j:
             return
-        for first in range(1, remaining - parts_left + 2):
-            prefix.append(first)
-            yield from build(remaining - first, parts_left - 1, prefix)
-            prefix.pop()
-
-    yield from build(n, k, [])
+        rest = parts[j] - 1
+        parts[j - 1] += 1
+        parts[j] = 1
+        parts[-1] = rest
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

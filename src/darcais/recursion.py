@@ -123,13 +123,10 @@ class CoefficientTable:
         self._rows = rows
         self._normalizers = normalizers
 
-    def _check_index(self, n: int, m: int) -> None:
-        if not 0 <= n <= self.max_n or not 0 <= m <= n:
-            raise IndexError(f"table index (n={n}, m={m}) outside 0 <= m <= n <= {self.max_n}")
-
     def entry(self, n: int, m: int):
         """A[n][m], an int or Fraction."""
-        self._check_index(n, m)
+        if not 0 <= n <= self.max_n or not 0 <= m <= n:
+            raise IndexError(f"table index (n={n}, m={m}) outside 0 <= m <= n <= {self.max_n}")
         return self._rows[n][m]
 
     def row(self, n: int) -> tuple:
@@ -142,12 +139,6 @@ class CoefficientTable:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"normalizer index {n} outside 0 <= n <= {self.max_n}")
         return self._normalizers[n]
-
-    def scaled(self, n: int, m: int) -> Fraction:
-        """The literal coefficient of x^m in P_n, i.e. A[n][m] / H(n)."""
-        self._check_index(n, m)
-        a = self._rows[n][m]
-        return Fraction(a, self._normalizers[n])
 
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import Poly, Series, X, quotient, rational
+from .exact import Poly, Series, X, quotient
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
@@ -83,12 +82,8 @@ def euler_product_power(exponent, order: int) -> Series:
 
 
 def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:
-    """q-expansion coefficients of 1/E4 or 1/E6.
-
-    E = 1 + scale * sum sigma_power(n) q^n has integer coefficients and
-    constant term 1, so its reciprocal b has the integer recurrence
-    b_n = -sum_{k=1}^{n} a_k b_{n-k}.
-    """
+    """q-expansion coefficients of 1/E4 or 1/E6, by `Series.inverse` of
+    E = 1 + scale * sum sigma_power(n) q^n."""
     if weight == 4:
         scale, power = 240, 3
     elif weight == 6:
@@ -96,11 +91,8 @@ def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:
     else:
         raise ValueError(f"weight must be 4 or 6, got {weight}")
     s = sigma(power)
-    a = [1] + [scale * s(n).numerator for n in range(1, order + 1)]
-    out = [1]
-    for n in range(1, order + 1):
-        out.append(-sum(map(mul, a[1:n + 1], out[n - 1::-1])))
-    return [rational(c) for c in out]
+    eisenstein = Series([1] + [scale * s(n) for n in range(1, order + 1)])
+    return list(eisenstein.inverse().coefficients)
 
 
 def hook_length_polynomial(n: int) -> Poly:

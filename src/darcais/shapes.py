@@ -89,29 +89,18 @@ def is_ultra_log_concave(seq: Sequence) -> ShapeReport:
     return ShapeReport("ultra-log-concave", n, True, None)
 
 
-def implication_chain_holds(seq: Sequence) -> bool:
-    """ultra-log-concave => log-concave => unimodal on this sequence."""
-    ultra = is_ultra_log_concave(seq)
-    log = is_log_concave(seq)
-    uni = is_unimodal(seq)
-    if ultra.holds and not log.holds:
-        return False
-    if log.holds and not uni.holds:
-        return False
-    return True
-
-
 def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, str] | None]:
     """Whenever P_n for (g/n, one) is (ultra-)log-concave, so must be P_n for (g, id).
 
+    The rows A[n][.] are P_n's coefficients times H(n) > 0, and no shape
+    predicate changes under a positive factor, so the rows are compared.
     Returns (values of n scanned, first (n, predicate) breaking the implication or None).
     """
     source = coefficient_table(tilde(g), one(), max_n)
     target = coefficient_table(g, identity(), max_n)
     checks = 0
     for n in range(1, max_n + 1):
-        src = [source.scaled(n, m) for m in range(n + 1)]
-        dst = [target.scaled(n, m) for m in range(n + 1)]
+        src, dst = source.row(n), target.row(n)
         checks += 1
         if is_log_concave(src).holds and not is_log_concave(dst).holds:
             return checks, (n, "log-concave")

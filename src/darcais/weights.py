@@ -226,23 +226,20 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
 
 @lru_cache(maxsize=_RECIPROCALS)
 def _reciprocal_sum(mu: tuple[int, ...]) -> Fraction:
-    if not mu:
-        return _F1
-    total = _F0
-    for _, child in _distinct_removals(mu):
-        total += _reciprocal_sum(child)
-    return total / (sum(mu) + len(mu))
-
-
-def orbit_reciprocal_sum(mu: Sequence[int]) -> Fraction:
-    """sum over reorderings lam of mu of prod_k 1/(k + lam_1 + ... + lam_k).
+    """R(mu) = sum over reorderings lam of the partition mu of
+    prod_k 1/(k + lam_1 + ... + lam_k).
 
     Peeling the last part: every reordering ends in some distinct part j,
     and the final factor is 1/(len(mu) + |mu|) regardless of j, so
 
         R(mu) = (sum over distinct parts j of R(mu minus j)) / (|mu| + len(mu)).
     """
-    return _reciprocal_sum(tuple(sorted(mu, reverse=True)))
+    if not mu:
+        return _F1
+    total = _F0
+    for _, child in _distinct_removals(mu):
+        total += _reciprocal_sum(child)
+    return total / (sum(mu) + len(mu))
 
 
 def _check_coeff_range(n: int, m: int) -> None:
@@ -293,7 +290,7 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     """A[n][m] for h = id:
 
         sum over partitions mu of n-m of
-            gw(mu) * (n)(n-1)...(n-|mu|-len(mu)+1) * orbit_reciprocal_sum(mu).
+            gw(mu) * (n)(n-1)...(n-|mu|-len(mu)+1) * R(mu).
     """
 
     def h_side(mu: tuple[int, ...]) -> Fraction | int:
@@ -303,31 +300,22 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     return _partition_sum(g, n, m, h_side)
 
 
-def conversion_holds(
-    g: ArithmeticFunction, n: int, m: int, g_tilde: ArithmeticFunction | None = None
-) -> bool:
-    """Check A[n][m]^{g, id} / n! == A[n][m]^{g/n, one} / m!.
-
-    The two sides run through independent routes: the h = id closed form on
-    g versus the h = one closed form on the transformed function.
-    """
-    if g_tilde is None:
-        g_tilde = tilde(g)
-    lhs = coefficient_h_id(g, n, m) / factorial(n)
-    rhs = coefficient_h_one(g_tilde, n, m) / factorial(m)
-    return lhs == rhs
-
-
 def conversion_scan(
     g: ArithmeticFunction, max_n: int
 ) -> tuple[int, tuple[int, int] | None]:
-    """(comparisons made, first (n, m) where the conversion identity fails or None)."""
+    """Check A[n][m]^{g, id} / n! == A[n][m]^{g/n, one} / m! for 1 <= m <= n <= max_n.
+
+    The two sides run through independent routes: the h = id closed form
+    on g versus the h = one closed form on the transformed function.
+    Returns (comparisons made, first failing (n, m) or None).
+    """
     g_tilde = tilde(g)
     checks = 0
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             checks += 1
-            if not conversion_holds(g, n, m, g_tilde=g_tilde):
+            lhs = coefficient_h_id(g, n, m) / factorial(n)
+            if lhs != coefficient_h_one(g_tilde, n, m) / factorial(m):
                 return checks, (n, m)
     return checks, None
 

@@ -1,12 +1,16 @@
 """Reference implementations that the tests compare the package against.
 
 Each one is the literal definition, written without memoization and
-without calling the routine it checks.
+without calling the routine it checks.  The last section holds the
+test-side entries to the package that no package code needs.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+
+from darcais.shapes import is_log_concave, is_ultra_log_concave, is_unimodal
+from darcais.weights import _reciprocal_sum
 
 
 def orbit_of(mu):
@@ -118,3 +122,22 @@ def poly_eval(a, point):
     for c in reversed(a):
         acc = acc * point + c
     return acc
+
+
+# Test-side entries to the package.
+
+def orbit_reciprocal_sum(mu):
+    """The memoized R(mu) of `darcais.weights`, for the parts in any order."""
+    return _reciprocal_sum(tuple(sorted(mu, reverse=True)))
+
+
+def implication_chain_holds(seq):
+    """ultra-log-concave => log-concave => unimodal on this sequence."""
+    ultra = is_ultra_log_concave(seq)
+    log = is_log_concave(seq)
+    uni = is_unimodal(seq)
+    if ultra.holds and not log.holds:
+        return False
+    if log.holds and not uni.holds:
+        return False
+    return True

@@ -31,8 +31,10 @@ from darcais.checks import (
 from darcais.partitions import compositions_of
 from darcais.recursion import coefficient_table, polynomial_sequence
 from darcais.series import euler_product_power, hook_length_polynomial
-from darcais.shapes import counterexample_search, implication_chain_holds, top_margin
+from darcais.shapes import counterexample_search, top_margin
 from darcais.weights import coefficient_h_id, coefficient_h_one, h_weight
+
+from oracles import implication_chain_holds
 
 G_BUILTINS = [one(), identity(), sigma(1), sigma(3), sigma(5)]
 H_BUILTINS = [one(), identity(), sigma(1)]

@@ -280,8 +280,13 @@ def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
          "weight route differs from the triangle for (g=one, h=one) at (n=1, m=1)"),
         ("shapes", "counterexample_search", lambda h, max_n: None,
          "no top-margin counterexample found for h=one"),
+        ("shapes", "transfer_check", lambda g, n: (2, (2, "log-concave")),
+         "shape transfer fails for g=one at (2, 'log-concave')"),
+        ("shapes", "closed_family_check", lambda family, n, hs: (1, (family, 1)),
+         "closed family check fails: ('pochhammer', 1)"),
     ],
-    ids=["oracles", "closed-forms", "conversion", "no-formula", "main-theorem", "shapes"],
+    ids=["oracles", "closed-forms", "conversion", "no-formula", "main-theorem", "shapes",
+         "shape-transfer", "closed-families"],
 )
 def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line):
     monkeypatch.setattr(darcais.checks, name, broken)
@@ -369,3 +374,14 @@ def test_internal_error_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(darcais.cli, "coefficient_table", broken)
     code, out, err = run_cli(capsys, "export", "--max-n", "3")
     assert (code, out, err) == (3, "", "internal error: RuntimeError: table build failed\n")
+
+
+@pytest.mark.parametrize(
+    "g, h, m, closed_form",
+    [("one", "one", "1100", "thm1"), ("one", "one", "1099", "thm1"), ("id", "id", "1100", "thm2")],
+)
+def test_composition_route_takes_a_thousand_parts(capsys, g, h, m, closed_form):
+    argv = ("coeff", "--g", g, "--h", h, "--n", "1100", "--m", m)
+    code, out, err = run_cli(capsys, *argv, "--method", "composition")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *argv, "--method", closed_form)

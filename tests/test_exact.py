@@ -45,9 +45,17 @@ def test_no_float_or_bool_enters_a_poly_or_series():
         lambda: X * True,
         lambda: X / True,
         lambda: True - X,
+        lambda: X ** True,
+        lambda: X ** 0.5,
+        lambda: Poly((1,)) == True,
+        lambda: Poly((1,)) == 1.0,
+        lambda: True == Poly((1,)),
     ):
         with pytest.raises(TypeError):
             build()
+    assert Poly((1,)) == 1 and Poly((1,)) == Fraction(1) and X != 1
+    with pytest.raises(ValueError):
+        X ** -1
 
 
 def test_quotient_stays_exact():

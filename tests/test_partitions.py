@@ -6,6 +6,7 @@ under test.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -87,6 +88,12 @@ def test_compositions_of():
     assert composition_count(4, 2) == 3
     assert composition_count(9, 1) == 1
     assert sum(1 for _ in compositions_of(5, 3)) == 6
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            listed = list(compositions_of(n, k))
+            every = [c for c in product(range(1, n + 1), repeat=k) if sum(c) == n]
+            assert listed == every  # product runs in lexicographic order
+    assert list(compositions_of(2000, 2000)) == [(1,) * 2000]
     with pytest.raises(ValueError):
         list(compositions_of(3, 4))
     with pytest.raises(ValueError):

@@ -87,15 +87,18 @@ def test_table_edges_and_errors():
     with pytest.raises(IndexError):
         table.entry(3, 4)
     with pytest.raises(IndexError):
-        table.scaled(3, -1)
+        table.entry(3, -1)
 
 
 def test_scaled_coefficients():
+    # A[n][m] / H(n) is the literal coefficient of x^m in P_n
     table = coefficient_table(sigma(1), identity(), 6)
-    assert table.scaled(2, 1) == Fraction(3, 2)
+    polys = polynomial_sequence(sigma(1), identity(), 6)
+    assert Fraction(table.entry(2, 1), table.normalizer(2)) == polys[2][1] == Fraction(3, 2)
     for n in range(7):
-        assert table.scaled(n, n) == Fraction(1, table.normalizer(n))
-    assert coefficient_table(one(), one(), 4).scaled(3, 2) == 2
+        assert Fraction(table.entry(n, n), table.normalizer(n)) == polys[n][n]
+        assert polys[n][n] == Fraction(1, table.normalizer(n))
+    assert coefficient_table(one(), one(), 4).entry(3, 2) == polynomial_sequence(one(), one(), 3)[3][2] == 2
 
 
 def test_table_matches_recursion():

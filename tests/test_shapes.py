@@ -13,7 +13,6 @@ from darcais.shapes import (
     counterexample_search,
     hook_poly_log_concavity_scan,
     hook_poly_top_inequality_scan,
-    implication_chain_holds,
     is_log_concave,
     is_ultra_log_concave,
     is_unimodal,
@@ -22,6 +21,8 @@ from darcais.shapes import (
     top_margin_lower_bound,
     transfer_check,
 )
+
+from oracles import implication_chain_holds
 
 
 def test_reference_quadratics():
@@ -197,6 +198,6 @@ def test_transfer_check():
     # so the premise is non-vacuous
     source = coefficient_table(tilde(identity()), one(), 15)
     assert all(
-        is_ultra_log_concave([source.scaled(n, m) for m in range(n + 1)]).holds
+        is_ultra_log_concave(source.row(n)).holds
         for n in range(1, 16)
     )

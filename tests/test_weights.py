@@ -38,17 +38,21 @@ from darcais.weights import (
     coefficient_from_weights,
     coefficient_h_id,
     coefficient_h_one,
-    conversion_holds,
     conversion_scan,
     g_weight,
     h_weight,
     h_weight_id,
     h_weight_one,
-    orbit_reciprocal_sum,
     orbit_weight_sum,
 )
 
-from oracles import h_weight_literal, orbit_of, orbit_reciprocal_sum_direct, orbit_weight_sum_direct
+from oracles import (
+    h_weight_literal,
+    orbit_of,
+    orbit_reciprocal_sum,
+    orbit_reciprocal_sum_direct,
+    orbit_weight_sum_direct,
+)
 
 
 def all_compositions_up_to(size):
@@ -217,7 +221,7 @@ def test_specialized_routes_match_triangle():
 
 
 def test_conversion_examples():
-    assert conversion_holds(sigma(1), 3, 2)
+    assert conversion_scan(sigma(1), 3) == (6, None)
     assert coefficient_h_id(sigma(1), 3, 2) / factorial(3) == Fraction(3, 2)
     assert coefficient_h_one(tilde(sigma(1)), 3, 2) / factorial(2) == Fraction(3, 2)
     assert conversion_scan(identity(), 9) == (45, None)
@@ -227,6 +231,18 @@ def test_conversion_examples():
         for m in range(1, n + 1):
             lhs = coefficient_h_id(identity(), n, m) / factorial(n)
             assert lhs == Fraction(comb(n - 1, m - 1), factorial(m))
+
+
+def test_conversion_scan_reports_the_first_failing_index(monkeypatch):
+    h_one = weights.coefficient_h_one
+
+    def off_at_3_2(g, n, m):
+        return h_one(g, n, m) + ((n, m) == (3, 2))
+
+    monkeypatch.setattr(weights, "coefficient_h_one", off_at_3_2)
+    # (1, 1), (2, 1), (2, 2), (3, 1) hold; (3, 2) is the fifth comparison
+    for g in (one(), identity(), sigma(1)):
+        assert conversion_scan(g, 6) == (5, (3, 2))
 
 
 def test_composition_sum_route():
