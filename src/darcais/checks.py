@@ -1,10 +1,10 @@
 """Cross-checks between independent routes, and the `verify` suites.
 
 Each check compares two routes exactly over the functions and up to the
-bound it is given, and returns ``(checks, failure)``: the number of
-comparisons made and a one-line description of the first mismatch, or
-None.  `SUITES` lists the checks each `darcais verify` suite runs, in
-order; the acceptance tests call the same checks at their own bounds.
+bound it is given, and returns ``(checks, failure)`` from
+`exact.first_failure`: the comparisons made and the first mismatch, as
+one line, or None.  `SUITES` lists the checks each `darcais verify`
+suite runs, in order; the acceptance tests call them at their own bounds.
 
 Library routines are called through this module's globals at call time,
 so a tracer that rebinds them (perfbench/tracer.py) sees every call.
@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import X
+from .exact import X, first_failure
 from .partitions import partitions_of
 from .recursion import coefficient_table, polynomial_sequence, value_sequence
 from .series import (
+    FAMILIES,
     closed_family_check,
     euler_product_power,
     generating_series_h_id,
@@ -68,98 +69,80 @@ def _in_order(check: Callable, items: Iterable, message: str = "{1}") -> Check:
 
 def route_equivalence(gs: Functions, hs: Functions, max_n: int) -> Check:
     """Weight formula == triangle == polynomial recursion, 1 <= m <= n <= max_n."""
-    checks = 0
-    for g in gs:
-        for h in hs:
-            table = coefficient_table(g, h, max_n)
-            polys = polynomial_sequence(g, h, max_n)
-            for n in range(1, max_n + 1):
-                hn = table.normalizer(n)
-                for m in range(1, n + 1):
-                    checks += 2
-                    if coefficient_from_weights(g, h, n, m) != table.entry(n, m):
-                        return checks, (
-                            f"weight route differs from the triangle for "
-                            f"(g={g.name}, h={h.name}) at (n={n}, m={m})"
-                        )
-                    if polys[n][m] * hn != table.entry(n, m):
-                        return checks, (
-                            f"recursion differs from the triangle for "
-                            f"(g={g.name}, h={h.name}) at (n={n}, m={m})"
-                        )
-    return checks, None
+    def outcomes():
+        for g in gs:
+            for h in hs:
+                table = coefficient_table(g, h, max_n)
+                polys = polynomial_sequence(g, h, max_n)
+                for n in range(1, max_n + 1):
+                    hn = table.normalizer(n)
+                    for m in range(1, n + 1):
+                        entry = table.entry(n, m)
+                        for route, value in (("weight route", coefficient_from_weights(g, h, n, m)),
+                                             ("recursion", polys[n][m] * hn)):
+                            yield None if value == entry else (
+                                f"{route} differs from the triangle for "
+                                f"(g={g.name}, h={h.name}) at (n={n}, m={m})")
+    return first_failure(outcomes())
 
 
 def closed_forms(gs: Functions, max_n: int) -> Check:
     """The h = one and h = id closed forms == triangle, 1 <= m <= n <= max_n."""
-    checks = 0
-    for g in gs:
-        for h_desc, route in (("one", coefficient_h_one), ("id", coefficient_h_id)):
-            h = one() if h_desc == "one" else identity()
-            table = coefficient_table(g, h, max_n)
-            for n in range(1, max_n + 1):
-                for m in range(1, n + 1):
-                    checks += 1
-                    if route(g, n, m) != table.entry(n, m):
-                        return checks, (
-                            f"closed form (g={g.name}, h={h_desc}) differs at (n={n}, m={m})"
-                        )
-    return checks, None
+    def outcomes():
+        for g in gs:
+            for h, route in ((one(), coefficient_h_one), (identity(), coefficient_h_id)):
+                table = coefficient_table(g, h, max_n)
+                for n in range(1, max_n + 1):
+                    for m in range(1, n + 1):
+                        yield None if route(g, n, m) == table.entry(n, m) else (
+                            f"closed form (g={g.name}, h={h.name}) differs at (n={n}, m={m})")
+    return first_failure(outcomes())
 
 
 def h_weight_forms(compositions: Sequence[tuple[int, ...]], max_n: int) -> Check:
     """Inductive h-weight == its closed forms for h = one and h = id, 0 <= n <= max_n."""
-    checks = 0
-    for mu in compositions:
-        for n in range(0, max_n + 1):
-            checks += 2
-            if h_weight(one(), mu, n) != h_weight_one(mu, n):
-                return checks, f"h=one weight mismatch at mu={mu}, n={n}"
-            if h_weight(identity(), mu, n) != h_weight_id(mu, n):
-                return checks, f"h=id weight mismatch at mu={mu}, n={n}"
-    return checks, None
+    def outcomes():
+        for mu in compositions:
+            for n in range(0, max_n + 1):
+                for h, closed_form in ((one(), h_weight_one), (identity(), h_weight_id)):
+                    yield None if h_weight(h, mu, n) == closed_form(mu, n) else (
+                        f"h={h.name} weight mismatch at mu={mu}, n={n}")
+    return first_failure(outcomes())
 
 
 def series_oracles(gs: Functions, max_n: int) -> Check:
     """Generating-series coefficients == recursion polynomials for h = id and one."""
-    checks = 0
-    for g in gs:
-        for h_desc, h, series_fn in (
-            ("id", identity(), generating_series_h_id),
-            ("one", one(), generating_series_h_one),
-        ):
-            polys = polynomial_sequence(g, h, max_n)
-            series = series_fn(g, max_n)
-            for n in range(max_n + 1):
-                checks += 1
-                if not series.coefficient(n) == polys[n]:
-                    return checks, f"series oracle (g={g.name}, h={h_desc}) differs at n={n}"
-    return checks, None
+    def outcomes():
+        for g in gs:
+            for h, series_fn in ((identity(), generating_series_h_id),
+                                 (one(), generating_series_h_one)):
+                polys = polynomial_sequence(g, h, max_n)
+                series = series_fn(g, max_n)
+                for n in range(max_n + 1):
+                    yield None if series.coefficient(n) == polys[n] else (
+                        f"series oracle (g={g.name}, h={h.name}) differs at n={n}")
+    return first_failure(outcomes())
 
 
 def symbolic_euler_product(max_n: int) -> Check:
     """prod (1 - q^k)^x == sum P_n(-x) q^n for (sigma, id)."""
-    checks = 0
     polys = value_sequence(sigma(1), identity(), -X, max_n)
     symbolic = euler_product_power(X, max_n)
-    for n in range(max_n + 1):
-        checks += 1
-        if not symbolic.coefficient(n) == polys[n]:
-            return checks, f"symbolic Euler-product coefficient differs at n={n}"
-    return checks, None
+    return first_failure(
+        None if symbolic.coefficient(n) == polys[n]
+        else f"symbolic Euler-product coefficient differs at n={n}" for n in range(max_n + 1))
 
 
 def inverse_eisenstein_values(max_n: int) -> Check:
     """1/E4 and 1/E6 == the value recursion at x = -240 and x = 504."""
-    checks = 0
-    for weight, g_pow, point in ((4, 3, -240), (6, 5, 504)):
-        inverse = inverse_eisenstein(weight, max_n)
-        values = value_sequence(sigma(g_pow), one(), Fraction(point), max_n)
-        for n in range(max_n + 1):
-            checks += 1
-            if inverse[n] != values[n]:
-                return checks, f"1/E{weight} differs from the recursion at n={n}"
-    return checks, None
+    def outcomes():
+        for weight, g_pow, point in ((4, 3, -240), (6, 5, 504)):
+            inverse = inverse_eisenstein(weight, max_n)
+            values = value_sequence(sigma(g_pow), one(), Fraction(point), max_n)
+            for n in range(max_n + 1):
+                yield None if inverse[n] == values[n] else (
+                    f"1/E{weight} differs from the recursion at n={n}")
+    return first_failure(outcomes())
 
 
 def lehmer_nonvanishing(max_n: int) -> Check:
@@ -176,17 +159,15 @@ def conversion(gs: Functions, max_n: int) -> Check:
 
 def hook_length_identity(max_n: int) -> Check:
     """Q_n(x) == P_n(x+1) for (sigma, id), and Q_n(0) == p(n)."""
-    checks = 0
-    polys = value_sequence(sigma(1), identity(), X + 1, max_n)
-    partition_counts = [sum(1 for _ in partitions_of(n)) for n in range(max_n + 1)]
-    for n in range(max_n + 1):
-        q = hook_length_polynomial(n)
-        checks += 2
-        if q != polys[n]:
-            return checks, f"hook-length identity Q_n(x) = P_n(x+1) fails at n={n}"
-        if q(Fraction(0)) != partition_counts[n]:
-            return checks, f"Q_n(0) != p(n) at n={n}"
-    return checks, None
+    def outcomes():
+        polys = value_sequence(sigma(1), identity(), X + 1, max_n)
+        partition_counts = [sum(1 for _ in partitions_of(n)) for n in range(max_n + 1)]
+        for n in range(max_n + 1):
+            q = hook_length_polynomial(n)
+            yield None if q == polys[n] else (
+                f"hook-length identity Q_n(x) = P_n(x+1) fails at n={n}")
+            yield None if q(Fraction(0)) == partition_counts[n] else f"Q_n(0) != p(n) at n={n}"
+    return first_failure(outcomes())
 
 
 def reference_quadratics() -> Check:
@@ -204,21 +185,18 @@ def reference_quadratics() -> Check:
 def top_margins(hs: Functions, max_n: int, search_n: int) -> Check:
     """Per h: the top margin of (sigma, h) is positive and above its exact
     lower bound for 2 <= n <= max_n, and some g-table breaks it by n = search_n."""
-    checks = 0
-    g = sigma(1)
-    for h in hs:
-        for n in range(2, max_n + 1):
-            checks += 2
-            margin = top_margin(g, h, n)
-            if margin <= 0:
-                return checks, f"top margin for (sigma, {h.name}) not positive at n={n}"
-            if margin < top_margin_lower_bound(g, h, n):
-                return checks, f"top margin below its bound for (sigma, {h.name}) at n={n}"
-        witness = counterexample_search(h, max_n=search_n)
-        checks += 1
-        if witness is None:
-            return checks, f"no top-margin counterexample found for h={h.name}"
-    return checks, None
+    def outcomes():
+        g = sigma(1)
+        for h in hs:
+            for n in range(2, max_n + 1):
+                margin = top_margin(g, h, n)
+                yield None if margin > 0 else (
+                    f"top margin for (sigma, {h.name}) not positive at n={n}")
+                yield None if margin >= top_margin_lower_bound(g, h, n) else (
+                    f"top margin below its bound for (sigma, {h.name}) at n={n}")
+            yield None if counterexample_search(h, max_n=search_n) is not None else (
+                f"no top-margin counterexample found for h={h.name}")
+    return first_failure(outcomes())
 
 
 def hook_top_inequality(max_n: int) -> Check:
@@ -241,8 +219,7 @@ def shape_transfer(gs: Functions, max_n: int) -> Check:
 
 def closed_families(hs: Functions, max_n: int) -> Check:
     """Pochhammer, Stirling, Lah, three-term and symmetric-product families."""
-    return _in_order(lambda family: closed_family_check(family, max_n, hs),
-                     ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product"),
+    return _in_order(lambda family: closed_family_check(family, max_n, hs), FAMILIES,
                      "closed family check fails: {1}")
 
 

@@ -10,7 +10,8 @@ denominator, so polynomial arithmetic (and with it the defining recursion
 at X) runs in ints.  A `Series` holds the coefficients of a power series
 in q truncated at a fixed order, each a rational or a `Poly` in x, and
 has the two operations the generating-function oracles need: `exp` and
-`inverse`.
+`inverse`.  `first_failure` is the loop that counts a check's comparisons
+and stops at the first failing one.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ def quotient(a, b):
 def format_rational(value: Union[int, Fraction]) -> str:
     """Render a rational as "p/q", or as a plain decimal string if integral."""
     return str(rational(value))
+
+
+def first_failure(outcomes: Iterable) -> tuple[int, object]:
+    """Run comparisons, each outcome None where one holds and otherwise
+    where it failed, up to the first failure: (outcomes consumed, that
+    failure or None).  Every check and scan counts its comparisons here."""
+    checks = 0
+    for failure in outcomes:
+        checks += 1
+        if failure is not None:
+            return checks, failure
+    return checks, None
 
 
 class Poly:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import Poly, Series, X, quotient
+from .exact import Poly, Series, X, first_failure, quotient
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
@@ -122,7 +122,7 @@ def hook_length_polynomial(n: int) -> Poly:
     return total
 
 
-_FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")
+FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")
 
 
 def closed_family_check(
@@ -140,57 +140,48 @@ def closed_family_check(
 
     Returns (comparisons made, first failing (family, n[, m]) or None).
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    checks = 0
 
-    if family == "pochhammer":
-        polys = polynomial_sequence(one(), one(), max_n)
-        for n in range(1, max_n + 1):
-            checks += 1
-            if polys[n] != X * (X + 1) ** (n - 1):
-                return checks, (family, n)
-
-    elif family == "stirling":
-        table = coefficient_table(one(), identity(), max_n)
-        for n, stirling in enumerate(stirling_rows(max_n)):
-            for m in range(n + 1):
-                checks += 1
-                if table.entry(n, m) != stirling[m]:
-                    return checks, (family, n, m)
-
-    elif family == "lah":
-        table = coefficient_table(identity(), identity(), max_n)
-        for n in range(1, max_n + 1):
-            for m in range(1, n + 1):
-                checks += 1
-                if table.entry(n, m) != (factorial(n) // factorial(m)) * comb(n - 1, m - 1):
-                    return checks, (family, n, m)
-
-    elif family == "chebyshev3term":
-        for h in h_functions:
-            polys = polynomial_sequence(identity(), h, max_n + 2)
-            for n in range(max_n + 1):
-                lhs = (
-                    polys[n] * h(n)
-                    + polys[n + 1] * (Poly((-2 * h(n + 1),)) - X)
-                    + polys[n + 2] * h(n + 2)
-                )
-                checks += 1
-                if not lhs.is_zero():
-                    return checks, (family, h.name, n)
-
-    elif family == "symmetric_product":
-        for h in h_functions:
-            polys = polynomial_sequence(one(), h, max_n)
-            expected, hn = Poly((_F1,)), _F1
+    def outcomes():
+        if family == "pochhammer":
+            polys = polynomial_sequence(one(), one(), max_n)
             for n in range(1, max_n + 1):
-                expected = expected * (X + h(n - 1))  # h(0) = 0 gives the x factor
-                hn *= h(n)
-                checks += 1
-                if polys[n] * hn != expected:
-                    return checks, (family, h.name, n)
+                yield None if polys[n] == X * (X + 1) ** (n - 1) else (family, n)
 
-    return checks, None
+        elif family == "stirling":
+            table = coefficient_table(one(), identity(), max_n)
+            for n, stirling in enumerate(stirling_rows(max_n)):
+                for m in range(n + 1):
+                    yield None if table.entry(n, m) == stirling[m] else (family, n, m)
+
+        elif family == "lah":
+            table = coefficient_table(identity(), identity(), max_n)
+            for n in range(1, max_n + 1):
+                for m in range(1, n + 1):
+                    lah = (factorial(n) // factorial(m)) * comb(n - 1, m - 1)
+                    yield None if table.entry(n, m) == lah else (family, n, m)
+
+        elif family == "chebyshev3term":
+            for h in h_functions:
+                polys = polynomial_sequence(identity(), h, max_n + 2)
+                for n in range(max_n + 1):
+                    lhs = (
+                        polys[n] * h(n)
+                        + polys[n + 1] * (Poly((-2 * h(n + 1),)) - X)
+                        + polys[n + 2] * h(n + 2)
+                    )
+                    yield None if lhs.is_zero() else (family, h.name, n)
+
+        else:  # symmetric_product
+            for h in h_functions:
+                polys = polynomial_sequence(one(), h, max_n)
+                expected, hn = Poly((_F1,)), _F1
+                for n in range(1, max_n + 1):
+                    expected = expected * (X + h(n - 1))  # h(0) = 0 gives the x factor
+                    hn *= h(n)
+                    yield None if polys[n] * hn == expected else (family, h.name, n)
+
+    return first_failure(outcomes())

@@ -18,7 +18,7 @@ from math import comb
 from typing import Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
-from .exact import rational
+from .exact import first_failure, rational
 from .recursion import (
     coefficient_table,
     coefficient_top_band,
@@ -98,15 +98,17 @@ def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, s
     """
     source = coefficient_table(tilde(g), one(), max_n)
     target = coefficient_table(g, identity(), max_n)
-    checks = 0
-    for n in range(1, max_n + 1):
-        src, dst = source.row(n), target.row(n)
-        checks += 1
-        if is_log_concave(src).holds and not is_log_concave(dst).holds:
-            return checks, (n, "log-concave")
-        if is_ultra_log_concave(src).holds and not is_ultra_log_concave(dst).holds:
-            return checks, (n, "ultra-log-concave")
-    return checks, None
+
+    def outcomes():
+        for n in range(1, max_n + 1):
+            src, dst = source.row(n), target.row(n)
+            if is_log_concave(src).holds and not is_log_concave(dst).holds:
+                yield n, "log-concave"
+            elif is_ultra_log_concave(src).holds and not is_ultra_log_concave(dst).holds:
+                yield n, "ultra-log-concave"
+            else:
+                yield None
+    return first_failure(outcomes())
 
 
 def top_margin(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Fraction:
@@ -174,12 +176,9 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     (values of n compared, first failing n or None).
     """
     rows = _shifted_rows(max_n)
-    checks = 0
-    for n in range(1, max_n + 1):
-        checks += 1
-        if not (is_log_concave(rows[n]).holds and is_unimodal(rows[n]).holds):
-            return checks, n
-    return checks, None
+    return first_failure(
+        None if is_log_concave(rows[n]).holds and is_unimodal(rows[n]).holds else n
+        for n in range(1, max_n + 1))
 
 
 def hook_poly_top_inequality_scan(max_n: int) -> tuple[int, int | None]:
@@ -194,15 +193,14 @@ def hook_poly_top_inequality_scan(max_n: int) -> tuple[int, int | None]:
     if max_n < 2:
         raise ValueError("the top inequality scan needs max_n >= 2")
     band = coefficient_top_band(sigma(1), identity(), max_n, depth=2)
-    checks = 0
-    for n in range(2, max_n + 1):
-        a_nn, a_n1, a_n2 = band[n][0], band[n][1], band[n][2]
-        top = a_n1 + n * a_nn
-        second = a_n2 + (n - 1) * a_n1 + comb(n, 2) * a_nn
-        checks += 1
-        if not top * top > second * a_nn:
-            return checks, n
-    return checks, None
+
+    def outcomes():
+        for n in range(2, max_n + 1):
+            a_nn, a_n1, a_n2 = band[n][0], band[n][1], band[n][2]
+            top = a_n1 + n * a_nn
+            second = a_n2 + (n - 1) * a_n1 + comb(n, 2) * a_nn
+            yield None if top * top > second * a_nn else n
+    return first_failure(outcomes())
 
 
 def lehmer_scan(max_n: int) -> tuple[list[Fraction], tuple[int, tuple[int, str] | None]]:
@@ -219,11 +217,8 @@ def lehmer_scan(max_n: int) -> tuple[list[Fraction], tuple[int, tuple[int, str] 
     product = euler_product_power(24, max_n)
     if product.coefficient(0) != values[0]:
         return values, (0, (0, "Euler-product mismatch"))
-    checks = 0
-    for n in range(1, max_n + 1):
-        checks += 1
-        if values[n] == 0:
-            return values, (checks, (n, "zero"))
-        if product.coefficient(n) != values[n]:
-            return values, (checks, (n, "Euler-product mismatch"))
-    return values, (checks, None)
+    return values, first_failure(
+        (n, "zero") if values[n] == 0
+        else (n, "Euler-product mismatch") if product.coefficient(n) != values[n]
+        else None
+        for n in range(1, max_n + 1))

@@ -31,6 +31,7 @@ from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction, tilde
+from .exact import first_failure
 from .partitions import compositions_of, multinomial, partitions_of
 
 _F0 = Fraction(0)
@@ -310,14 +311,13 @@ def conversion_scan(
     Returns (comparisons made, first failing (n, m) or None).
     """
     g_tilde = tilde(g)
-    checks = 0
-    for n in range(1, max_n + 1):
-        for m in range(1, n + 1):
-            checks += 1
-            lhs = coefficient_h_id(g, n, m) / factorial(n)
-            if lhs != coefficient_h_one(g_tilde, n, m) / factorial(m):
-                return checks, (n, m)
-    return checks, None
+
+    def outcomes():
+        for n in range(1, max_n + 1):
+            for m in range(1, n + 1):
+                lhs = coefficient_h_id(g, n, m) / factorial(n)
+                yield None if lhs == coefficient_h_one(g_tilde, n, m) / factorial(m) else (n, m)
+    return first_failure(outcomes())
 
 
 def coefficient_composition_sum(
@@ -331,12 +331,11 @@ def coefficient_composition_sum(
     _check_coeff_range(n, m)
     if h_kind not in ("one", "id"):
         raise ValueError(f"h_kind must be 'one' or 'id', got {h_kind!r}")
+    # no part exceeds n - m + 1
+    factors = [_F0] + [g(k) / k if h_kind == "id" else g(k) for k in range(1, n - m + 2)]
     total = _F0
     for parts in compositions_of(n, m):
-        term = _F1
-        for k in parts:
-            term *= g(k) / k if h_kind == "id" else g(k)
-        total += term
+        total += prod(map(factors.__getitem__, parts), start=_F1)
     if h_kind == "id":
         total *= Fraction(factorial(n), factorial(m))
     return total

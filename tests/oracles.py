@@ -85,6 +85,30 @@ def composition_count(n, k):
     return comb(n - 1, k - 1)
 
 
+def chebyshev_example(n):
+    """x U_{n-1}(1 + x/2), constant term first, for n >= 1: P_n for (id, one).
+
+    U_k(t) = sum_j (-1)^j C(k-j, j) (2t)^(k-2j), and (2 + x)^e is expanded
+    binomially, so the coefficient of x^(i+1) is
+    sum_j (-1)^j C(k-j, j) C(k-2j, i) 2^(k-2j-i) with k = n - 1.
+    """
+    k = n - 1
+    return [Fraction(0)] + [
+        Fraction(sum((-1) ** j * comb(k - j, j) * comb(k - 2 * j, i) * 2 ** (k - 2 * j - i)
+                     for j in range((k - i) // 2 + 1)))
+        for i in range(k + 1)
+    ]
+
+
+def laguerre_example(n):
+    """(x/n) L^(1)_{n-1}(-x), constant term first, for n >= 1: P_n for (id, id).
+
+    L^(1)_k(y) = sum_i (-1)^i C(k+1, k-i) y^i / i!, so at y = -x the
+    coefficient of x^(i+1) is C(n, n-1-i) / (n i!).
+    """
+    return [Fraction(0)] + [Fraction(comb(n, n - 1 - i), n * factorial(i)) for i in range(n)]
+
+
 # A polynomial as a plain list of Fractions, constant term first, with no
 # trailing zero: the representation `exact.Poly` had before it kept
 # integer numerators over one denominator.

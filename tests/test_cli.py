@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, round-trips, determinism."""
 
+import itertools
 import json
 
 import pytest
@@ -9,8 +10,9 @@ import darcais.cli
 import darcais.shapes
 
 from darcais.cli import build_parser, main
-from darcais.exact import Series, rational
+from darcais.exact import Poly, Series, rational
 from darcais.recursion import coefficient_table
+from darcais.shapes import ShapeReport
 from darcais.arith import identity, sigma
 
 
@@ -284,9 +286,27 @@ def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
          "shape transfer fails for g=one at (2, 'log-concave')"),
         ("shapes", "closed_family_check", lambda family, n, hs: (1, (family, 1)),
          "closed family check fails: ('pochhammer', 1)"),
+        ("main-theorem", "polynomial_sequence", lambda g, h, n: [Poly()] * (n + 1),
+         "recursion differs from the triangle for (g=one, h=one) at (n=1, m=1)"),
+        ("closed-forms", "h_weight_one", lambda mu, n: -1,
+         "h=one weight mismatch at mu=(1,), n=0"),
+        ("closed-forms", "h_weight_id", lambda mu, n: -1,
+         "h=id weight mismatch at mu=(1,), n=0"),
+        ("oracles", "generating_series_h_id", lambda g, n: Series([0] * (n + 1)),
+         "series oracle (g=one, h=id) differs at n=0"),
+        ("oracles", "euler_product_power", lambda exponent, n: Series([0] * (n + 1)),
+         "symbolic Euler-product coefficient differs at n=0"),
+        ("no-formula", "hook_length_polynomial", lambda n: Poly(),
+         "hook-length identity Q_n(x) = P_n(x+1) fails at n=0"),
+        ("shapes", "top_margin", lambda g, h, n: 0,
+         "top margin for (sigma, one) not positive at n=2"),
+        ("shapes", "top_margin_lower_bound", lambda g, h, n: 10**9,
+         "top margin below its bound for (sigma, one) at n=2"),
     ],
     ids=["oracles", "closed-forms", "conversion", "no-formula", "main-theorem", "shapes",
-         "shape-transfer", "closed-families"],
+         "shape-transfer", "closed-families", "recursion-route", "h-weight-one", "h-weight-id",
+         "series-oracle", "symbolic-euler-product", "hook-length-identity", "top-margin",
+         "top-margin-bound"],
 )
 def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line):
     monkeypatch.setattr(darcais.checks, name, broken)
@@ -315,6 +335,12 @@ def _product_off_at_2(euler_product_power):
     return broken
 
 
+def _source_only(is_ultra_log_concave):
+    # transfer_check asks about the source row, then the target row
+    verdicts = itertools.cycle((True, False))
+    return lambda row: ShapeReport("ultra-log-concave", len(row) - 1, next(verdicts), None)
+
+
 LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
 
 
@@ -334,9 +360,11 @@ LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
          "FAIL oracles: Lehmer cross-check failed: zero at n=3\n", ""),
         ("euler_product_power", _product_off_at_2, ("verify", "--suite", "oracles"),
          "FAIL oracles: Lehmer cross-check failed: Euler-product mismatch at n=2\n", ""),
+        ("is_ultra_log_concave", _source_only, ("verify", "--suite", "shapes"),
+         "FAIL shapes: shape transfer fails for g=one at (1, 'ultra-log-concave')\n", ""),
     ],
     ids=["hook-logconcave", "hook-top", "lehmer-zero", "lehmer-product",
-         "verify-lehmer-zero", "verify-lehmer-product"],
+         "verify-lehmer-zero", "verify-lehmer-product", "verify-transfer-ultra"],
 )
 def test_scan_failure_is_exit_1(capsys, monkeypatch, name, breaker, argv, out, err):
     monkeypatch.setattr(darcais.shapes, name, breaker(getattr(darcais.shapes, name)))

@@ -15,6 +15,7 @@ from darcais.recursion import (
     value_sequence,
 )
 from darcais.weights import coefficient_from_weights
+from oracles import chebyshev_example, laguerre_example
 
 HALF = Fraction(1, 2)
 
@@ -32,6 +33,17 @@ def test_polynomial_examples():
     # h = id, g = 1 gives the scaled rising factorial
     p4 = polynomial_sequence(one(), identity(), 4)[4]
     assert p4 * 24 == X * (X + 1) * (X + 2) * (X + 3)
+
+
+@pytest.mark.parametrize(
+    "h, closed_form", [(one(), chebyshev_example), (identity(), laguerre_example)],
+    ids=["chebyshev", "laguerre"],
+)
+def test_abstract_examples(h, closed_form):
+    # the paper's named families for g = id: Chebyshev for h = one, Laguerre for h = id
+    polys = polynomial_sequence(identity(), h, 25)
+    for n in range(1, 26):
+        assert list(polys[n].coefficients) == closed_form(n), n
 
 
 def test_polynomial_shape():

@@ -5,6 +5,8 @@ from math import factorial
 
 import pytest
 
+import darcais.series
+
 from darcais.arith import identity, one, sigma
 from darcais.exact import Poly, X
 from darcais.recursion import polynomial_sequence, value_sequence
@@ -202,6 +204,33 @@ def test_closed_family_checks_pass():
         assert checks > 0
     with pytest.raises(ValueError):
         closed_family_check("legendre", 5, hs)
+
+
+def _stirling_off_at_2_1(stirling_rows):
+    def broken(max_n):
+        rows = [list(row) for row in stirling_rows(max_n)]
+        rows[2][1] += 1
+        return rows
+    return broken
+
+
+@pytest.mark.parametrize(
+    "family, name, breaker, expected",
+    [
+        ("pochhammer", "polynomial_sequence", lambda _: lambda g, h, n: [Poly()] * (n + 1),
+         (1, ("pochhammer", 1))),
+        ("stirling", "stirling_rows", _stirling_off_at_2_1, (5, ("stirling", 2, 1))),
+        ("lah", "comb", lambda comb: lambda n, k: comb(n, k) + (n == 2), (4, ("lah", 3, 1))),
+        ("chebyshev3term", "polynomial_sequence", lambda _: lambda g, h, n: [X] * (n + 1),
+         (1, ("chebyshev3term", "one", 0))),
+        ("symmetric_product", "polynomial_sequence",
+         lambda _: lambda g, h, n: [Poly()] * (n + 1), (1, ("symmetric_product", "one", 1))),
+    ],
+)
+def test_closed_family_check_reports_the_first_failure(monkeypatch, family, name, breaker,
+                                                       expected):
+    monkeypatch.setattr(darcais.series, name, breaker(getattr(darcais.series, name)))
+    assert closed_family_check(family, 4, [one(), identity()]) == expected
 
 
 def test_chebyshev_three_term_instance():
