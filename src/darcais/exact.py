@@ -321,6 +321,18 @@ class Poly:
         return f"Poly([{', '.join(format_rational(c) for c in self.coefficients)}])"
 
 
+def linear_combination(coefficients: Iterable[int], polys: Iterable[Poly]) -> Poly:
+    """sum c_i p_i for int c_i, reduced once: the numerators are scaled to
+    the lcm of the denominators and added in ints."""
+    pairs = [(c, p) for c, p in zip(coefficients, polys) if c and p._nums]
+    den = lcm(*(p._den for _, p in pairs))
+    out = [0] * max((len(p._nums) for _, p in pairs), default=0)
+    for c, p in pairs:
+        nums = p._nums
+        out[:len(nums)] = map(add, out, map(mul, nums, repeat(c * (den // p._den), len(nums))))
+    return Poly._reduced(out, den, den)
+
+
 #: The variable x, for building polynomials by arithmetic.
 X = Poly((0, 1))
 
@@ -369,10 +381,15 @@ class Series:
         """Multiplicative inverse to the truncation order.
 
         The constant term must be a nonzero rational: zero raises
-        ZeroDivisionError, a Poly TypeError.
+        ZeroDivisionError, a Poly TypeError.  Integral coefficients with
+        constant term +-1 (its own inverse) run the loop in ints.
         """
         a = self._coeffs
-        r0 = _F1 / a[0]
+        if a[0] in (1, -1) and all(isinstance(c, Fraction) and c.denominator == 1 for c in a):
+            a = [c.numerator for c in a]
+            r0 = a[0]
+        else:
+            r0 = _F1 / a[0]
         out = [r0]
         for n in range(1, len(a)):
             out.append(-r0 * sum(map(mul, a[1:n + 1], out[n - 1::-1])))

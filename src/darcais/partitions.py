@@ -17,20 +17,38 @@ def is_partition(mu: Sequence[int]) -> bool:
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n in reverse-lexicographic order (largest part first)."""
+    """All partitions of n in reverse-lexicographic order (largest part first).
+
+    A loop, not a recursion (algorithm ZS1 of Zoghbi and Stojmenovic,
+    1998): parts[:size] is the current partition, every part after index
+    `last` is 1, and each step lowers parts[last] by one and refills the
+    tail with as many copies of the lowered part as fit, then the rest.
+    """
     if n < 0:
         raise ValueError("partitions need n >= 0")
-
-    def descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            yield from descend(remaining - part, part, prefix)
-            prefix.pop()
-
-    yield from descend(n, n, [])
+    if n == 0:
+        yield ()
+        return
+    parts = [n] + [1] * (n - 1)
+    size, last = 1, 0
+    yield (n,)
+    while parts[0] != 1:
+        if parts[last] == 2:
+            parts[last] = 1
+            size, last = size + 1, last - 1
+        else:
+            part = parts[last] - 1
+            rest = size - last  # the units freed: one from parts[last], plus its ones
+            parts[last] = part
+            while rest >= part:
+                last += 1
+                parts[last] = part
+                rest -= part
+            size = last + 1 if rest == 0 else last + 2
+            if rest > 1:
+                last += 1
+                parts[last] = rest
+        yield tuple(parts[:size])
 
 
 def compositions_of(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -12,22 +12,23 @@ fills the triangle A[n][m] of normalized coefficients
 
     A[n][m] = sum_{k=1}^{n-m+1} g(k) * h(n-1)...h(n-k+1) * A[n-k][m-1]
 
-so that each route can serve as an oracle for the other.  Both take g
-and h as plain ints when the tabulated values are all integers.
+so that each route can serve as an oracle for the other.  Both run in ints,
+for rational g and h too: with G, D the lcms of the denominators of g(1..n),
+h(1..n), each path to A[n][m] takes m factors of g and n - m of h, so A[n][m]
+is the int entry for (G g, D h) over G^m D^(n-m), and P_n(x) for (g, h) is
+P_n(x D / G) for (G g, D h).  Fractions are formed only on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, X, format_rational, quotient, rational
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .exact import Poly, X, format_rational, linear_combination, quotient, rational
 
 
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
@@ -37,55 +38,53 @@ def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int
 
 def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: int) -> list:
     """P_0(point), ..., P_max_n(point) by the defining recursion, run in the
-    ring of `point`.
-
-    Evaluation commutes with the recursion: at an int or Fraction point
-    the results are Fractions, at a Poly point (X, -X, X + 1, ...) they
-    are the polynomials P_n(point).  When g, h and a scalar point are
-    integral the values stay ints while each division by h(n) is exact;
-    an inexact one yields a Fraction, which every later sum then carries.
-    """
-    one, gv, hv = _kernel_inputs(g, h, max_n)
-    if isinstance(point, Poly):
-        x0, one = point, Poly((one,))
-    else:
-        x0 = rational(point)
-        if x0.denominator == 1:
-            x0 = x0.numerator
-    values = [one]
+    ring of `point` on the int tables (G g, D h) at point * D / G: Fractions
+    at an int or Fraction point, the polynomials P_n(point) at a Poly point
+    (X, -X, X + 1, ...), each sum reduced once.  At an integral scaled point
+    the values stay ints while each division by D h(n) is exact; an inexact
+    one yields a Fraction, which every later sum carries."""
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    poly = isinstance(point, Poly)
+    x0, values = (point, [Poly((1,))]) if poly else (rational(point), [1])
+    x0 *= Fraction(D, G)
+    x0 = x0.numerator if not poly and x0.denominator == 1 else x0
     for n in range(1, max_n + 1):
-        acc = sum(map(mul, gv[1:n + 1], values[n - 1::-1]))
+        c, terms = gv[1:n + 1], values[n - 1::-1]
+        acc = linear_combination(c, terms) if poly else sum(map(mul, c, terms))
         values.append(quotient(x0 * acc, hv[n]))
-    return values if isinstance(x0, Poly) else [rational(v) for v in values]
+    return values if poly else [rational(v) for v in values]
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
-    """(one, gv, hv): the unit and g, h at 0..max_n, as plain ints when all
-    of those values are integers, exact Fractions otherwise.  A zero among
-    h(1..max_n) is refused; values of h past max_n are never read."""
+    """(gv, hv, (G, D)): G g and D h at 0..max_n as ints, G and D the lcms of
+    the denominators of g(1..max_n) and h(1..max_n) (1 for integer values).
+    A zero among h(1..max_n) is refused; h past max_n is never read."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    hv = [_F0] + [h(k) for k in range(1, max_n + 1)]
-    if 0 in hv[1:]:
-        raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0, 1)}")
-    gv = [_F0] + [g(k) for k in range(1, max_n + 1)]
-    if all(v.denominator == 1 for v in gv + hv):
-        return 1, [v.numerator for v in gv], [v.numerator for v in hv]
-    return _F1, gv, hv
+    hv = [h(k) for k in range(1, max_n + 1)]
+    if 0 in hv:
+        raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0) + 1}")
+    (gv, G), (hv, D) = _scaled([g(k) for k in range(1, max_n + 1)]), _scaled(hv)
+    return gv, hv, (G, D)
 
 
-def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
-    """Rows B[n] = (A[n][n], A[n][n-1], ..., A[n][n-min(depth, n)]).
+def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
+    """([0, s v_1, s v_2, ...], s), s the lcm of the denominators of v_i."""
+    s = lcm(*(v.denominator for v in values))
+    return [0] + [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _band(gv: list[int], hv: list[int], depth: int) -> list[tuple[int, ...]]:
+    """Rows B[n] = (A[n][n], A[n][n-1], ..., A[n][n-min(depth, n)]), in ints.
 
     Indexed by offset from the diagonal, B[n][j] = A[n][n-j], the term
     A[n-k][m-1] of A[n][n-j] is B[n-k][j+1-k], which lies inside the band
     whenever m >= 1; A[n][0] = 0 for n >= 1.  The weights
     c[k-1] = g(k) h(n-1) ... h(n-k+1) are built once per row.
     """
-    band: list[tuple] = [(one,)]
+    band: list[tuple] = [(1,)]
     for n in range(1, len(gv)):
-        c = [gv[1]]
-        weight = one
+        c, weight = [gv[1]], 1
         for k in range(2, min(depth + 1, n) + 1):
             weight = weight * hv[n - k + 1]
             c.append(gv[k] * weight)
@@ -94,7 +93,7 @@ def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
             for j in range(min(depth, n - 1) + 1)
         ]
         if depth >= n:
-            row.append(gv[0])
+            row.append(0)
         band.append(tuple(row))
     return band
 
@@ -102,37 +101,37 @@ def _band(one, gv: list, hv: list, depth: int) -> list[tuple]:
 class CoefficientTable:
     """Triangle A[n][m] for 0 <= m <= n <= max_n plus the normalizers H(n).
 
-    Entries are plain ints when g(1..max_n) and h(1..max_n) are all
-    integers (the triangle recursion then never leaves the integers),
-    exact Fractions otherwise.  The rows are the full-depth band, reversed.
+    The rows are the full-depth band of the int tables (G g, D h), reversed.
+    When g(1..max_n) and h(1..max_n) are integers (G = D = 1) they are the
+    entries, read as plain ints; otherwise a read divides by G^m D^(n-m).
     """
 
-    __slots__ = ("g", "h", "max_n", "_rows", "_normalizers")
+    __slots__ = ("g", "h", "max_n", "_rows", "_normalizers", "_gp", "_dp")
 
     def __init__(self, g: ArithmeticFunction, h: ArithmeticFunction, max_n: int):
-        one, gv, hv = _kernel_inputs(g, h, max_n)
-        self.g = g
-        self.h = h
-        self.max_n = max_n
-        rows = _band(one, gv, hv, max_n)
-        for n, row in enumerate(rows):
-            rows[n] = row[::-1]
-        normalizers = [one]
-        for n in range(1, max_n + 1):
-            normalizers.append(normalizers[-1] * hv[n])
-        self._rows = rows
+        gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+        self.g, self.h, self.max_n = g, h, max_n
+        self._rows = [row[::-1] for row in _band(gv, hv, max_n)]
+        normalizers = list(accumulate(hv[1:], mul, initial=1))
+        self._gp = self._dp = None  # G^i, D^i for i <= max_n: the denominators' factors
+        if G * D > 1:
+            self._gp, self._dp = ([s**i for i in range(max_n + 1)] for s in (G, D))
+            normalizers = list(map(Fraction, normalizers, self._dp))
         self._normalizers = normalizers
 
     def entry(self, n: int, m: int):
         """A[n][m], an int or Fraction."""
         if not 0 <= n <= self.max_n or not 0 <= m <= n:
             raise IndexError(f"table index (n={n}, m={m}) outside 0 <= m <= n <= {self.max_n}")
-        return self._rows[n][m]
+        a = self._rows[n][m]
+        return a if self._gp is None else Fraction(a, self._gp[m] * self._dp[n - m])
 
     def row(self, n: int) -> tuple:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
-        return tuple(self._rows[n])
+        if self._gp is None:
+            return tuple(self._rows[n])
+        return tuple(map(Fraction, self._rows[n], map(mul, self._gp, self._dp[n::-1])))
 
     def normalizer(self, n: int):
         """H(n) = h(1) ... h(n)."""
@@ -143,12 +142,9 @@ class CoefficientTable:
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""
         return {
-            "kind": "coefficient-table",
-            "g": self.g.name,
-            "h": self.h.name,
-            "max_n": self.max_n,
+            "kind": "coefficient-table", "g": self.g.name, "h": self.h.name, "max_n": self.max_n,
             "normalizers": [format_rational(v) for v in self._normalizers],
-            "rows": [[format_rational(a) for a in row] for row in self._rows],
+            "rows": [[format_rational(a) for a in self.row(n)] for n in range(self.max_n + 1)],
         }
 
 
@@ -163,17 +159,20 @@ def coefficient_top_band(
 
     The band is closed under the recursion (A[n][n-j] only needs entries
     with smaller offsets from the diagonal), so top-coefficient scans to
-    large n skip the O(n^2) bulk of the triangle.
+    large n skip the O(n^2) bulk of the triangle.  Read as in the table.
     """
     if depth < 0:
         raise ValueError("band depth must be nonnegative")
-    return _band(*_kernel_inputs(g, h, max_n), depth)
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    band = _band(gv, hv, depth)
+    if G * D == 1:
+        return band
+    return [tuple(Fraction(b, G ** (n - j) * D**j) for j, b in enumerate(row))
+            for n, row in enumerate(band)]
 
 
 def shifted_coefficient_numerators(row: Sequence) -> list:
     """Given row n of a table, the numerators of the coefficients of
     P_n(x+1): entry j is H(n) * [x^j] P_n(x+1) = sum_m A[n][m] C(m, j)."""
     size = len(row)
-    return [
-        sum(row[m] * comb(m, j) for m in range(j, size)) for j in range(size)
-    ]
+    return [sum(row[m] * comb(m, j) for m in range(j, size)) for j in range(size)]

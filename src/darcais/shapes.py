@@ -209,14 +209,15 @@ def lehmer_scan(max_n: int) -> tuple[list[Fraction], tuple[int, tuple[int, str] 
     The values come from the recursion run at x = -24; independently, the
     q-expansion of the 24th power of the Euler product must reproduce them
     coefficient by coefficient.  Returns the values (index n from 0) and
-    (values of n >= 1 compared, first (n, "zero" or "Euler-product mismatch") or None).
+    (comparisons made, counting n = 0 only where it fails, first (n, "zero"
+    or "Euler-product mismatch") or None).
     """
     if max_n < 1:
         raise ValueError("the scan needs max_n >= 1")
     values = value_sequence(sigma(1), identity(), Fraction(-24), max_n)
     product = euler_product_power(24, max_n)
     if product.coefficient(0) != values[0]:
-        return values, (0, (0, "Euler-product mismatch"))
+        return values, (1, (0, "Euler-product mismatch"))
     return values, first_failure(
         (n, "zero") if values[n] == 0
         else (n, "Euler-product mismatch") if product.coefficient(n) != values[n]

@@ -109,6 +109,50 @@ def laguerre_example(n):
     return [Fraction(0)] + [Fraction(comb(n, n - 1 - i), n * factorial(i)) for i in range(n)]
 
 
+def partitions_recursive(n):
+    """Partitions of n in reverse-lexicographic order by recursive descent:
+    each part in turn from the largest allowed down to 1, then the
+    partitions of the remainder into parts no larger."""
+    def descend(remaining, cap, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            prefix.append(part)
+            yield from descend(remaining - part, part, prefix)
+            prefix.pop()
+
+    yield from descend(n, n, [])
+
+
+def triangle_literal(g, h, max_n):
+    """A[n][m] = sum_k g(k) h(n-1)...h(n-k+1) A[n-k][m-1], term by term in
+    Fractions; g and h are lists of values indexed from 1 (entry 0 unused)."""
+    rows = [[Fraction(1)]]
+    for n in range(1, max_n + 1):
+        row = [Fraction(0)] * (n + 1)
+        for m in range(1, n + 1):
+            for k in range(1, n - m + 2):
+                weight = Fraction(g[k])
+                for i in range(1, k):
+                    weight *= h[n - i]
+                row[m] += weight * rows[n - k][m - 1]
+        rows.append(row)
+    return rows
+
+
+def polynomials_literal(g, h, max_n):
+    """P_0..P_max_n as Fraction lists by P_n = (x / h(n)) sum_k g(k) P_{n-k};
+    g and h are lists of values indexed from 1 (entry 0 unused)."""
+    polys = [[Fraction(1)]]
+    for n in range(1, max_n + 1):
+        total = []
+        for k in range(1, n + 1):
+            total = poly_add(total, poly_mul([Fraction(g[k])], polys[n - k]))
+        polys.append(poly_mul([Fraction(0), 1 / Fraction(h[n])], total))
+    return polys
+
+
 # A polynomial as a plain list of Fractions, constant term first, with no
 # trailing zero: the representation `exact.Poly` had before it kept
 # integer numerators over one denominator.

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcais.exact import Poly, Series, X, format_rational, quotient, rational
+from darcais import exact
+from darcais.exact import (
+    Poly,
+    Series,
+    X,
+    format_rational,
+    linear_combination,
+    quotient,
+    rational,
+)
 from oracles import poly_add, poly_eval, poly_mul, poly_trim
 
 HALF = Fraction(1, 2)
@@ -221,3 +230,40 @@ def test_series_exp_additivity(a_coeffs, b_coeffs):
     total = (poly_add(a, b) + [Fraction(0)] * size)[:size]
     product = poly_mul(Series(a).exp().coefficients, Series(b).exp().coefficients)
     assert poly_trim(product[:size]) == poly_trim(Series(total).exp().coefficients)
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), coefficient_lists), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_linear_combination_matches_fraction_list_oracle(terms):
+    expected = []
+    for c, p in terms:
+        expected = poly_add(expected, poly_mul([Fraction(c)], poly_trim(p)))
+    result = linear_combination([c for c, _ in terms], [Poly(p) for _, p in terms])
+    assert_canonical(result)
+    assert list(result.coefficients) == expected
+
+
+def test_series_inverse_runs_integral_unit_series_in_ints(monkeypatch):
+    operands = set()
+
+    def spy(a, b):
+        operands.update((type(a), type(b)))
+        return a * b
+
+    monkeypatch.setattr(exact, "mul", spy)
+    for coeffs in ([1, 3, -2, 5], [-1, 3, -2, 5]):
+        operands.clear()
+        inverse = Series(coeffs).inverse()
+        assert operands == {int}
+        assert all(type(c) is Fraction for c in inverse.coefficients)
+        product = poly_mul(coeffs, inverse.coefficients)
+        assert poly_trim(product[:4]) == [1]
+    # a non-unit or non-integral constant term, or a Poly coefficient, keeps
+    # the Fraction loop (Poly arithmetic multiplies its int numerators itself)
+    for coeffs, expected in (([2, 4, 6], {Fraction}), ([1, HALF, 3], {Fraction}),
+                             ([1, X, 2], {Fraction, Poly, int})):
+        operands.clear()
+        inverse = Series(coeffs).inverse()
+        assert operands == expected
+        assert inverse.coefficient(0) == 1 / Fraction(coeffs[0])
+    assert Series([1, X]).inverse() == Series([1, -X])

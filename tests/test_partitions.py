@@ -21,7 +21,7 @@ from darcais.partitions import (
     stirling_rows,
 )
 
-from oracles import composition_count, orbit_of, orbit_size
+from oracles import composition_count, orbit_of, orbit_size, partitions_recursive
 
 
 def count_partitions_dp(n: int) -> int:
@@ -177,3 +177,8 @@ def test_trivial_hook_weight_counts_partitions():
                 term *= 1
             total += term
         assert total == count_partitions_dp(n)
+
+
+def test_partitions_loop_matches_the_recursive_descent():
+    for n in range(26):
+        assert list(partitions_of(n)) == list(partitions_recursive(n)), n

@@ -15,7 +15,13 @@ from darcais.recursion import (
     value_sequence,
 )
 from darcais.weights import coefficient_from_weights
-from oracles import chebyshev_example, laguerre_example
+from oracles import (
+    chebyshev_example,
+    laguerre_example,
+    poly_eval,
+    polynomials_literal,
+    triangle_literal,
+)
 
 HALF = Fraction(1, 2)
 
@@ -220,3 +226,69 @@ def test_table_dict_roundtrip():
     for n in range(7):
         assert rational(doc["normalizers"][n]) == table.normalizer(n)
         assert [rational(cell) for cell in doc["rows"][n]] == list(table.row(n))
+
+
+# Rational tables with G, D > 1 and negative values: every route runs on
+# the int tables (G g, D h) and must read back as the Fraction recursions.
+_signed = st.builds(Fraction, _nonzero, st.integers(1, 9))
+_mixed_table = st.lists(_signed, min_size=11, max_size=11).filter(
+    lambda vs: any(v.denominator > 1 for v in vs) and any(v < 0 for v in vs)
+)
+
+
+@given(_mixed_table, _mixed_table, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+@settings(max_examples=60, deadline=None)
+def test_rescaled_routes_match_the_literal_recursions(g_rest, h_rest, point):
+    max_n = 12
+    gl, hl = [0, 1, *g_rest], [0, 1, *h_rest]
+    g, h = from_table(gl[1:]), from_table(hl[1:])
+    literal = triangle_literal(gl, hl, max_n)
+    table = coefficient_table(g, h, max_n)
+    normalizer = Fraction(1)
+    for n in range(max_n + 1):
+        normalizer *= hl[n] if n else 1
+        assert table.normalizer(n) == normalizer
+        assert table.row(n) == tuple(literal[n])
+        assert [table.entry(n, m) for m in range(n + 1)] == literal[n]
+        assert all(type(a) is Fraction for a in table.row(n))
+    for depth in range(4):
+        band = coefficient_top_band(g, h, max_n, depth)
+        assert band == [tuple(literal[n][n - j] for j in range(min(depth, n) + 1))
+                        for n in range(max_n + 1)]
+    polys = polynomials_literal(gl, hl, max_n)
+    assert [list(p.coefficients) for p in value_sequence(g, h, X, max_n)] == polys
+    assert value_sequence(g, h, point, max_n) == [poly_eval(p, point) for p in polys]
+
+
+def test_rescaled_routes_at_max_n_zero():
+    g, h = from_table([1, "-1/2"]), from_table([1, "2/3"])
+    table = coefficient_table(g, h, 0)
+    assert table.row(0) == (1,) and type(table.entry(0, 0)) is int
+    assert table.to_dict()["rows"] == [["1"]] and table.to_dict()["normalizers"] == ["1"]
+    assert coefficient_top_band(g, h, 0, 3) == [(1,)]
+    assert value_sequence(g, h, X, 0) == [Poly([1])]
+    assert value_sequence(g, h, Fraction(-7, 3), 0) == [Fraction(1)]
+
+
+def test_rescaled_routes_stay_int_while_the_fractions_lie_past_n():
+    g, h = from_table([1, -2, "1/2"]), from_table([1, 3, "-5/4"])
+    table = coefficient_table(g, h, 2)
+    assert table.row(2) == (0, -2, 1) and all(type(a) is int for a in table.row(2))
+    assert coefficient_top_band(g, h, 2, 1) == [(1,), (1, 0), (1, -2)]
+    assert all(type(b) is int for row in coefficient_top_band(g, h, 2, 1) for b in row)
+    assert table.normalizer(2) == 3 and type(table.normalizer(2)) is int
+    rational_table = coefficient_table(g, h, 3)
+    assert rational_table.row(2) == (0, -2, 1)
+    assert all(type(a) is Fraction for n in range(4) for a in rational_table.row(n))
+
+
+def test_rescaled_routes_refuse_a_zero_h_by_name():
+    g, h = from_table([1, "-1/2", "3/7"]), from_table([1, "2/3", 0])
+    message = r"h = 'table:\[1,2/3,0\]' vanishes at n = 3"
+    with pytest.raises(ValueError, match=message):
+        value_sequence(g, h, X, 3)
+    with pytest.raises(ValueError, match=message):
+        coefficient_top_band(g, h, 3, 2)
+    with pytest.raises(ValueError, match=message):
+        coefficient_table(g, h, 3)
+    assert coefficient_table(g, h, 2).row(2) == (0, Fraction(-1, 2), 1)

@@ -1,5 +1,6 @@
 """Generating-function, Euler-product, Eisenstein, and hook-length oracles."""
 
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -244,3 +245,18 @@ def test_chebyshev_three_term_instance():
 def test_symmetric_product_example():
     p3 = polynomial_sequence(one(), identity(), 3)[3]
     assert p3 * 6 == X * (X + 1) * (X + 2)
+
+
+# sha256 of repr(inverse_eisenstein(weight, 400)) from the Fraction loop of
+# Series.inverse: the int loop it now takes must give the same Fractions
+INVERSE_EISENSTEIN_400 = {
+    4: "a10eb19a7259238b708d886a315fea24b7165de4e0b6bf4f6618c2f80955de30",
+    6: "9207f455a5ddc4dd1fc80e1bcdea586331bf79e7916bbba33bfc1458e18ff60f",
+}
+
+
+@pytest.mark.parametrize("weight", [4, 6])
+def test_inverse_eisenstein_to_400_is_unchanged(weight):
+    values = inverse_eisenstein(weight, 400)
+    assert all(type(c) is Fraction for c in values)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == INVERSE_EISENSTEIN_400[weight]

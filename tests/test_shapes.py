@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from darcais import shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
+from darcais.exact import Series
 from darcais.recursion import coefficient_table
 from darcais.shapes import (
     counterexample_search,
@@ -201,3 +202,11 @@ def test_transfer_check():
         is_ultra_log_concave(source.row(n)).holds
         for n in range(1, 16)
     )
+
+
+def test_lehmer_scan_counts_a_failing_constant_term(monkeypatch):
+    # the n = 0 comparison is one check made, so a failure there counts 1
+    euler = shapes.euler_product_power
+    monkeypatch.setattr(shapes, "euler_product_power",
+                        lambda r, order: Series([2, *euler(r, order).coefficients[1:]]))
+    assert lehmer_scan(5)[1] == (1, (0, "Euler-product mismatch"))
