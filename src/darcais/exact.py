@@ -6,12 +6,13 @@ decidable.  Kernels whose inputs are integral may run in plain ints and
 convert their results with `rational`; `rational`, `Poly` and `Series`
 refuse floats and booleans.  Polynomials are dense, coefficients indexed
 from degree 0, and stored in primitive-part form: int numerators over one
-denominator, so polynomial arithmetic (and with it the defining recursion
-at X) runs in ints.  A `Series` holds the coefficients of a power series
-in q truncated at a fixed order, each a rational or a `Poly` in x, and
-has the two operations the generating-function oracles need: `exp` and
-`inverse`.  `first_failure` is the loop that counts a check's comparisons
-and stops at the first failing one.
+denominator, so polynomial arithmetic runs in ints, and an int kernel
+hands its result back through `Poly.from_numerators`.  A `Series` holds
+the coefficients of a power series in q truncated at a fixed order, each
+a rational or a `Poly` in x, and has the two operations the
+generating-function oracles need: `exp` and `inverse`.  `first_failure`
+is the loop that counts a check's comparisons and stops at the first
+failing one.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ class Poly:
         self._den = den
 
     @classmethod
+    def from_numerators(cls, numerators: Iterable[int], denominator: int) -> "Poly":
+        """The polynomial with coefficients numerators[m] / denominator, for
+        int numerators and a positive int denominator, reduced once."""
+        nums = list(numerators)
+        if (type(denominator) is not int or denominator <= 0
+                or any(type(c) is not int for c in nums)):
+            raise ValueError("need int numerators over a positive int denominator")
+        return cls._reduced(nums, denominator, denominator)
+
+    @classmethod
     def _reduced(cls, nums: list, den: int, modulus: int) -> "Poly":
         """nums / den (den > 0) in canonical form, given that every factor
         common to den and all of nums divides `modulus`."""
@@ -120,6 +131,15 @@ class Poly:
         p._nums = nums
         p._den = den
         return p
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The int numerators, constant term first, over `denominator`."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -319,18 +339,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(format_rational(c) for c in self.coefficients)}])"
-
-
-def linear_combination(coefficients: Iterable[int], polys: Iterable[Poly]) -> Poly:
-    """sum c_i p_i for int c_i, reduced once: the numerators are scaled to
-    the lcm of the denominators and added in ints."""
-    pairs = [(c, p) for c, p in zip(coefficients, polys) if c and p._nums]
-    den = lcm(*(p._den for _, p in pairs))
-    out = [0] * max((len(p._nums) for _, p in pairs), default=0)
-    for c, p in pairs:
-        nums = p._nums
-        out[:len(nums)] = map(add, out, map(mul, nums, repeat(c * (den // p._den), len(nums))))
-    return Poly._reduced(out, den, den)
 
 
 #: The variable x, for building polynomials by arithmetic.

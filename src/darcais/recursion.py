@@ -16,19 +16,22 @@ so that each route can serve as an oracle for the other.  Both run in ints,
 for rational g and h too: with G, D the lcms of the denominators of g(1..n),
 h(1..n), each path to A[n][m] takes m factors of g and n - m of h, so A[n][m]
 is the int entry for (G g, D h) over G^m D^(n-m), and P_n(x) for (g, h) is
-P_n(x D / G) for (G g, D h).  Fractions are formed only on read.
+P_n(x D / G) for (G g, D h).  Fractions are formed only on read.  At a
+Poly point u / d the recursion runs on int rows E_n = T P_n over one fixed
+denominator T = |d^N h(1) ... h(N)|, stored as columns, with one exact
+division per coefficient and step and one reduction per row at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, lcm
-from operator import mul
+from itertools import accumulate, repeat
+from math import comb, lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, X, format_rational, linear_combination, quotient, rational
+from .exact import Poly, X, format_rational, quotient, rational
 
 
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
@@ -37,22 +40,52 @@ def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int
 
 
 def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: int) -> list:
-    """P_0(point), ..., P_max_n(point) by the defining recursion, run in the
-    ring of `point` on the int tables (G g, D h) at point * D / G: Fractions
-    at an int or Fraction point, the polynomials P_n(point) at a Poly point
-    (X, -X, X + 1, ...), each sum reduced once.  At an integral scaled point
-    the values stay ints while each division by D h(n) is exact; an inexact
-    one yields a Fraction, which every later sum carries."""
+    """P_0(point), ..., P_max_n(point) by the defining recursion, run on the
+    int tables (G g, D h) at point * D / G: Fractions at an int or Fraction
+    point, the polynomials P_n(point) at a Poly point (X, -X, X + 1, ...).
+    At an integral scaled point the values stay ints while each division by
+    D h(n) is exact; an inexact one yields a Fraction, which every later sum
+    carries.  A Poly point runs on one fixed denominator (`_poly_values`)."""
     gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
-    poly = isinstance(point, Poly)
-    x0, values = (point, [Poly((1,))]) if poly else (rational(point), [1])
-    x0 *= Fraction(D, G)
-    x0 = x0.numerator if not poly and x0.denominator == 1 else x0
+    if isinstance(point, Poly):
+        return _poly_values(gv, hv, point * Fraction(D, G))
+    x0 = rational(point) * Fraction(D, G)
+    x0 = x0.numerator if x0.denominator == 1 else x0
+    values = [1]
     for n in range(1, max_n + 1):
-        c, terms = gv[1:n + 1], values[n - 1::-1]
-        acc = linear_combination(c, terms) if poly else sum(map(mul, c, terms))
-        values.append(quotient(x0 * acc, hv[n]))
-    return values if poly else [rational(v) for v in values]
+        values.append(quotient(x0 * sum(map(mul, gv[1:n + 1], values[n - 1::-1])), hv[n]))
+    return [rational(v) for v in values]
+
+
+def _poly_values(gv: list[int], hv: list[int], point: Poly) -> list[Poly]:
+    """P_0(point), ..., P_N(point) for the int tables gv, hv (N = len(gv) - 1).
+
+    With point = u / d (u an int polynomial, d > 0), every E_n = T P_n is an
+    int polynomial for T = |d^N h(1) ... h(N)|, and
+    E_n = u * sum_k g(k) E_{n-k} / (d h(n)), each division exact.  Only the
+    columns are kept: cols[j] holds [x^j] E_m for m from the first row that
+    reaches degree j, so each sum is one int dot product.  Each row is
+    popped off the columns at the end and reduced once.
+    """
+    u, d = point.numerators, point.denominator
+    T = abs(d ** (len(gv) - 1) * prod(hv[1:]))
+    g1, cols = gv[1:], [[T]]
+    for n in range(1, len(gv)):
+        s = [sum(map(mul, g1, reversed(col))) for col in cols]
+        row = [0] * (len(s) + max(len(u) - 1, 0))
+        for i, c in enumerate(u):
+            if c:
+                row[i:i + len(s)] = map(add, row[i:i + len(s)], map(mul, s, repeat(c)))
+        q = d * hv[n]
+        cols += [[] for _ in range(len(row) - len(cols))]
+        for col, c in zip(cols, row):
+            col.append(c // q)
+    values = []
+    while cols:
+        values.append(Poly.from_numerators([col.pop() for col in cols], T))
+        while cols and not cols[-1]:
+            cols.pop()
+    return values[::-1]
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
@@ -173,6 +206,9 @@ def coefficient_top_band(
 
 def shifted_coefficient_numerators(row: Sequence) -> list:
     """Given row n of a table, the numerators of the coefficients of
-    P_n(x+1): entry j is H(n) * [x^j] P_n(x+1) = sum_m A[n][m] C(m, j)."""
+    P_n(x+1): entry j is H(n) * [x^j] P_n(x+1) = sum_m A[n][m] C(m, j).
+
+    No scan calls it: the hook scan runs the recursion at X + 1, and the
+    tests keep this triangle + binomial shift route as its oracle."""
     size = len(row)
     return [sum(row[m] * comb(m, j) for m in range(j, size)) for j in range(size)]

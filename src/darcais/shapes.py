@@ -2,12 +2,13 @@
 
 The predicates (unimodal, log-concave, ultra-log-concave) are evaluated
 exactly on sequences of nonnegative rationals.  The scans combine routes
-from the recursion engine and the oracles: hook-polynomial scans use the
-shift identity Q_n(x) = P_n(x+1) for (sigma, id) on top of the integer
-coefficient triangle, and the Lehmer scan runs the recursion on values at
-x = -24 and cross-checks the 24th Euler-product power.  Each scan returns
-(checks, first_failure): the comparisons it made and where the first one
-failed, or None.
+from the recursion engine and the oracles: the hook log-concavity scan
+reads the hook polynomials Q_n(x) = P_n(x+1) for (sigma, id) off the
+defining recursion run at X + 1, the hook top-inequality scan reads the
+top band of the integer coefficient triangle, and the Lehmer scan runs the
+recursion on values at x = -24 and cross-checks the 24th Euler-product
+power.  Each scan returns (checks, first_failure): the comparisons it made
+and where the first one failed, or None.
 """
 
 from __future__ import annotations
@@ -18,13 +19,8 @@ from math import comb
 from typing import Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
-from .exact import first_failure, rational
-from .recursion import (
-    coefficient_table,
-    coefficient_top_band,
-    shifted_coefficient_numerators,
-    value_sequence,
-)
+from .exact import X, first_failure, rational
+from .recursion import coefficient_table, coefficient_top_band, value_sequence
 from .series import euler_product_power
 from .weights import orbit_weight_sum
 
@@ -159,10 +155,10 @@ def counterexample_search(h: ArithmeticFunction, max_n: int = 50) -> MarginCount
     return None
 
 
-def _shifted_rows(max_n: int) -> list[list[int]]:
-    """Integer numerators (n! times coefficients) of P_n(x+1) for (sigma, id)."""
-    table = coefficient_table(sigma(1), identity(), max_n)
-    return [list(shifted_coefficient_numerators(table.row(n))) for n in range(max_n + 1)]
+def _shifted_rows(max_n: int) -> list:
+    """Int numerators of P_n(x+1) for (sigma, id), n = 0..max_n: positive
+    multiples of the hook-polynomial coefficients."""
+    return [p.numerators for p in value_sequence(sigma(1), identity(), X + 1, max_n)]
 
 
 def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
@@ -171,8 +167,9 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
 
     Once a row is log-concave, the first link of the chain holds whatever
     its ultra-log-concavity, so the chain comes down to unimodality.
-    Q_n comes from the shift identity on the integer triangle; the common
-    positive denominator n! drops out of every comparison.  Returns
+    Q_n = P_n(x+1) comes from the defining recursion run at X + 1, not from
+    the triangle; each row is the int numerators of Q_n over its positive
+    denominator, which drops out of every comparison.  Returns
     (values of n compared, first failing n or None).
     """
     rows = _shifted_rows(max_n)

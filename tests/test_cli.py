@@ -314,9 +314,10 @@ def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line
     assert (code, out, err) == (1, f"FAIL {suite}: {line}\n", "")
 
 
-def _dip(numerators):
+def _dip(shifted_rows):
     # a zero before the last coefficient breaks log-concavity from n = 3 on
-    return lambda row: numerators(row) if len(row) < 4 else [1] * (len(row) - 2) + [0, 1]
+    return lambda max_n: [row if len(row) < 4 else [1] * (len(row) - 2) + [0, 1]
+                          for row in shifted_rows(max_n)]
 
 
 def _zero_at_3(value_sequence):
@@ -347,7 +348,7 @@ LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
 @pytest.mark.parametrize(
     "name, breaker, argv, out, err",
     [
-        ("shifted_coefficient_numerators", _dip, ("scan", "--check", "hook-logconcave"),
+        ("_shifted_rows", _dip, ("scan", "--check", "hook-logconcave"),
          "check=hook-log-concavity max_n=5 passed=False first_failure=3\n", ""),
         ("coefficient_top_band", lambda band: lambda g, h, max_n, depth: [[0, 0, 0]] * (max_n + 1),
          ("scan", "--check", "hook-top"),

@@ -13,7 +13,6 @@ from darcais.exact import (
     Series,
     X,
     format_rational,
-    linear_combination,
     quotient,
     rational,
 )
@@ -232,15 +231,22 @@ def test_series_exp_additivity(a_coeffs, b_coeffs):
     assert poly_trim(product[:size]) == poly_trim(Series(total).exp().coefficients)
 
 
-@given(st.lists(st.tuples(st.integers(-9, 9), coefficient_lists), max_size=6))
+@given(st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**6))
 @settings(max_examples=150, deadline=None)
-def test_linear_combination_matches_fraction_list_oracle(terms):
-    expected = []
-    for c, p in terms:
-        expected = poly_add(expected, poly_mul([Fraction(c)], poly_trim(p)))
-    result = linear_combination([c for c, _ in terms], [Poly(p) for _, p in terms])
-    assert_canonical(result)
-    assert list(result.coefficients) == expected
+def test_poly_from_numerators_reduces_once(numerators, denominator):
+    p = Poly.from_numerators(numerators, denominator)
+    assert_canonical(p)
+    assert list(p.coefficients) == poly_trim(Fraction(c, denominator) for c in numerators)
+    assert Poly.from_numerators(p.numerators, p.denominator) == p
+    assert (p.numerators, p.denominator) == (p._nums, p._den)
+
+
+@pytest.mark.parametrize("numerators, denominator",
+                         [([1, 2], 0), ([1, 2], -3), ([1, 2], 1.0), ([1, 2], True),
+                          ([1, 2.0], 3), ([True, 2], 3), ([Fraction(1, 2)], 3)])
+def test_poly_from_numerators_refuses_all_but_ints_over_a_positive_int(numerators, denominator):
+    with pytest.raises(ValueError):
+        Poly.from_numerators(numerators, denominator)
 
 
 def test_series_inverse_runs_integral_unit_series_in_ints(monkeypatch):

@@ -1,6 +1,7 @@
 """The polynomial recursion, the coefficient triangle, and their agreement."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,25 @@ def test_rescaled_routes_match_the_literal_recursions(g_rest, h_rest, point):
     polys = polynomials_literal(gl, hl, max_n)
     assert [list(p.coefficients) for p in value_sequence(g, h, X, max_n)] == polys
     assert value_sequence(g, h, point, max_n) == [poly_eval(p, point) for p in polys]
+
+
+# Poly points of every shape the engine meets: u / d with d = 1 or d > 1,
+# zero or nonzero constant term, degree 1 and degree 0, and the zero point.
+_poly_points = st.sampled_from([X, -X, X + 1, X / 3 + 2, Poly([Fraction(-5, 2)]), Poly()])
+
+
+@given(st.lists(_rational, min_size=11, max_size=11), _mixed_table, _poly_points,
+       st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_poly_point_values_match_the_literal_recursion(g_rest, h_rest, point, max_n):
+    # h holds a negative value, so h(1) ... h(N) takes both signs across draws
+    gl, hl = [0, 1, *g_rest], [0, 1, *h_rest]
+    values = value_sequence(from_table(gl[1:]), from_table(hl[1:]), point, max_n)
+    at = list(point.coefficients)
+    assert values == [Poly(poly_eval(p, at)) for p in polynomials_literal(gl, hl, max_n)]
+    for p in values:
+        nums, den = p.numerators, p.denominator
+        assert den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1])
 
 
 def test_rescaled_routes_at_max_n_zero():

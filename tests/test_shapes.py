@@ -183,6 +183,20 @@ def test_scan_route_matches_hook_sums():
         assert shifted == list(hook_length_polynomial(n).padded(n + 1))
 
 
+def test_shifted_rows_are_positive_multiples_of_the_triangle_shift():
+    # the triangle + binomial shift route is the oracle for the rows the
+    # hook scan reads off the recursion at X + 1
+    from darcais.recursion import shifted_coefficient_numerators
+
+    table = coefficient_table(sigma(1), identity(), 60)
+    rows = shapes._shifted_rows(60)
+    assert len(rows) == 61
+    for n, row in enumerate(rows):
+        expected = shifted_coefficient_numerators(table.row(n))
+        ratio = Fraction(row[0], expected[0])
+        assert ratio > 0 and list(row) == [ratio * c for c in expected]
+
+
 def test_lehmer_scan_small():
     values, result = lehmer_scan(40)
     assert result == (40, None)
