@@ -7,9 +7,11 @@ convert their results with `rational`; `rational`, `Poly` and `Series`
 refuse floats and booleans.  Polynomials are dense, coefficients indexed
 from degree 0, and stored in primitive-part form: int numerators over one
 denominator, so polynomial arithmetic runs in ints, and an int kernel
-hands its result back through `Poly.from_numerators`.  A `Series` holds
-the coefficients of a power series in q truncated at a fixed order, each
-a rational or a `Poly` in x, and has the two operations the
+hands its result back through `Poly.from_numerators`.  `scaled_ints`
+scales a table of rationals to ints over the lcm of their denominators,
+which is how the int kernels take rational inputs.  A `Series` holds the
+coefficients of a power series in q truncated at a fixed order, each a
+rational or a `Poly` in x, and has the two operations the
 generating-function oracles need: `exp` and `inverse`.  `first_failure`
 is the loop that counts a check's comparisons and stops at the first
 failing one.
@@ -53,6 +55,14 @@ def quotient(a, b):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return a / b
+
+
+def scaled_ints(values: Iterable) -> tuple[list[int], int]:
+    """([0, s v_1, s v_2, ...], s) for rationals v_1, v_2, ...: s is the lcm
+    of their denominators (1 for none), so each s v_k is an int, at index k."""
+    values = list(values)
+    s = lcm(*(v.denominator for v in values))
+    return [0] + [v.numerator * (s // v.denominator) for v in values], s
 
 
 def format_rational(value: Union[int, Fraction]) -> str:

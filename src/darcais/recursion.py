@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import add, mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, X, format_rational, quotient, rational
+from .exact import Poly, X, format_rational, quotient, rational, scaled_ints
 
 
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
@@ -97,14 +97,8 @@ def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> 
     hv = [h(k) for k in range(1, max_n + 1)]
     if 0 in hv:
         raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0) + 1}")
-    (gv, G), (hv, D) = _scaled([g(k) for k in range(1, max_n + 1)]), _scaled(hv)
+    (gv, G), (hv, D) = scaled_ints(g(k) for k in range(1, max_n + 1)), scaled_ints(hv)
     return gv, hv, (G, D)
-
-
-def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
-    """([0, s v_1, s v_2, ...], s), s the lcm of the denominators of v_i."""
-    s = lcm(*(v.denominator for v in values))
-    return [0] + [v.numerator * (s // v.denominator) for v in values], s
 
 
 def _band(gv: list[int], hv: list[int], depth: int) -> list[tuple[int, ...]]:

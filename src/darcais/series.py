@@ -118,7 +118,7 @@ def hook_length_polynomial(n: int) -> Poly:
                 new[i] += t2 * c
                 new[i + 1] += c
             numerator = new
-        total = total + Poly(numerator) / denominator
+        total = total + Poly.from_numerators(numerator, denominator)
     return total
 
 

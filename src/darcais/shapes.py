@@ -19,7 +19,7 @@ from math import comb
 from typing import Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
-from .exact import X, first_failure, rational
+from .exact import X, first_failure
 from .recursion import coefficient_table, coefficient_top_band, value_sequence
 from .series import euler_product_power
 from .weights import orbit_weight_sum
@@ -40,14 +40,14 @@ class ShapeReport:
 def _as_nonnegative(seq: Sequence) -> list:
     """The values as given, so int sequences are compared in ints.
 
-    `rational` refuses floats and booleans; "p/q" strings are refused too,
-    since they would compare as text."""
+    Anything but an int or a Fraction is refused by its type: floats,
+    booleans, and "p/q" strings, which would compare as text."""
     values = list(seq)
-    for v in values:
-        if isinstance(v, str):
-            raise TypeError(f"shape predicates need numbers, got {v!r}")
-        if rational(v) < 0:
-            raise ValueError("shape predicates are defined for nonnegative sequences")
+    if not {*map(type, values)} <= {int, Fraction}:
+        stray = next(v for v in values if type(v) not in (int, Fraction))
+        raise TypeError(f"shape predicates need ints or Fractions, got {stray!r}")
+    if values and min(values) < 0:
+        raise ValueError("shape predicates are defined for nonnegative sequences")
     return values
 
 

@@ -20,6 +20,13 @@ reorderings of a partition drives the coefficient formula
 which `_partition_sum` evaluates once for three h-sides: the general
 orbit-weight engine and the closed forms for h = one and h = id.  The
 brute-force sum over compositions is a route of its own.
+
+The partition sum runs in ints: it takes G g, G the lcm of the
+denominators of g(2..n-m+1), and divides by G^(n-m) once per coefficient.
+The engines keep h(k) as an int wherever it is integral, so for an integer
+h every weight is an int (a rational h carries its Fractions exactly), and
+the h-sides of both closed forms are ints.  The public routes return
+Fractions.
 """
 
 from __future__ import annotations
@@ -27,34 +34,23 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction, tilde
-from .exact import first_failure
+from .exact import Scalar, first_failure, rational, scaled_ints
 from .partitions import compositions_of, multinomial, partitions_of
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Sizes of the LRU memos: engines per h, g-weights per (g, partition) and
-# R per partition.  Builtins are shared instances, so equal builtin
-# descriptors hit the same entries; table and tilde functions get entries
-# of their own, evicted once unused.
+# Sizes of the LRU memos: engines per h, orbit sizes and R' per partition.
+# Builtins are shared instances, so equal builtin descriptors hit the same
+# engine; table and tilde functions get engines of their own, evicted once
+# unused.
 _ENGINES = 8
-_G_WEIGHTS = 1 << 15
+_ORBIT_SIZES = 1 << 15
 _RECIPROCALS = 1 << 15
-
-
-def g_weight(g: ArithmeticFunction, mu: Sequence[int]) -> Fraction:
-    """Product of g over the parts shifted by one; 1 for the empty composition.
-
-    Invariant under reordering of the parts.
-    """
-    out = _F1
-    for part in mu:
-        out *= g(part + 1)
-    return out
 
 
 def _distinct_removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -78,32 +74,34 @@ class _WeightMemo:
     Each key mu has one row of running sums, W(mu, t), W(mu, t+1), ...
     from its threshold t = |mu| + len(mu), so asking for W(mu, n) extends
     the row from where it ends instead of starting over.  The windows
-    h_j(k) are memoized per (j, k) as the rows ask for them.  Subclasses
-    give the key normalisation and the (part, child) removals.
+    h_j(k) are memoized per (j, k) as the rows ask for them.  Each h(k) is
+    held as an int when it is integral, so the windows, rows and weights of
+    an integer h are ints.  Subclasses give the key normalisation and the
+    (part, child) removals.
     """
 
     __slots__ = ("h", "_h_values", "_windows", "_rows")
 
     def __init__(self, h: ArithmeticFunction):
         self.h = h
-        self._h_values = [_F0]  # h(0), h(1), ...; none past h(0) is zero
-        self._windows: dict[tuple[int, int], Fraction] = {}
-        self._rows: dict[tuple[int, ...], list[Fraction]] = {}
+        self._h_values: list[Scalar] = [0]  # h(0), h(1), ...; none past h(0) is zero
+        self._windows: dict[tuple[int, int], Scalar] = {}
+        self._rows: dict[tuple[int, ...], list[Scalar]] = {}
 
-    def value(self, mu: Sequence[int], n: int) -> Fraction:
+    def value(self, mu: Sequence[int], n: int) -> Scalar:
         if n < 0:
             raise ValueError(f"{self.domain} defined for n >= 0")
         if n >= len(self._h_values):
             self._read_h(n)
         mu = self.key(mu)
         if not mu:
-            return _F1
+            return 1
         threshold = sum(mu) + len(mu)
         if n < threshold:
-            return _F0
+            return 0
         row = self._rows.setdefault(mu, [])
         if threshold + len(row) <= n:
-            acc = row[-1] if row else _F0
+            acc = row[-1] if row else 0
             removals = self.removals(mu)
             window = self._window
             for k in range(threshold + len(row), n + 1):
@@ -119,13 +117,13 @@ class _WeightMemo:
             value = h(k)
             if value == 0:
                 raise ValueError(f"h = {h.name!r} vanishes at n = {k}")
-            values.append(value)
+            values.append(value.numerator if value.denominator == 1 else value)
 
-    def _window(self, j: int, k: int) -> Fraction:
+    def _window(self, j: int, k: int) -> Scalar:
         """h_j(k) = h(k) h(k-1) ... h(k-j+1), for 1 <= j <= k <= the last n read."""
         got = self._windows.get((j, k))
         if got is None:
-            got = self._windows[(j, k)] = prod(self._h_values[k - j + 1:k + 1], start=_F1)
+            got = self._windows[(j, k)] = prod(self._h_values[k - j + 1:k + 1])
         return got
 
 
@@ -170,28 +168,16 @@ class OrbitWeightEngine(_WeightMemo):
 
 _h_engine = lru_cache(maxsize=_ENGINES)(HWeights)
 _orbit_sum_engine = lru_cache(maxsize=_ENGINES)(OrbitWeightEngine)
-# g-weights of partitions (tuples), memoized per (g, mu)
-_g_weight_memo = lru_cache(maxsize=_G_WEIGHTS)(g_weight)
 
 
 def h_weight(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """hw(mu, n) by the inductive definition (memoized per h)."""
-    return _h_engine(h).value(mu, n)
+    return rational(_h_engine(h).value(mu, n))
 
 
 def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """Sum of hw(lambda, n) over the orbit of the partition mu."""
-    return _orbit_sum_engine(h).value(mu, n)
-
-
-def _falling_product(n: int, length: int) -> int:
-    """n (n-1) ... (n-length+1); zero when length exceeds n."""
-    out = 1
-    for k in range(length):
-        out *= n - k
-        if out == 0:
-            return 0
-    return out
+    return rational(_orbit_sum_engine(h).value(mu, n))
 
 
 def h_weight_one(mu: Sequence[int], n: int) -> Fraction:
@@ -214,7 +200,7 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("hw is defined for n >= 0")
-    numerator = _falling_product(n, sum(mu) + len(mu))
+    numerator = perm(n, sum(mu) + len(mu))
     if not numerator:
         return _F0
     denominator = 1
@@ -225,22 +211,31 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+@lru_cache(maxsize=_ORBIT_SIZES)
+def _orbit_size(mu: tuple[int, ...]) -> int:
+    """The number of distinct reorderings of the partition mu."""
+    return multinomial(len(mu), list(Counter(mu).values()))
+
+
 @lru_cache(maxsize=_RECIPROCALS)
-def _reciprocal_sum(mu: tuple[int, ...]) -> Fraction:
-    """R(mu) = sum over reorderings lam of the partition mu of
-    prod_k 1/(k + lam_1 + ... + lam_k).
+def _reciprocal_sum(mu: tuple[int, ...]) -> int:
+    """R'(mu) = s! R(mu), s = |mu| + len(mu), for the partition mu, where
+
+        R(mu) = sum over reorderings lam of mu of prod_k 1/(k + lam_1 + ... + lam_k).
 
     Peeling the last part: every reordering ends in some distinct part j,
-    and the final factor is 1/(len(mu) + |mu|) regardless of j, so
+    and the final factor is 1/s regardless of j, so R(mu) is the sum of
+    R(mu minus j) over the distinct parts j, divided by s.  The child
+    mu minus j has s - 1 - j in place of s, so R' is the int
 
-        R(mu) = (sum over distinct parts j of R(mu minus j)) / (|mu| + len(mu)).
+        R'(mu) = sum over distinct parts j of (s-1)(s-2)...(s-j) * R'(mu minus j),
+
+    with R'(()) = 1.
     """
     if not mu:
-        return _F1
-    total = _F0
-    for _, child in _distinct_removals(mu):
-        total += _reciprocal_sum(child)
-    return total / (sum(mu) + len(mu))
+        return 1
+    s = sum(mu) + len(mu)
+    return sum(perm(s - 1, j) * _reciprocal_sum(child) for j, child in _distinct_removals(mu))
 
 
 def _check_coeff_range(n: int, m: int) -> None:
@@ -249,20 +244,28 @@ def _check_coeff_range(n: int, m: int) -> None:
 
 
 def _partition_sum(
-    g: ArithmeticFunction, n: int, m: int, h_side: Callable[[tuple[int, ...]], Fraction | int]
+    g: ArithmeticFunction, n: int, m: int, h_side: Callable[[tuple[int, ...]], Scalar]
 ) -> Fraction:
-    """sum over partitions mu of n-m of gw(mu) * h_side(mu).
+    """sum over partitions mu of n-m of gw(mu) * h_side(mu), in ints.
 
-    For m = n the sum has the single empty-partition term and gives 1,
-    matching the diagonal of the triangle.
+    With s = n - m and G the lcm of the denominators of g(2..s+1), the
+    term of mu is (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(s-r) * h_side(mu),
+    r = len(mu), which is G^s gw(mu) h_side(mu); the sum is divided by G^s
+    once.  An int h_side keeps every term an int, and a Fraction one (the
+    engine of a rational h) is carried exactly.  For m = n the sum has the
+    single empty-partition term and gives 1, matching the diagonal of the
+    triangle.
     """
     _check_coeff_range(n, m)
-    total = _F0
-    for mu in partitions_of(n - m):
-        gw = _g_weight_memo(g, mu)
+    size = n - m
+    gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
+    powers = [G ** e for e in range(size + 1)]
+    total = 0
+    for mu in partitions_of(size):
+        gw = prod(map(gv.__getitem__, mu))
         if gw:
-            total += gw * h_side(mu)
-    return total
+            total += gw * powers[size - len(mu)] * h_side(mu)
+    return Fraction(total, powers[size])
 
 
 def coefficient_from_weights(
@@ -277,12 +280,14 @@ def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     """A[n][m] for h = one:
 
         sum over partitions mu of n-m of
-            gw(mu) * multinomial(len(mu); multiplicities) * C(n - |mu|, len(mu)).
+            gw(mu) * multinomial(len(mu); multiplicities) * C(m, len(mu)),
+
+    the multinomial being the orbit size of mu and m = n - |mu|.
     """
 
     def h_side(mu: tuple[int, ...]) -> int:
-        length = len(mu)
-        return multinomial(length, list(Counter(mu).values())) * comb(n - sum(mu), length)
+        ways = comb(m, len(mu))
+        return ways * _orbit_size(mu) if ways else 0
 
     return _partition_sum(g, n, m, h_side)
 
@@ -291,12 +296,14 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     """A[n][m] for h = id:
 
         sum over partitions mu of n-m of
-            gw(mu) * (n)(n-1)...(n-|mu|-len(mu)+1) * R(mu).
+            gw(mu) * (n)(n-1)...(n-s+1) * R(mu),    s = |mu| + len(mu),
+
+    where (n)(n-1)...(n-s+1) R(mu) = C(n, s) R'(mu) for the int R' = s! R.
     """
 
-    def h_side(mu: tuple[int, ...]) -> Fraction | int:
-        falling = _falling_product(n, sum(mu) + len(mu))
-        return falling * _reciprocal_sum(mu) if falling else 0
+    def h_side(mu: tuple[int, ...]) -> int:
+        ways = comb(n, n - m + len(mu))
+        return ways * _reciprocal_sum(mu) if ways else 0
 
     return _partition_sum(g, n, m, h_side)
 

@@ -34,6 +34,14 @@ def orbit_of(mu):
         arr[i + 1:] = reversed(arr[i + 1:])
 
 
+def g_weight(g, mu):
+    """Product of g over the parts shifted by one; 1 for the empty composition."""
+    out = Fraction(1)
+    for part in mu:
+        out *= g(part + 1)
+    return out
+
+
 def h_weight_literal(h, mu, n):
     """The unmemoized inductive sum for hw(mu, n), peeling the last part."""
     mu = tuple(mu)
@@ -195,8 +203,9 @@ def poly_eval(a, point):
 # Test-side entries to the package.
 
 def orbit_reciprocal_sum(mu):
-    """The memoized R(mu) of `darcais.weights`, for the parts in any order."""
-    return _reciprocal_sum(tuple(sorted(mu, reverse=True)))
+    """R(mu) from the memoized int R'(mu) = s! R(mu) of `darcais.weights`,
+    s = |mu| + len(mu), for the parts in any order."""
+    return Fraction(_reciprocal_sum(tuple(sorted(mu, reverse=True))), factorial(sum(mu) + len(mu)))
 
 
 def implication_chain_holds(seq):

@@ -39,7 +39,6 @@ from darcais.weights import (
     coefficient_h_id,
     coefficient_h_one,
     conversion_scan,
-    g_weight,
     h_weight,
     h_weight_id,
     h_weight_one,
@@ -47,6 +46,7 @@ from darcais.weights import (
 )
 
 from oracles import (
+    g_weight,
     h_weight_literal,
     orbit_of,
     orbit_reciprocal_sum,
@@ -204,6 +204,15 @@ def test_orbit_reciprocal_sum():
             assert orbit_reciprocal_sum(mu) == orbit_reciprocal_sum_direct(mu)
 
 
+def test_reciprocal_sum_is_s_factorial_times_r():
+    # the memoized R'(mu) is the int s! R(mu), s = |mu| + len(mu)
+    for size in range(13):
+        for mu in partitions_of(size):
+            scaled = weights._reciprocal_sum(mu)
+            assert type(scaled) is int
+            assert scaled == factorial(size + len(mu)) * orbit_reciprocal_sum_direct(mu), mu
+
+
 def test_coefficient_h_id_examples():
     assert coefficient_h_id(sigma(1), 3, 2) == 9
     assert coefficient_h_id(sigma(1), 4, 2) == 59
@@ -218,6 +227,55 @@ def test_specialized_routes_match_triangle():
             for m in range(1, n + 1):
                 assert coefficient_h_one(g, n, m) == table_one.entry(n, m)
                 assert coefficient_h_id(g, n, m) == table_id.entry(n, m)
+
+
+# pairwise coprime denominators: G = lcm of g(2..s+1) grows with s, and the
+# partitions of one s, of different lengths, take different powers of G
+COPRIME_G = from_table([1, "1/2", "2/3", "-3/5", "5/7", "-1/11", "4/13", "-9/17"])
+RATIONAL_H = from_table([1, "3/2", -2, "5/3", 7, "1/4", 3, "-2/9"])
+
+
+def test_partition_sum_scales_g_per_partition_length():
+    routes = [
+        (h, lambda g, n, m, h=h: coefficient_from_weights(g, h, n, m))
+        for h in (one(), identity(), sigma(1), RATIONAL_H)
+    ]
+    routes += [(one(), coefficient_h_one), (identity(), coefficient_h_id)]
+    for h, route in routes:
+        table = coefficient_table(COPRIME_G, h, 8)
+        for n in range(5, 9):
+            for m in range(1, n - 3):  # n - m >= 4
+                assert route(COPRIME_G, n, m) == table.entry(n, m), (h.name, n, m)
+
+
+@pytest.mark.parametrize("g, h", [
+    (sigma(1), identity()),
+    (one(), sigma(1)),
+    (tilde(sigma(1)), one()),
+    (sigma(1), tilde(identity())),
+    (COPRIME_G, RATIONAL_H),
+], ids=["builtins", "builtin-h", "tilde-g", "tilde-h", "rational-tables"])
+def test_public_weight_routes_return_fractions(g, h):
+    # an int here would turn `/` into float division in the callers
+    values = [
+        coefficient_from_weights(g, h, 6, 3),
+        coefficient_from_weights(g, h, 4, 4),
+        coefficient_h_one(g, 6, 3),
+        coefficient_h_one(g, 5, 5),
+        coefficient_h_id(g, 6, 3),
+        coefficient_h_id(g, 5, 5),
+        h_weight(h, (2, 1), 6),
+        h_weight(h, (2, 1), 2),
+        h_weight(h, (), 3),
+        orbit_weight_sum(h, (2, 1), 6),
+        orbit_weight_sum(h, (3,), 2),
+        orbit_weight_sum(h, (), 0),
+        h_weight_one((1, 2), 6),
+        h_weight_id((1, 2), 6),
+        h_weight_id((3,), 1),
+    ]
+    assert [type(value) for value in values] == [Fraction] * len(values)
+    assert conversion_scan(g, 6) == (21, None)
 
 
 def test_conversion_examples():
