@@ -105,21 +105,20 @@ def hook_length_polynomial(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("hook-length polynomials need n >= 0")
-    total = Poly()
+    # the hook length formula makes prod t a divisor of n!, so every term
+    # prod (x + t^2) / prod t^2 is an int row over the one denominator n!^2
+    common = factorial(n) ** 2
+    total = [0] * (n + 1)
     for lam in partitions_of(n):
-        # prod (1 + x/t^2) = prod (x + t^2) / prod t^2, over integers
-        numerator = [1]
+        numerator = [1]  # prod (x + t^2), constant term first
         denominator = 1
         for t in hook_multiset(lam):
             t2 = t * t
             denominator *= t2
-            new = [0] * (len(numerator) + 1)
-            for i, c in enumerate(numerator):
-                new[i] += t2 * c
-                new[i + 1] += c
-            numerator = new
-        total = total + Poly.from_numerators(numerator, denominator)
-    return total
+            numerator = [a + t2 * b for a, b in zip([0] + numerator, numerator + [0])]
+        scale = common // denominator
+        total = [a + scale * c for a, c in zip(total, numerator)]
+    return Poly.from_numerators(total, common)
 
 
 FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")

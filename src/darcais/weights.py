@@ -23,6 +23,11 @@ brute-force sum over compositions is a route of its own.
 
 The partition sum runs in ints: it takes G g, G the lcm of the
 denominators of g(2..n-m+1), and divides by G^(n-m) once per coefficient.
+Its g-side, the partitions of n-m with their terms G^(n-m) gw(mu), depends
+on g and n-m only, so it is enumerated once into a term table per
+(g, n-m), held in an LRU memo of `_TERM_TABLES` tables that every n and
+all three h-sides read.
+
 The engines keep h(k) as an int wherever it is integral, so for an integer
 h every weight is an int (a rational h carries its Fractions exactly), and
 the h-sides of both closed forms are ints.  The public routes return
@@ -35,6 +40,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction, tilde
@@ -44,11 +50,12 @@ from .partitions import compositions_of, multinomial, partitions_of
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Sizes of the LRU memos: engines per h, orbit sizes and R' per partition.
-# Builtins are shared instances, so equal builtin descriptors hit the same
-# engine; table and tilde functions get engines of their own, evicted once
-# unused.
+# Sizes of the LRU memos: engines per h, g-side term tables per (g, size),
+# orbit sizes and R' per partition.  Builtins are shared instances, so equal
+# builtin descriptors hit the same engine and tables; table and tilde
+# functions get memos of their own, evicted once unused.
 _ENGINES = 8
+_TERM_TABLES = 64
 _ORBIT_SIZES = 1 << 15
 _RECIPROCALS = 1 << 15
 
@@ -77,7 +84,8 @@ class _WeightMemo:
     h_j(k) are memoized per (j, k) as the rows ask for them.  Each h(k) is
     held as an int when it is integral, so the windows, rows and weights of
     an integer h are ints.  Subclasses give the key normalisation and the
-    (part, child) removals.
+    (part, child) removals, whose children are keys already: `value`
+    normalises mu once, and the recursion `_value` runs on keys.
     """
 
     __slots__ = ("h", "_h_values", "_windows", "_rows")
@@ -89,11 +97,12 @@ class _WeightMemo:
         self._rows: dict[tuple[int, ...], list[Scalar]] = {}
 
     def value(self, mu: Sequence[int], n: int) -> Scalar:
-        if n < 0:
-            raise ValueError(f"{self.domain} defined for n >= 0")
-        if n >= len(self._h_values):
-            self._read_h(n)
-        mu = self.key(mu)
+        """W(mu, n) for any ordering of mu that the subclass's key accepts."""
+        self._read_h(n)
+        return self._value(self.key(mu), n)
+
+    def _value(self, mu: tuple[int, ...], n: int) -> Scalar:
+        """W(mu, n) for a canonical key mu, once h is read up to h(n)."""
         if not mu:
             return 1
         threshold = sum(mu) + len(mu)
@@ -103,15 +112,17 @@ class _WeightMemo:
         if threshold + len(row) <= n:
             acc = row[-1] if row else 0
             removals = self.removals(mu)
-            window = self._window
+            window, value = self._window, self._value
             for k in range(threshold + len(row), n + 1):
                 for j, child in removals:
-                    acc = acc + window(j, k - 1) * self.value(child, k - 1 - j)
+                    acc = acc + window(j, k - 1) * value(child, k - 1 - j)
                 row.append(acc)
         return row[n - threshold]
 
     def _read_h(self, n: int) -> None:
-        """Read h up to h(n), refusing a zero as the recursion to n does."""
+        """Read h up to h(n), refusing n < 0 and a zero as the recursion to n does."""
+        if n < 0:
+            raise ValueError(f"{self.domain} defined for n >= 0")
         h, values = self.h, self._h_values
         for k in range(len(values), n + 1):
             value = h(k)
@@ -243,37 +254,57 @@ def _check_coeff_range(n: int, m: int) -> None:
         raise ValueError(f"coefficient indices need 1 <= m <= n, got n={n}, m={m}")
 
 
+@lru_cache(maxsize=_TERM_TABLES)
+def _g_terms(
+    g: ArithmeticFunction, size: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """(mus, terms, G^size): the g-side of the partition sum for one size.
+
+    With G the lcm of the denominators of g(2..size+1), mus are the
+    partitions mu of size whose g-weight is nonzero and terms the ints
+
+        (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(size - r),    r = len(mu),
+
+    each G^size gw(mu).  They depend on g and size only, so every (n, m)
+    with n - m = size, and all three h-sides, read one table.
+    """
+    gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
+    powers = [G ** e for e in range(size + 1)]
+    mus, terms = [], []
+    for mu in partitions_of(size):
+        gw = prod(map(gv.__getitem__, mu))
+        if gw:
+            mus.append(mu)
+            terms.append(gw * powers[size - len(mu)])
+    return tuple(mus), tuple(terms), powers[size]
+
+
 def _partition_sum(
     g: ArithmeticFunction, n: int, m: int, h_side: Callable[[tuple[int, ...]], Scalar]
 ) -> Fraction:
     """sum over partitions mu of n-m of gw(mu) * h_side(mu), in ints.
 
-    With s = n - m and G the lcm of the denominators of g(2..s+1), the
-    term of mu is (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(s-r) * h_side(mu),
-    r = len(mu), which is G^s gw(mu) h_side(mu); the sum is divided by G^s
-    once.  An int h_side keeps every term an int, and a Fraction one (the
-    engine of a rational h) is carried exactly.  For m = n the sum has the
-    single empty-partition term and gives 1, matching the diagonal of the
-    triangle.
+    The g-side terms G^s gw(mu), s = n - m, come from the memoized table
+    `_g_terms(g, s)`; the sum of each term times h_side(mu) is divided by
+    G^s once.  An int h_side keeps every term an int, and a Fraction one
+    (the engine of a rational h) is carried exactly.  For m = n the sum has
+    the single empty-partition term and gives 1, matching the diagonal of
+    the triangle.
     """
     _check_coeff_range(n, m)
-    size = n - m
-    gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
-    powers = [G ** e for e in range(size + 1)]
-    total = 0
-    for mu in partitions_of(size):
-        gw = prod(map(gv.__getitem__, mu))
-        if gw:
-            total += gw * powers[size - len(mu)] * h_side(mu)
-    return Fraction(total, powers[size])
+    mus, terms, denominator = _g_terms(g, n - m)
+    return Fraction(sum(map(mul, terms, map(h_side, mus))), denominator)
 
 
 def coefficient_from_weights(
     g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int
 ) -> Fraction:
     """A[n][m] as the partition sum of g-weights times orbit-summed h-weights."""
+    _check_coeff_range(n, m)  # before h is read, so bad indices are named as such
     engine = _orbit_sum_engine(h)
-    return _partition_sum(g, n, m, lambda mu: engine.value(mu, n))
+    engine._read_h(n)
+    value = engine._value  # the table's mu are partitions: canonical keys
+    return _partition_sum(g, n, m, lambda mu: value(mu, n))
 
 
 def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:

@@ -9,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
+from darcais.exact import Poly
+from darcais.partitions import hook_multiset, partitions_of
 from darcais.shapes import is_log_concave, is_ultra_log_concave, is_unimodal
 from darcais.weights import _reciprocal_sum
 
@@ -159,6 +161,26 @@ def polynomials_literal(g, h, max_n):
             total = poly_add(total, poly_mul([Fraction(g[k])], polys[n - k]))
         polys.append(poly_mul([Fraction(0), 1 / Fraction(h[n])], total))
     return polys
+
+
+def hook_length_polynomial_by_terms(n):
+    """Q_n as a sum of one `Poly` per partition of n, each
+    prod (x + t^2) / prod t^2 over the hook lengths t, reduced at every
+    addition."""
+    total = Poly()
+    for lam in partitions_of(n):
+        numerator = [1]
+        denominator = 1
+        for t in hook_multiset(lam):
+            t2 = t * t
+            denominator *= t2
+            new = [0] * (len(numerator) + 1)
+            for i, c in enumerate(numerator):
+                new[i] += t2 * c
+                new[i + 1] += c
+            numerator = new
+        total = total + Poly.from_numerators(numerator, denominator)
+    return total
 
 
 # A polynomial as a plain list of Fractions, constant term first, with no

@@ -87,6 +87,9 @@ def test_only_the_tabulated_h_values_must_be_nonzero():
     for m in (1, 3):
         with pytest.raises(ValueError, match="vanishes at n = 3"):
             coefficient_from_weights(sigma(1), h, 3, m)
+    # read even where every g-weight of n - m vanishes, as the triangle reads it
+    with pytest.raises(ValueError, match="vanishes at n = 3"):
+        coefficient_from_weights(from_table([1, 0, 0]), h, 3, 1)
 
 
 def test_table_examples():

@@ -20,7 +20,8 @@ from darcais.series import (
     inverse_eisenstein,
 )
 
-from oracles import poly_mul, poly_trim
+from oracles import hook_length_polynomial_by_terms, poly_mul, poly_trim
+from test_exact import assert_canonical
 
 HALF = Fraction(1, 2)
 
@@ -188,6 +189,15 @@ def test_hook_length_polynomial_examples():
         assert q.degree == n
         assert q(0) == count_partitions_dp(n)
         assert all(c > 0 for c in q.coefficients)
+
+
+def test_hook_length_polynomial_matches_the_sum_of_its_terms():
+    # one reduction over n!^2 gives the polynomial that reducing after
+    # every partition's term gives
+    for n in range(15):
+        q = hook_length_polynomial(n)
+        assert q == hook_length_polynomial_by_terms(n), n
+        assert_canonical(q)
 
 
 def test_hook_length_polynomial_shift_identity():

@@ -248,6 +248,30 @@ def test_partition_sum_scales_g_per_partition_length():
                 assert route(COPRIME_G, n, m) == table.entry(n, m), (h.name, n, m)
 
 
+def test_term_tables_are_rebuilt_after_eviction():
+    # more (g, size) tables than the memo holds, read in a shuffled order by
+    # all three partition routes, so tables are evicted and rebuilt between
+    # the reads of one g
+    max_n = 8
+    fresh = [from_table([1, k + 2, "1/3", -k - 1, 5, "7/2", 2, "-4/9"], name="evict")
+             for k in range(4)]
+    gs = [COPRIME_G, sigma(1)] + fresh + [tilde(g) for g in (sigma(1), *fresh[:3])]
+    assert len(gs) * max_n > weights._g_terms.cache_info().maxsize
+    routes = [
+        (RATIONAL_H, lambda g, n, m: coefficient_from_weights(g, RATIONAL_H, n, m)),
+        (one(), coefficient_h_one),
+        (identity(), coefficient_h_id),
+    ]
+    tables = {(id(g), id(h)): coefficient_table(g, h, max_n) for g in gs for h, _ in routes}
+    jobs = [(g, h, route, n, m) for g in gs for h, route in routes
+            for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    random.Random(16).shuffle(jobs)
+    weights._g_terms.cache_clear()
+    for g, h, route, n, m in jobs:
+        assert route(g, n, m) == tables[id(g), id(h)].entry(n, m), (g.name, h.name, n, m)
+    assert weights._g_terms.cache_info().misses > len(gs) * max_n  # some were rebuilt
+
+
 @pytest.mark.parametrize("g, h", [
     (sigma(1), identity()),
     (one(), sigma(1)),
