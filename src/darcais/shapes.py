@@ -4,11 +4,12 @@ The predicates (unimodal, log-concave, ultra-log-concave) are evaluated
 exactly on sequences of nonnegative rationals.  The scans combine routes
 from the recursion engine and the oracles: the hook log-concavity scan
 reads the hook polynomials Q_n(x) = P_n(x+1) for (sigma, id) off the
-defining recursion run at X + 1, the hook top-inequality scan reads the
-top band of the integer coefficient triangle, and the Lehmer scan runs the
-recursion on values at x = -24 and cross-checks the 24th Euler-product
-power.  Each scan returns (checks, first_failure): the comparisons it made
-and where the first one failed, or None.
+Euler-product power prod (1 - q^k)^(-x-1), the D'Arcais generating
+function at -x - 1, the hook top-inequality scan reads the top band of the
+integer coefficient triangle, and the Lehmer scan runs the recursion on
+values at x = -24 and cross-checks the 24th Euler-product power.  Each
+scan returns (checks, first_failure): the comparisons it made and where
+the first one failed, or None.
 """
 
 from __future__ import annotations
@@ -156,9 +157,11 @@ def counterexample_search(h: ArithmeticFunction, max_n: int = 50) -> MarginCount
 
 
 def _shifted_rows(max_n: int) -> list:
-    """Int numerators of P_n(x+1) for (sigma, id), n = 0..max_n: positive
-    multiples of the hook-polynomial coefficients."""
-    return [p.numerators for p in value_sequence(sigma(1), identity(), X + 1, max_n)]
+    """Int numerators of Q_n(x) = P_n(x+1) for (sigma, id), n = 0..max_n:
+    positive multiples of the hook-polynomial coefficients, read off the
+    Euler-product power prod (1 - q^k)^(-x-1)."""
+    product = euler_product_power(-X - 1, max_n).coefficients
+    return [(1,)] + [p.numerators for p in product[1:]]
 
 
 def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
@@ -167,9 +170,9 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
 
     Once a row is log-concave, the first link of the chain holds whatever
     its ultra-log-concavity, so the chain comes down to unimodality.
-    Q_n = P_n(x+1) comes from the defining recursion run at X + 1, not from
-    the triangle; each row is the int numerators of Q_n over its positive
-    denominator, which drops out of every comparison.  Returns
+    Q_n = P_n(x+1) is the q^n coefficient of prod (1 - q^k)^(-x-1), not read
+    off the triangle; each row is the int numerators of Q_n over its
+    positive denominator, which drops out of every comparison.  Returns
     (values of n compared, first failing n or None).
     """
     rows = _shifted_rows(max_n)

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from darcais.exact import Poly
+from darcais.exact import Poly, Series, quotient
 from darcais.partitions import hook_multiset, partitions_of
 from darcais.shapes import is_log_concave, is_ultra_log_concave, is_unimodal
 from darcais.weights import _reciprocal_sum
@@ -181,6 +181,37 @@ def hook_length_polynomial_by_terms(n):
             numerator = new
         total = total + Poly.from_numerators(numerator, denominator)
     return total
+
+
+def _signed_binomial_terms(exponent, kmax):
+    """Coefficients (-1)^k C(exponent, k) for k = 1..kmax, up to the first zero.
+
+    Works for integer exponents (negative included), where every term is
+    an int because C(r, k) = C(r, k-1) (r - k + 1) / k divides exactly, and
+    for Fraction and Poly exponents.
+    """
+    current = 1
+    terms = []
+    for k in range(1, kmax + 1):
+        current = quotient(-current * (exponent - (k - 1)), k)
+        if current == 0:
+            break  # nonnegative integer exponent: the factor is a polynomial
+        terms.append(current)
+    return terms
+
+
+def euler_product_by_factors(exponent, order):
+    """prod_{n>=1} (1 - q^n)^r truncated at q^order, multiplied out one
+    factor at a time, each factor expanded by generalized binomial
+    coefficients."""
+    acc = [1] + [0] * order
+    for n in range(1, order + 1):
+        out = list(acc)  # k = 0 contribution
+        for k, c in enumerate(_signed_binomial_terms(exponent, order // n), 1):
+            shift = n * k
+            out[shift:] = [o + c * a if a else o for o, a in zip(out[shift:], acc)]
+        acc = out
+    return Series(acc)
 
 
 # A polynomial as a plain list of Fractions, constant term first, with no

@@ -11,7 +11,9 @@ rational table `q.json` (four values, so n = 5 is a usage error) goes
 through the one recursion loop.  The three cases after those were
 recorded while `Poly` kept one Fraction per coefficient, before it moved
 to integer numerators over one denominator; `--eval-at=-7/3` pins the
-evaluation at a negative rational point.
+evaluation at a negative rational point.  The last two cases were recorded
+while `euler_product_power` multiplied the product out factor by factor
+and the hook scan read its rows off the defining recursion at X + 1.
 """
 
 import hashlib
@@ -68,6 +70,8 @@ CASES = [
     (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '40', '--format', 'json'), 0, "a5d78036628791bd9eb2331cd27e04fb3289705c00518ab83b83185fd1bb15fe"),
     (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '40', '--eval-at=-7/3'), 0, "24a9d5ef7689f795ee4299a7dfee0616237a8beda7f06795c9f193d00ddf12a2"),
     (('poly', '--g', 'tilde:sigma:1', '--h', 'sigma:1', '--n', '30', '--format', 'json'), 0, "6106a3e4eb477fd6921525dfe56cd545e9d3ef44aa619b86e69422d83e644d3e"),
+    (('scan', '--check', 'lehmer', '--max-n', '1000'), 0, "c49c203b309e31f97d27af55bda52bc672f183e5b2d86f85c700103625477408"),
+    (('scan', '--check', 'hook-logconcave', '--max-n', '120'), 0, "91a97b9bb0fe6dbd47b7cd357966503839f6263424c2616810e8525fe1897f2a"),
 ]
 
 

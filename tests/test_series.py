@@ -20,7 +20,12 @@ from darcais.series import (
     inverse_eisenstein,
 )
 
-from oracles import hook_length_polynomial_by_terms, poly_mul, poly_trim
+from oracles import (
+    euler_product_by_factors,
+    hook_length_polynomial_by_terms,
+    poly_mul,
+    poly_trim,
+)
 from test_exact import assert_canonical
 
 HALF = Fraction(1, 2)
@@ -120,6 +125,35 @@ def test_euler_product_integer_exponents_match_recursion_values():
             at_r = symbolic.coefficient(n)
             at_r = at_r(r) if isinstance(at_r, Poly) else at_r
             assert direct[n] == at_r == values[n], (r, n)
+
+
+EXPONENTS = [
+    *range(-6, 31), HALF, Fraction(-5, 3), X, -X, -X - 1, 2 * X / 3 + 1, X**2, Poly(),
+]
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS, ids=[repr(r) for r in EXPONENTS])
+def test_euler_product_power_matches_the_factor_by_factor_product(exponent):
+    # the pentagonal recurrence against the product multiplied out factor
+    # by factor, coefficient by coefficient and type by type; each
+    # truncation is a prefix of the longest one
+    slow_40 = euler_product_by_factors(exponent, 40).coefficients
+    for order in range(41):
+        fast = euler_product_power(exponent, order).coefficients
+        slow = slow_40[:order + 1]
+        assert fast == slow, (exponent, order)
+        assert list(map(type, fast)) == list(map(type, slow)), (exponent, order)
+        for c in fast:
+            if isinstance(c, Poly):
+                assert_canonical(c)
+
+
+def test_pentagonal_pairs_are_euler_coefficients():
+    for order in (0, 1, 2, 7, 40, 300):
+        pairs = darcais.series._pentagonal(order)
+        assert [i for i, _ in pairs] == sorted({i for i, _ in pairs})
+        expected = {n: pentagonal_coefficient(n) for n in range(1, order + 1)}
+        assert dict(pairs) == {n: e for n, e in expected.items() if e}, order
 
 
 def test_euler_product_exponent_types():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from darcais import shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
-from darcais.exact import Series
-from darcais.recursion import coefficient_table
+from darcais.exact import Series, X
+from darcais.recursion import coefficient_table, value_sequence
 from darcais.shapes import (
     counterexample_search,
     hook_poly_log_concavity_scan,
@@ -183,9 +183,17 @@ def test_scan_route_matches_hook_sums():
         assert shifted == list(hook_length_polynomial(n).padded(n + 1))
 
 
+def test_shifted_rows_are_the_recursion_at_x_plus_1():
+    # the hook scan reads its rows off prod (1 - q^k)^(-x-1); the defining
+    # recursion at X + 1 gives the same reduced polynomials
+    for max_n in (0, 1, 2, 17, 80):
+        recursion = value_sequence(sigma(1), identity(), X + 1, max_n)
+        assert shapes._shifted_rows(max_n) == [p.numerators for p in recursion]
+
+
 def test_shifted_rows_are_positive_multiples_of_the_triangle_shift():
     # the triangle + binomial shift route is the oracle for the rows the
-    # hook scan reads off the recursion at X + 1
+    # hook scan reads off the Euler-product power prod (1 - q^k)^(-x-1)
     from darcais.recursion import shifted_coefficient_numerators
 
     table = coefficient_table(sigma(1), identity(), 60)
