@@ -22,10 +22,10 @@ from .exact import Poly, X, format_rational, rational
 from .recursion import coefficient_table, polynomial_sequence
 from .series import generating_series_h_id, generating_series_h_one, hook_length_polynomial
 from .shapes import (
+    delta_scan,
     hook_poly_log_concavity_scan,
     hook_poly_top_inequality_scan,
     lehmer_scan,
-    top_margin,
 )
 from .weights import (
     coefficient_composition_sum,
@@ -222,13 +222,12 @@ def _run_scan(args: argparse.Namespace) -> int:
         return 0
     if check == "delta":
         try:
-            rows = [(n, top_margin(g, h, n)) for n in range(2, max_n + 1)]
+            rows, (_, failure) = delta_scan(g, h, max_n)
         except (ValueError, IndexError) as exc:
             raise UsageError(str(exc)) from exc
         _emit_value_rows(rows, args.format)
-        bad = [n for n, v in rows if v <= 0]
-        if bad:
-            print(f"FAIL delta: nonpositive margin at n={bad[0]}", file=sys.stderr)
+        if failure is not None:
+            print(f"FAIL delta: nonpositive margin at n={failure}", file=sys.stderr)
             return 1
         return 0
     if check == "hook-logconcave":

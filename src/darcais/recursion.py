@@ -13,21 +13,26 @@ fills the triangle A[n][m] of normalized coefficients
     A[n][m] = sum_{k=1}^{n-m+1} g(k) * h(n-1)...h(n-k+1) * A[n-k][m-1]
 
 so that each route can serve as an oracle for the other.  Both run in ints,
-for rational g and h too: with G, D the lcms of the denominators of g(1..n),
-h(1..n), each path to A[n][m] takes m factors of g and n - m of h, so A[n][m]
-is the int entry for (G g, D h) over G^m D^(n-m), and P_n(x) for (g, h) is
-P_n(x D / G) for (G g, D h).  Fractions are formed only on read.  At a
-Poly point u / d the recursion runs on int rows E_n = T P_n over one fixed
+for rational g and h too, and form Fractions only on read.  With G, D the
+lcms of the denominators of g(1..n), h(1..n), P_n(x) for (g, h) is
+P_n(x D / G) for (G g, D h), and `value_sequence` runs on those tables.  At
+a Poly point u / d it runs on int rows E_n = T P_n over one fixed
 denominator T = |d^N h(1) ... h(N)|, stored as columns, with one exact
 division per coefficient and step and one reduction per row at the end.
+The triangle telescopes the denominators of h instead: with
+h(k) = p_k / q_k in lowest terms and Q(j) = q_1 ... q_j, the entries
+A*[n][m] = G^m Q(n-1) A[n][m] follow the same recursion with the int
+weights (G g)(k) p_{n-1} ... p_{n-k+1} q_{n-k} (q_0 = 1), so they are
+ints.  They are stored as columns col[m][n - m], so each entry is one int
+dot product, and read by one division by G^m Q(n-1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, prod
-from operator import add, mul
+from math import comb, gcd, prod
+from operator import add, floordiv, getitem, mul
 from typing import Sequence
 
 from .arith import ArithmeticFunction
@@ -101,64 +106,83 @@ def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> 
     return gv, hv, (G, D)
 
 
-def _band(gv: list[int], hv: list[int], depth: int) -> list[tuple[int, ...]]:
-    """Rows B[n] = (A[n][n], A[n][n-1], ..., A[n][n-min(depth, n)]), in ints.
+def _triangle_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
+    """(gv, p, q, (G, D)): gv = G g at 0..max_n as ints, h(k) = p[k] / q[k]
+    in lowest terms with q[k] > 0 (q[0] = 1), and the lcms G, D of the
+    denominators of g(1..max_n) and h(1..max_n), which decide the read type."""
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    r = list(map(gcd, hv, repeat(D)))
+    return gv, list(map(floordiv, hv, r)), [D // v for v in r], (G, D)
 
-    Indexed by offset from the diagonal, B[n][j] = A[n][n-j], the term
-    A[n-k][m-1] of A[n][n-j] is B[n-k][j+1-k], which lies inside the band
-    whenever m >= 1; A[n][0] = 0 for n >= 1.  The weights
-    c[k-1] = g(k) h(n-1) ... h(n-k+1) are built once per row.
+
+def _band(gv: list[int], p: list[int], q: list[int], depth: int) -> list[list[int]]:
+    """The band n - m <= depth of the scaled triangle, as int columns
+    col[m][n - m] = A*[n][m] = G^m Q(n-1) A[n][m].
+
+    With Q(j) = q[1] ... q[j] (Q(-1) = Q(0) = 1), the scaled recursion is
+    A*[n][m] = sum_k c[k-1] A*[n-k][m-1] with the int row weights
+    c[k-1] = (G g)(k) p[n-1] ... p[n-k+1] q[n-k]: the factors
+    h(n-1) ... h(n-k+1) cancel their own denominators out of Q(n-1), which
+    leaves Q(n-k) = q[n-k] Q(n-k-1).  The terms of A*[n][m] are then c
+    against col[m-1] read backwards from n - m, one int dot product per
+    entry.  A*[n][0] = 0 for n >= 1 is stored as zeros, and
+    a column holds at most depth + 1 entries, so depth >= len(gv) - 1 gives
+    the full triangle and a smaller depth its top band.
     """
-    band: list[tuple] = [(1,)]
+    cols = [[1] + [0] * min(depth, len(gv) - 1)]
     for n in range(1, len(gv)):
-        c, weight = [gv[1]], 1
-        for k in range(2, min(depth + 1, n) + 1):
-            weight = weight * hv[n - k + 1]
-            c.append(gv[k] * weight)
-        row = [
-            sum(c[i] * band[n - 1 - i][j - i] for i in range(j + 1))
-            for j in range(min(depth, n - 1) + 1)
-        ]
-        if depth >= n:
-            row.append(0)
-        band.append(tuple(row))
-    return band
+        c, weight = [], 1
+        for k in range(1, min(depth + 1, n) + 1):
+            c.append(gv[k] * weight * q[n - k])
+            weight *= p[n - k]
+        for m in range(max(1, n - depth), n):
+            cols[m].append(sum(map(mul, c, cols[m - 1][n - m::-1])))
+        cols.append([c[0] * cols[n - 1][0]])
+    return cols
+
+
+def _scales(G: int, q: list[int], max_n: int) -> tuple[list[int], list[int]]:
+    """(G^m for m <= max_n, Q(n-1) for n <= max_n): A[n][m] = A*[n][m] / (G^m Q(n-1))."""
+    return [G**m for m in range(max_n + 1)], [1, *accumulate(q[1:max_n], mul, initial=1)]
 
 
 class CoefficientTable:
     """Triangle A[n][m] for 0 <= m <= n <= max_n plus the normalizers H(n).
 
-    The rows are the full-depth band of the int tables (G g, D h), reversed.
-    When g(1..max_n) and h(1..max_n) are integers (G = D = 1) they are the
-    entries, read as plain ints; otherwise a read divides by G^m D^(n-m).
+    Held once, as the int columns col[m][n - m] = A*[n][m] = G^m Q(n-1) A[n][m]
+    of `_band` at full depth, Q(j) the product of the lowest-terms
+    denominators of h(1..j).  When g(1..max_n) and h(1..max_n) are integers
+    (G = D = 1) the scale is 1 and entries read as plain ints; otherwise a
+    read divides once by G^m Q(n-1), and H(n) = p_1 ... p_n / Q(n).
     """
 
-    __slots__ = ("g", "h", "max_n", "_rows", "_normalizers", "_gp", "_dp")
+    __slots__ = ("g", "h", "max_n", "_cols", "_normalizers", "_gp", "_qp")
 
     def __init__(self, g: ArithmeticFunction, h: ArithmeticFunction, max_n: int):
-        gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+        gv, p, q, (G, D) = _triangle_inputs(g, h, max_n)
         self.g, self.h, self.max_n = g, h, max_n
-        self._rows = [row[::-1] for row in _band(gv, hv, max_n)]
-        normalizers = list(accumulate(hv[1:], mul, initial=1))
-        self._gp = self._dp = None  # G^i, D^i for i <= max_n: the denominators' factors
+        self._cols = _band(gv, p, q, max_n)
+        normalizers = list(accumulate(p[1:], mul, initial=1))
+        self._gp = self._qp = None  # G^m and Q(n-1): the read's denominator factors
         if G * D > 1:
-            self._gp, self._dp = ([s**i for i in range(max_n + 1)] for s in (G, D))
-            normalizers = list(map(Fraction, normalizers, self._dp))
+            self._gp, self._qp = _scales(G, q, max_n)
+            normalizers = list(map(Fraction, normalizers, accumulate(q[1:], mul, initial=1)))
         self._normalizers = normalizers
 
     def entry(self, n: int, m: int):
         """A[n][m], an int or Fraction."""
         if not 0 <= n <= self.max_n or not 0 <= m <= n:
             raise IndexError(f"table index (n={n}, m={m}) outside 0 <= m <= n <= {self.max_n}")
-        a = self._rows[n][m]
-        return a if self._gp is None else Fraction(a, self._gp[m] * self._dp[n - m])
+        a = self._cols[m][n - m]
+        return a if self._gp is None else Fraction(a, self._gp[m] * self._qp[n])
 
     def row(self, n: int) -> tuple:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
+        entries = map(getitem, self._cols[:n + 1], range(n, -1, -1))
         if self._gp is None:
-            return tuple(self._rows[n])
-        return tuple(map(Fraction, self._rows[n], map(mul, self._gp, self._dp[n::-1])))
+            return tuple(entries)
+        return tuple(map(Fraction, entries, map(mul, self._gp[:n + 1], repeat(self._qp[n]))))
 
     def normalizer(self, n: int):
         """H(n) = h(1) ... h(n)."""
@@ -185,16 +209,19 @@ def coefficient_top_band(
     """Rows of (A[n][n], A[n][n-1], ..., A[n][n-depth]) by the triangle recursion.
 
     The band is closed under the recursion (A[n][n-j] only needs entries
-    with smaller offsets from the diagonal), so top-coefficient scans to
-    large n skip the O(n^2) bulk of the triangle.  Read as in the table.
+    with smaller offsets from the diagonal), so `_band` at this depth
+    keeps depth + 1 entries per column and top-coefficient scans to large n
+    skip the O(n^2) bulk of the triangle.  Read as in the table.
     """
     if depth < 0:
         raise ValueError("band depth must be nonnegative")
-    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
-    band = _band(gv, hv, depth)
+    gv, p, q, (G, D) = _triangle_inputs(g, h, max_n)
+    cols = _band(gv, p, q, depth)
+    band = [tuple(cols[n - j][j] for j in range(min(depth, n) + 1)) for n in range(max_n + 1)]
     if G * D == 1:
         return band
-    return [tuple(Fraction(b, G ** (n - j) * D**j) for j, b in enumerate(row))
+    gp, qp = _scales(G, q, max_n)
+    return [tuple(Fraction(b, gp[n - j] * qp[n]) for j, b in enumerate(row))
             for n, row in enumerate(band)]
 
 

@@ -6,10 +6,12 @@ from the recursion engine and the oracles: the hook log-concavity scan
 reads the hook polynomials Q_n(x) = P_n(x+1) for (sigma, id) off the
 Euler-product power prod (1 - q^k)^(-x-1), the D'Arcais generating
 function at -x - 1, the hook top-inequality scan reads the top band of the
-integer coefficient triangle, and the Lehmer scan runs the recursion on
-values at x = -24 and cross-checks the 24th Euler-product power.  Each
+integer coefficient triangle, the delta scan takes the top margin of
+(g, h) through the weight route, and the Lehmer scan runs the recursion
+on values at x = -24 and cross-checks the 24th Euler-product power.  Each
 scan returns (checks, first_failure): the comparisons it made and where
-the first one failed, or None.
+the first one failed, or None; the delta and Lehmer scans return their
+values too.
 """
 
 from __future__ import annotations
@@ -119,6 +121,22 @@ def top_margin(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Fraction
     a_top = g(2) * orbit_weight_sum(h, (1,), n)
     a_next = g(3) * orbit_weight_sum(h, (2,), n) + g(2) ** 2 * orbit_weight_sum(h, (1, 1), n)
     return a_top * a_top - a_next
+
+
+def delta_scan(
+    g: ArithmeticFunction, h: ArithmeticFunction, max_n: int
+) -> tuple[list[tuple[int, Fraction]], tuple[int, int | None]]:
+    """The top margin for 2 <= n <= max_n, which must stay positive.
+
+    Every margin is computed before any is compared, so a table too short
+    for some n raises before a row is returned.  Returns the rows
+    (n, margin) and (values of n compared, first n with a nonpositive
+    margin or None).
+    """
+    if max_n < 2:
+        raise ValueError("the delta scan needs max_n >= 2")
+    rows = [(n, top_margin(g, h, n)) for n in range(2, max_n + 1)]
+    return rows, first_failure(None if margin > 0 else n for n, margin in rows)
 
 
 def top_margin_lower_bound(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Fraction:

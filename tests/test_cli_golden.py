@@ -14,6 +14,8 @@ to integer numerators over one denominator; `--eval-at=-7/3` pins the
 evaluation at a negative rational point.  The last two cases were recorded
 while `euler_product_power` multiplied the product out factor by factor
 and the hook scan read its rows off the defining recursion at X + 1.
+The four cases on the rational h table `r.json` were recorded while the
+triangle scaled A[n][m] by G^m D^(n-m) and stored its rows.
 """
 
 import hashlib
@@ -72,6 +74,10 @@ CASES = [
     (('poly', '--g', 'tilde:sigma:1', '--h', 'sigma:1', '--n', '30', '--format', 'json'), 0, "6106a3e4eb477fd6921525dfe56cd545e9d3ef44aa619b86e69422d83e644d3e"),
     (('scan', '--check', 'lehmer', '--max-n', '1000'), 0, "c49c203b309e31f97d27af55bda52bc672f183e5b2d86f85c700103625477408"),
     (('scan', '--check', 'hook-logconcave', '--max-n', '120'), 0, "91a97b9bb0fe6dbd47b7cd357966503839f6263424c2616810e8525fe1897f2a"),
+    (('export', '--g', 'table:q.json', '--h', 'table:r.json', '--max-n', '4'), 0, "1d42a7bc713097bd336589e2a3905882e86c951f5b29226fa119c76a5fc6788f"),
+    (('export', '--g', 'table:q.json', '--h', 'table:r.json', '--max-n', '4', '--format', 'csv'), 0, "a60bb013324e9551f3c805c4fe3d0851ef24f9237987e0e424cdcd1a3fe6f0dc"),
+    (('export', '--g', 'sigma:1', '--h', 'table:r.json', '--max-n', '5'), 0, "133bd02d0c980aa671a280f764b50f2556c29e7cdd04ff5b8bb583906779e5c7"),
+    (('coeff', '--g', 'table:q.json', '--h', 'table:r.json', '--n', '4', '--m', '2', '--method', 'lemma'), 0, "64eca3319f202f8ea2813ca6716554c076c5539ba995bcc60c062e0328e69f46"),
 ]
 
 
@@ -81,6 +87,7 @@ def table_dir(tmp_path, monkeypatch):
     # appears in export output) is the same on every run
     (tmp_path / "g.json").write_text(json.dumps([1, 1, 8]))
     (tmp_path / "q.json").write_text(json.dumps([1, "1/2", "-3/4", 2]))
+    (tmp_path / "r.json").write_text(json.dumps([1, "-2/3", "9/8", "1/6", "5/7"]))
     monkeypatch.chdir(tmp_path)
 
 

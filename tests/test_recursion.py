@@ -1,5 +1,6 @@
 """The polynomial recursion, the coefficient triangle, and their agreement."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -262,6 +263,53 @@ def test_rescaled_routes_match_the_literal_recursions(g_rest, h_rest, point):
     polys = polynomials_literal(gl, hl, max_n)
     assert [list(p.coefficients) for p in value_sequence(g, h, X, max_n)] == polys
     assert value_sequence(g, h, point, max_n) == [poly_eval(p, point) for p in polys]
+
+
+def _seeded_pq(rng, length, denominators=range(1, 10)):
+    """1 and then p/q with 0 < |p| <= 9, q drawn from `denominators`."""
+    return [Fraction(1)] + [Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.choice(denominators))
+                            for _ in range(length - 1)]
+
+
+def _large_triangle_cases():
+    rng, max_n = random.Random(18), 40
+    # p/q tables as the export benchmark draws them, negatives included
+    yield "seeded-pq", _seeded_pq(rng, max_n), _seeded_pq(rng, max_n), Fraction
+    # h(2..) all over 7 in lowest terms: Q(n-1) = 7^(n-2) exceeds D^(n-m) = 7^(n-m) for m > 2
+    equal = [Fraction(1)] + [Fraction(rng.choice([-8, -5, -3, -1, 2, 4, 6, 9]), 7) for _ in range(max_n - 1)]
+    assert {v.denominator for v in equal[1:]} == {7}
+    yield "equal-denominators", _seeded_pq(rng, max_n), equal, Fraction
+    # integral but for h(max_n), which no entry reads: the reads are Fractions all the same
+    ints = [Fraction(1)] + [Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(max_n - 1)]
+    yield "last-h-fraction", ints, ints[:-1] + [Fraction(-5, 3)], Fraction
+    yield "integral", ints, ints[:-1] + [Fraction(2)], int
+
+
+_LARGE_TRIANGLES = list(_large_triangle_cases())
+
+
+@pytest.mark.parametrize("name, g_values, h_values, read_type", _LARGE_TRIANGLES,
+                         ids=[case[0] for case in _LARGE_TRIANGLES])
+def test_large_triangles_match_the_literal_recursion(name, g_values, h_values, read_type):
+    # n = 40 reaches scales the hypothesis test (n <= 12) does not
+    max_n = len(g_values)
+    g, h = from_table(g_values), from_table(h_values)
+    gl, hl = [0, *g_values], [0, *h_values]
+    literal = triangle_literal(gl, hl, max_n)
+    table = coefficient_table(g, h, max_n)
+    normalizer = Fraction(1)
+    for n in range(max_n + 1):
+        normalizer *= hl[n] if n else 1
+        assert table.normalizer(n) == normalizer and type(table.normalizer(n)) is read_type
+        row = table.row(n)
+        assert row == tuple(literal[n]), (name, n)
+        assert all(type(a) is read_type for a in row)
+        assert [table.entry(n, m) for m in (0, n // 2, n)] == [literal[n][m] for m in (0, n // 2, n)]
+    for depth in range(4):
+        band = coefficient_top_band(g, h, max_n, depth)
+        assert band == [tuple(literal[n][n - j] for j in range(min(depth, n) + 1))
+                        for n in range(max_n + 1)], (name, depth)
+        assert all(type(b) is read_type for row in band for b in row)
 
 
 # Poly points of every shape the engine meets: u / d with d = 1 or d > 1,

@@ -12,6 +12,7 @@ from darcais.exact import Series, X
 from darcais.recursion import coefficient_table, value_sequence
 from darcais.shapes import (
     counterexample_search,
+    delta_scan,
     hook_poly_log_concavity_scan,
     hook_poly_top_inequality_scan,
     is_log_concave,
@@ -118,6 +119,20 @@ def test_top_margin_lower_bound_holds():
         for h in (one(), identity(), sigma(1)):
             for n in range(2, 51):
                 assert top_margin(g, h, n) >= top_margin_lower_bound(g, h, n)
+
+
+def test_delta_scan_returns_its_rows_and_first_failure():
+    rows, result = delta_scan(sigma(1), identity(), 12)
+    assert rows == [(n, top_margin(sigma(1), identity(), n)) for n in range(2, 13)]
+    assert result == (11, None)
+    # g = [1, 1, 8] fails at n = 3 and every later n; the rows go on past it
+    rows, result = delta_scan(from_table([1, 1, 8]), one(), 5)
+    assert rows[:2] == [(2, 1), (3, -4)] and len(rows) == 4
+    assert result == (2, 3)
+    with pytest.raises(ValueError):
+        delta_scan(sigma(1), identity(), 1)
+    with pytest.raises(IndexError):  # g(3) is past the table
+        delta_scan(from_table([1, 1]), one(), 3)
 
 
 def test_counterexample_search_regression():
