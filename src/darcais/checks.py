@@ -175,9 +175,9 @@ def reference_quadratics() -> Check:
     not ultra-log-concave (coefficients constant first)."""
     seq_a = [Fraction(5), Fraction(2), Fraction(1)]
     seq_b = [Fraction(3), Fraction(2), Fraction(1)]
-    if not (is_unimodal(seq_a).holds and not is_log_concave(seq_a).holds):
+    if not (is_unimodal(seq_a) is None and is_log_concave(seq_a) is not None):
         return 4, "x^2+2x+5 must be unimodal but not log-concave"
-    if not (is_log_concave(seq_b).holds and not is_ultra_log_concave(seq_b).holds):
+    if not (is_log_concave(seq_b) is None and is_ultra_log_concave(seq_b) is not None):
         return 4, "x^2+2x+3 must be log-concave but not ultra-log-concave"
     return 4, None
 

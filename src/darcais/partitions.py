@@ -8,6 +8,7 @@ deterministic order.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -103,12 +104,13 @@ def stirling_rows(max_n: int) -> Iterator[list[int]]:
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
-    """Conjugate (transposed) partition."""
-    if not lam:
-        return ()
-    out = []
-    for j in range(lam[0]):
-        out.append(sum(1 for row in lam if row > j))
+    """Conjugate (transposed) partition, in one sweep up the rows: the
+    columns j with lam[i+1] <= j < lam[i] (lam[len(lam)] read as 0) have
+    i + 1 cells, so walking the rows from the bottom up appends the column
+    lengths left to right."""
+    out: list[int] = []
+    for i in range(len(lam) - 1, -1, -1):
+        out += repeat(i + 1, lam[i] - len(out))
     return tuple(out)
 
 
@@ -117,10 +119,6 @@ def hook_multiset(lam: Sequence[int]) -> tuple[int, ...]:
     if not is_partition(lam):
         raise ValueError(f"{tuple(lam)} is not a partition")
     conj = conjugate(lam)
-    hooks = []
-    for i, row in enumerate(lam):
-        for j in range(row):
-            arm = row - j - 1
-            leg = conj[j] - i - 1
-            hooks.append(arm + leg + 1)
+    # cell (i, j) has arm row - j - 1 and leg conj[j] - i - 1
+    hooks = [row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
     return tuple(sorted(hooks))

@@ -176,13 +176,19 @@ class CoefficientTable:
         a = self._cols[m][n - m]
         return a if self._gp is None else Fraction(a, self._gp[m] * self._qp[n])
 
+    def _scaled_row(self, n: int) -> tuple:
+        """(A*[n][m] for m = 0..n, their denominators G^m Q(n-1)), the second
+        None for an int table."""
+        entries = map(getitem, self._cols[:n + 1], range(n, -1, -1))
+        if self._gp is None:
+            return entries, None
+        return entries, map(mul, self._gp[:n + 1], repeat(self._qp[n]))
+
     def row(self, n: int) -> tuple:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
-        entries = map(getitem, self._cols[:n + 1], range(n, -1, -1))
-        if self._gp is None:
-            return tuple(entries)
-        return tuple(map(Fraction, entries, map(mul, self._gp[:n + 1], repeat(self._qp[n]))))
+        entries, denominators = self._scaled_row(n)
+        return tuple(entries if denominators is None else map(Fraction, entries, denominators))
 
     def normalizer(self, n: int):
         """H(n) = h(1) ... h(n)."""
@@ -191,12 +197,24 @@ class CoefficientTable:
         return self._normalizers[n]
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; every rational rendered as a "p/q" string."""
+        """JSON-ready dict; every rational rendered as a "p/q" string.  Each
+        entry is reduced by one gcd and formatted from its two ints, without
+        a Fraction, as `format_rational` would render it."""
+        rows = []
+        for n in range(self.max_n + 1):
+            entries, denominators = self._scaled_row(n)
+            rows.append(list(map(str, entries) if denominators is None
+                             else map(_format_quotient, entries, denominators)))
         return {
             "kind": "coefficient-table", "g": self.g.name, "h": self.h.name, "max_n": self.max_n,
-            "normalizers": [format_rational(v) for v in self._normalizers],
-            "rows": [[format_rational(a) for a in self.row(n)] for n in range(self.max_n + 1)],
+            "normalizers": [format_rational(v) for v in self._normalizers], "rows": rows,
         }
+
+
+def _format_quotient(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for ints a and b > 0: "p/q" in lowest terms, or "p"."""
+    d = gcd(a, b)
+    return str(a // d) if b == d else f"{a // d}/{b // d}"
 
 
 def coefficient_table(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> CoefficientTable:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, mul, sub
 
 from .arith import ArithmeticFunction, identity, one, sigma
@@ -157,23 +157,36 @@ def hook_length_polynomial(n: int) -> Poly:
                      prod over hook lengths t of (1 + x / t^2).
 
     Q_n(0) = p(n) and every coefficient is a positive rational.
+
+    By the hook length formula f_lam = n! / prod t is an int, so
+
+        n!^2 Q_n(x) = sum over lam of f_lam^2 prod (x + t^2)
+
+    has int coefficients.  The sum is taken as one int, Kronecker-packed:
+    each prod (x + t^2) is evaluated at x = 2^b as one product of ints,
+    weighted by f_lam^2 and added up, and the n + 1 slots of b bits are
+    unpacked once at the end.  The slots cannot carry into each other: all
+    coefficients are nonnegative; each coefficient of prod (x + t^2) is at
+    most the sum of them all, prod (1 + t^2) <= prod 2 t^2 = 2^n prod t^2,
+    so f_lam^2 times it is at most 2^n n!^2; and so each coefficient of the
+    sum over the p(n) partitions is at most p(n) 2^n n!^2, which is below
+    2^b for b = bit_length(p(n) 2^n n!^2).
     """
     if n < 0:
         raise ValueError("hook-length polynomials need n >= 0")
-    # the hook length formula makes prod t a divisor of n!, so every term
-    # prod (x + t^2) / prod t^2 is an int row over the one denominator n!^2
-    common = factorial(n) ** 2
-    total = [0] * (n + 1)
+    counts = [1]  # p(0..n), by Euler's pentagonal recurrence, for the slot width
+    pentagonal = _pentagonal(n)
+    for k in range(1, n + 1):
+        counts.append(-sum(e * counts[k - i] for i, e in pentagonal if i <= k))
+    nf = factorial(n)
+    b = (counts[n] * nf * nf << n).bit_length()
+    x = 1 << b
+    total = 0
     for lam in partitions_of(n):
-        numerator = [1]  # prod (x + t^2), constant term first
-        denominator = 1
-        for t in hook_multiset(lam):
-            t2 = t * t
-            denominator *= t2
-            numerator = [a + t2 * b for a, b in zip([0] + numerator, numerator + [0])]
-        scale = common // denominator
-        total = [a + scale * c for a, c in zip(total, numerator)]
-    return Poly.from_numerators(total, common)
+        hooks = hook_multiset(lam)
+        total += (nf // prod(hooks)) ** 2 * prod([t * t + x for t in hooks])
+    mask = x - 1
+    return Poly.from_numerators([total >> (b * j) & mask for j in range(n + 1)], nf * nf)
 
 
 FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")

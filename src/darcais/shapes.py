@@ -1,7 +1,8 @@
 """Coefficient-sequence shape predicates and exact scans.
 
 The predicates (unimodal, log-concave, ultra-log-concave) are evaluated
-exactly on sequences of nonnegative rationals.  The scans combine routes
+exactly on sequences of nonnegative rationals, and each returns the first
+index where its sequence breaks the shape, or None where it holds.  The scans combine routes
 from the recursion engine and the oracles: the hook log-concavity scan
 reads the hook polynomials Q_n(x) = P_n(x+1) for (sigma, id) off the
 Euler-product power prod (1 - q^k)^(-x-1), the D'Arcais generating
@@ -30,16 +31,6 @@ from .weights import orbit_weight_sum
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    """Result of one shape predicate on one sequence."""
-
-    predicate: str
-    n: int
-    holds: bool
-    witness: int | None  # first violating index when holds is False
-
-
 def _as_nonnegative(seq: Sequence) -> list:
     """The values as given, so int sequences are compared in ints.
 
@@ -54,38 +45,40 @@ def _as_nonnegative(seq: Sequence) -> list:
     return values
 
 
-def is_unimodal(seq: Sequence) -> ShapeReport:
-    """Nondecreasing up to some peak, then nonincreasing."""
+def is_unimodal(seq: Sequence) -> int | None:
+    """Nondecreasing up to some peak, then nonincreasing: None, or the
+    index of the first rise after a fall."""
     values = _as_nonnegative(seq)
     i = 0
     while i + 1 < len(values) and values[i] <= values[i + 1]:
         i += 1
     while i + 1 < len(values) and values[i] >= values[i + 1]:
         i += 1
-    holds = i + 1 >= len(values)
-    return ShapeReport("unimodal", len(values) - 1, holds, None if holds else i + 1)
+    return None if i + 1 >= len(values) else i + 1
 
 
-def is_log_concave(seq: Sequence) -> ShapeReport:
-    """a_j^2 >= a_{j-1} a_{j+1} for every interior j."""
+def is_log_concave(seq: Sequence) -> int | None:
+    """a_j^2 >= a_{j-1} a_{j+1} for every interior j: None, or the first j
+    where it fails."""
     values = _as_nonnegative(seq)
     for j in range(1, len(values) - 1):
         if values[j] * values[j] < values[j - 1] * values[j + 1]:
-            return ShapeReport("log-concave", len(values) - 1, False, j)
-    return ShapeReport("log-concave", len(values) - 1, True, None)
+            return j
+    return None
 
 
-def is_ultra_log_concave(seq: Sequence) -> ShapeReport:
+def is_ultra_log_concave(seq: Sequence) -> int | None:
     """Log-concavity of the associated sequence a_k / C(n, k), n = len(seq) - 1,
-    cross-multiplied: a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2."""
+    cross-multiplied: a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2.
+    None, or the first j where it fails."""
     values = _as_nonnegative(seq)
     n = len(values) - 1
     binomials = [comb(n, k) for k in range(n + 1)]
     for j in range(1, n):
         if (values[j] * values[j] * binomials[j - 1] * binomials[j + 1]
                 < values[j - 1] * values[j + 1] * binomials[j] * binomials[j]):
-            return ShapeReport("ultra-log-concave", n, False, j)
-    return ShapeReport("ultra-log-concave", n, True, None)
+            return j
+    return None
 
 
 def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, str] | None]:
@@ -101,9 +94,9 @@ def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, s
     def outcomes():
         for n in range(1, max_n + 1):
             src, dst = source.row(n), target.row(n)
-            if is_log_concave(src).holds and not is_log_concave(dst).holds:
+            if is_log_concave(src) is None and is_log_concave(dst) is not None:
                 yield n, "log-concave"
-            elif is_ultra_log_concave(src).holds and not is_ultra_log_concave(dst).holds:
+            elif is_ultra_log_concave(src) is None and is_ultra_log_concave(dst) is not None:
                 yield n, "ultra-log-concave"
             else:
                 yield None
@@ -195,7 +188,7 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     """
     rows = _shifted_rows(max_n)
     return first_failure(
-        None if is_log_concave(rows[n]).holds and is_unimodal(rows[n]).holds else n
+        None if is_log_concave(rows[n]) is None and is_unimodal(rows[n]) is None else n
         for n in range(1, max_n + 1))
 
 

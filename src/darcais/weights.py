@@ -26,7 +26,16 @@ denominators of g(2..n-m+1), and divides by G^(n-m) once per coefficient.
 Its g-side, the partitions of n-m with their terms G^(n-m) gw(mu), depends
 on g and n-m only, so it is enumerated once into a term table per
 (g, n-m), held in an LRU memo of `_TERM_TABLES` tables that every n and
-all three h-sides read.
+all three h-sides read.  A table lists its partitions in length order
+(`_by_length`), and drops those whose g-weight is zero.
+
+All three h-sides vanish exactly when mu has more than m parts:
+C(m, len mu) for h = one, C(n, n - m + len mu) for h = id, and
+n < |mu| + len mu for the engine.  So the sum reads only the prefix of the
+table with at most m parts, and each h-side maps over that prefix in one
+pass: the closed forms as products of binomials with the memoized orbit
+sizes or R', the engine as one column W(., n) per (n - m, n), which it
+memoizes, so every g whose table keeps all partitions reads it once.
 
 The engines keep h(k) as an int wherever it is integral, so for an integer
 h every weight is an int (a rational h carries its Fractions exactly), and
@@ -36,12 +45,13 @@ Fractions.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress, repeat
 from math import comb, factorial, perm, prod
-from operator import mul
-from typing import Callable, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Sequence
 
 from .arith import ArithmeticFunction, tilde
 from .exact import Scalar, first_failure, rational, scaled_ints
@@ -50,12 +60,14 @@ from .partitions import compositions_of, multinomial, partitions_of
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Sizes of the LRU memos: engines per h, g-side term tables per (g, size),
-# orbit sizes and R' per partition.  Builtins are shared instances, so equal
-# builtin descriptors hit the same engine and tables; table and tilde
-# functions get memos of their own, evicted once unused.
+# Sizes of the LRU memos: engines per h, g-side term tables per (g, size)
+# and partitions in length order per size, orbit sizes and R' per
+# partition, and the W(., n) columns of each engine.  Builtins are shared
+# instances, so equal builtin descriptors hit the same engine and tables;
+# table and tilde functions get memos of their own, evicted once unused.
 _ENGINES = 8
 _TERM_TABLES = 64
+_COLUMNS = 1024
 _ORBIT_SIZES = 1 << 15
 _RECIPROCALS = 1 << 15
 
@@ -165,16 +177,37 @@ class OrbitWeightEngine(_WeightMemo):
 
     for n >= |mu| + len(mu), with W(mu, n) = 0 below that threshold and
     W((), n) = 1.  Keys are partitions, so the memo stays small where the
-    literal orbit sum would visit exponentially many compositions.
+    literal orbit sum would visit exponentially many compositions.  The
+    columns W(., n) over the partitions of one size that the partition sum
+    reads are memoized too, in an LRU of `_COLUMNS` columns.
     """
 
-    __slots__ = ()
+    __slots__ = ("_columns",)
     domain = "orbit weights are"
     removals = staticmethod(_distinct_removals)
+
+    def __init__(self, h: ArithmeticFunction):
+        super().__init__(h)
+        self._columns: OrderedDict[tuple[int, int], list[Scalar]] = OrderedDict()
 
     @staticmethod
     def key(mu: Sequence[int]) -> tuple[int, ...]:
         return tuple(sorted(mu, reverse=True))
+
+    def column(self, size: int, n: int) -> list[Scalar]:
+        """W(mu, n) for the partitions mu of size with at most n - size
+        parts, in length order, once h is read up to h(n)."""
+        key = (size, n)
+        got = self._columns.get(key)
+        if got is None:
+            mus, ends = _by_length(size)
+            prefix = mus[:ends[min(n - size, size)]]
+            got = self._columns[key] = list(map(self._value, prefix, repeat(n)))
+            if len(self._columns) > _COLUMNS:
+                self._columns.popitem(last=False)
+        else:
+            self._columns.move_to_end(key)
+        return got
 
 
 _h_engine = lru_cache(maxsize=_ENGINES)(HWeights)
@@ -254,46 +287,66 @@ def _check_coeff_range(n: int, m: int) -> None:
         raise ValueError(f"coefficient indices need 1 <= m <= n, got n={n}, m={m}")
 
 
+def _ends(mus: Sequence[tuple[int, ...]], size: int) -> list[int]:
+    """ends[r] = the number of the length-ordered mus with at most r parts, r <= size."""
+    lengths = Counter(map(len, mus))
+    return list(accumulate(map(lengths.__getitem__, range(size + 1))))
+
+
+@lru_cache(maxsize=_TERM_TABLES)
+def _by_length(size: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """(mus, ends): the partitions of size sorted by length, stably, and
+    ends[r] the number of them with at most r parts, for r <= size."""
+    mus = tuple(sorted(partitions_of(size), key=len))
+    return mus, _ends(mus, size)
+
+
 @lru_cache(maxsize=_TERM_TABLES)
 def _g_terms(
     g: ArithmeticFunction, size: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """(mus, terms, G^size): the g-side of the partition sum for one size.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int]:
+    """(mus, terms, ends, G^size): the g-side of the partition sum for one size.
 
     With G the lcm of the denominators of g(2..size+1), mus are the
-    partitions mu of size whose g-weight is nonzero and terms the ints
+    partitions mu of size whose g-weight is nonzero, in the length order of
+    `_by_length`, terms the ints
 
         (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(size - r),    r = len(mu),
 
-    each G^size gw(mu).  They depend on g and size only, so every (n, m)
-    with n - m = size, and all three h-sides, read one table.
+    each G^size gw(mu), and ends[r] the number of mus with at most r parts.
+    They depend on g and size only, so every (n, m) with n - m = size, and
+    all three h-sides, read one table.  A table that keeps every partition
+    shares the tuple of `_by_length`.
     """
     gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
     powers = [G ** e for e in range(size + 1)]
-    mus, terms = [], []
-    for mu in partitions_of(size):
-        gw = prod(map(gv.__getitem__, mu))
-        if gw:
-            mus.append(mu)
-            terms.append(gw * powers[size - len(mu)])
-    return tuple(mus), tuple(terms), powers[size]
+    mus, ends = _by_length(size)
+    terms = tuple([prod(map(gv.__getitem__, mu)) * powers[size - len(mu)] for mu in mus])
+    if not all(terms):
+        mus, terms = tuple(compress(mus, terms)), tuple(filter(None, terms))
+        ends = _ends(mus, size)
+    return mus, terms, ends, powers[size]
 
 
 def _partition_sum(
-    g: ArithmeticFunction, n: int, m: int, h_side: Callable[[tuple[int, ...]], Scalar]
+    g: ArithmeticFunction, n: int, m: int,
+    h_side: Callable[[tuple[tuple[int, ...], ...]], Iterable[Scalar]],
 ) -> Fraction:
-    """sum over partitions mu of n-m of gw(mu) * h_side(mu), in ints.
+    """sum over partitions mu of n-m of gw(mu) times its h-side, in ints.
 
     The g-side terms G^s gw(mu), s = n - m, come from the memoized table
-    `_g_terms(g, s)`; the sum of each term times h_side(mu) is divided by
-    G^s once.  An int h_side keeps every term an int, and a Fraction one
-    (the engine of a rational h) is carried exactly.  For m = n the sum has
-    the single empty-partition term and gives 1, matching the diagonal of
-    the triangle.
+    `_g_terms(g, s)`; h_side is called once, on the prefix of the table's
+    mus with at most m parts, outside which every h-side vanishes, and
+    yields h_side(mu) for each of them in order.  The sum of each term
+    times h_side(mu) is divided by G^s once.  An int h_side keeps every
+    term an int, and a Fraction one (the engine of a rational h) is carried
+    exactly.  For m = n the sum has the single empty-partition term and
+    gives 1, matching the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    mus, terms, denominator = _g_terms(g, n - m)
-    return Fraction(sum(map(mul, terms, map(h_side, mus))), denominator)
+    mus, terms, ends, denominator = _g_terms(g, n - m)
+    prefix = mus[:ends[min(m, n - m)]]
+    return Fraction(sum(map(mul, terms, h_side(prefix))), denominator)
 
 
 def coefficient_from_weights(
@@ -303,8 +356,15 @@ def coefficient_from_weights(
     _check_coeff_range(n, m)  # before h is read, so bad indices are named as such
     engine = _orbit_sum_engine(h)
     engine._read_h(n)
-    value = engine._value  # the table's mu are partitions: canonical keys
-    return _partition_sum(g, n, m, lambda mu: value(mu, n))
+    size = n - m
+
+    def h_side(mus: tuple[tuple[int, ...], ...]) -> Iterable[Scalar]:
+        # a table that dropped no partition of the prefix reads the shared column
+        if len(mus) == _by_length(size)[1][min(m, size)]:
+            return engine.column(size, n)
+        return map(engine._value, mus, repeat(n))  # the mu are partitions: canonical keys
+
+    return _partition_sum(g, n, m, h_side)
 
 
 def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
@@ -316,9 +376,8 @@ def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     the multinomial being the orbit size of mu and m = n - |mu|.
     """
 
-    def h_side(mu: tuple[int, ...]) -> int:
-        ways = comb(m, len(mu))
-        return ways * _orbit_size(mu) if ways else 0
+    def h_side(mus: tuple[tuple[int, ...], ...]) -> Iterable[int]:
+        return map(mul, map(comb, repeat(m), map(len, mus)), map(_orbit_size, mus))
 
     return _partition_sum(g, n, m, h_side)
 
@@ -332,9 +391,9 @@ def coefficient_h_id(g: ArithmeticFunction, n: int, m: int) -> Fraction:
     where (n)(n-1)...(n-s+1) R(mu) = C(n, s) R'(mu) for the int R' = s! R.
     """
 
-    def h_side(mu: tuple[int, ...]) -> int:
-        ways = comb(n, n - m + len(mu))
-        return ways * _reciprocal_sum(mu) if ways else 0
+    def h_side(mus: tuple[tuple[int, ...], ...]) -> Iterable[int]:
+        sizes = map(add, repeat(n - m), map(len, mus))
+        return map(mul, map(comb, repeat(n), sizes), map(_reciprocal_sum, mus))
 
     return _partition_sum(g, n, m, h_side)
 

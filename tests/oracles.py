@@ -119,6 +119,13 @@ def laguerre_example(n):
     return [Fraction(0)] + [Fraction(comb(n, n - 1 - i), n * factorial(i)) for i in range(n)]
 
 
+def conjugate_by_counting(lam):
+    """The conjugate partition, column j counted as the rows longer than j."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for row in lam if row > j) for j in range(lam[0]))
+
+
 def partitions_recursive(n):
     """Partitions of n in reverse-lexicographic order by recursive descent:
     each part in turn from the largest allowed down to 1, then the
@@ -266,8 +273,8 @@ def implication_chain_holds(seq):
     ultra = is_ultra_log_concave(seq)
     log = is_log_concave(seq)
     uni = is_unimodal(seq)
-    if ultra.holds and not log.holds:
+    if ultra is None and log is not None:
         return False
-    if log.holds and not uni.holds:
+    if log is None and uni is not None:
         return False
     return True

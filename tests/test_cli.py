@@ -12,7 +12,6 @@ import darcais.shapes
 from darcais.cli import build_parser, main
 from darcais.exact import Poly, Series, rational
 from darcais.recursion import coefficient_table
-from darcais.shapes import ShapeReport
 from darcais.arith import identity, sigma
 
 
@@ -337,9 +336,10 @@ def _product_off_at_2(euler_product_power):
 
 
 def _source_only(is_ultra_log_concave):
-    # transfer_check asks about the source row, then the target row
-    verdicts = itertools.cycle((True, False))
-    return lambda row: ShapeReport("ultra-log-concave", len(row) - 1, next(verdicts), None)
+    # transfer_check asks about the source row, then the target row: the
+    # source holds (None), the target breaks at index 1
+    verdicts = itertools.cycle((None, 1))
+    return lambda row: next(verdicts)
 
 
 LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"

@@ -21,7 +21,13 @@ from darcais.partitions import (
     stirling_rows,
 )
 
-from oracles import composition_count, orbit_of, orbit_size, partitions_recursive
+from oracles import (
+    composition_count,
+    conjugate_by_counting,
+    orbit_of,
+    orbit_size,
+    partitions_recursive,
+)
 
 
 def count_partitions_dp(n: int) -> int:
@@ -138,6 +144,12 @@ def test_conjugate():
     for n in range(11):
         for mu in partitions_of(n):
             assert conjugate(conjugate(mu)) == mu
+
+
+def test_conjugate_matches_counting_the_rows_of_each_column():
+    for n in range(21):
+        for mu in partitions_of(n):
+            assert conjugate(mu) == conjugate_by_counting(mu), mu
 
 
 def test_hook_multiset_examples():

@@ -227,8 +227,9 @@ def test_hook_length_polynomial_examples():
 
 def test_hook_length_polynomial_matches_the_sum_of_its_terms():
     # one reduction over n!^2 gives the polynomial that reducing after
-    # every partition's term gives
-    for n in range(15):
+    # every partition's term gives, up to n = 22, where the packed sum's
+    # slots are 172 bits wide and its coefficients reach 154 bits
+    for n in range(23):
         q = hook_length_polynomial(n)
         assert q == hook_length_polynomial_by_terms(n), n
         assert_canonical(q)

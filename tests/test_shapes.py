@@ -29,26 +29,24 @@ from oracles import implication_chain_holds
 
 def test_reference_quadratics():
     # x^2 + 2x + 5: unimodal, not log-concave (coefficients listed from degree 0)
-    report = is_unimodal([5, 2, 1])
-    assert report.holds
-    report = is_log_concave([5, 2, 1])
-    assert not report.holds and report.witness == 1
+    assert is_unimodal([5, 2, 1]) is None
+    assert is_log_concave([5, 2, 1]) == 1
     # x^2 + 2x + 3: log-concave, not ultra-log-concave
-    assert is_log_concave([3, 2, 1]).holds
-    report = is_ultra_log_concave([3, 2, 1])
-    assert not report.holds and report.witness == 1
+    assert is_log_concave([3, 2, 1]) is None
+    assert is_ultra_log_concave([3, 2, 1]) == 1
 
 
 def test_predicate_basics():
-    assert is_log_concave([1] * 8).holds
-    assert is_unimodal([1, 3, 3, 2]).holds
-    report = is_unimodal([2, 1, 2])
-    assert not report.holds and report.witness == 2
+    assert is_log_concave([1] * 8) is None
+    assert is_unimodal([1, 3, 3, 2]) is None
+    assert is_unimodal([2, 1, 2]) == 2
     with pytest.raises(ValueError):
         is_log_concave([1, -1, 1])
-    # n is the degree, len(seq) - 1: [1, 2] / (C(1, 0), C(1, 1)) is log-concave
-    report = is_ultra_log_concave([1, 2])
-    assert report.holds and report.n == 1
+    # n is the degree, len(seq) - 1: [1, 2] / (C(1, 0), C(1, 1)) is log-concave,
+    # the row C(2, k) is ultra-log-concave with equality, and [1, 1, 1] is not
+    assert is_ultra_log_concave([1, 2]) is None
+    assert is_ultra_log_concave([1, 2, 1]) is None
+    assert is_ultra_log_concave([1, 1, 1]) == 1
 
 
 def test_predicates_refuse_floats():
@@ -76,10 +74,10 @@ def test_implication_chain(seq):
     assert implication_chain_holds(seq)
     ultra = is_ultra_log_concave(seq)
     log = is_log_concave(seq)
-    if ultra.holds:
-        assert log.holds
-    if log.holds:
-        assert is_unimodal(seq).holds
+    if ultra is None:
+        assert log is None
+    if log is None:
+        assert is_unimodal(seq) is None
 
 
 @given(
@@ -171,7 +169,7 @@ def test_hook_log_concavity_scan_checks_each_row_once(monkeypatch):
 def test_hook_log_concavity_scan_fails_a_log_concave_row_that_is_not_unimodal(monkeypatch):
     # [1, 0, 0, 1] is log-concave (every a_j^2 >= a_{j-1} a_{j+1} is 0 >= 0)
     # but not unimodal, so the scan must stop at the row that holds it
-    assert is_log_concave([1, 0, 0, 1]).holds and not is_unimodal([1, 0, 0, 1]).holds
+    assert is_log_concave([1, 0, 0, 1]) is None and is_unimodal([1, 0, 0, 1]) == 3
     real = shapes._shifted_rows
 
     def rows_with_a_gap(max_n):
@@ -236,7 +234,7 @@ def test_transfer_check():
     # so the premise is non-vacuous
     source = coefficient_table(tilde(identity()), one(), 15)
     assert all(
-        is_ultra_log_concave(source.row(n)).holds
+        is_ultra_log_concave(source.row(n)) is None
         for n in range(1, 16)
     )
 

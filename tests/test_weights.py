@@ -52,6 +52,7 @@ from oracles import (
     orbit_reciprocal_sum,
     orbit_reciprocal_sum_direct,
     orbit_weight_sum_direct,
+    triangle_literal,
 )
 
 
@@ -378,6 +379,63 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
                 entry = table.entry(n, m)
                 assert closed_form(g, n, m) == entry, (h.name, n, m)
                 assert series.coefficient(n)[m] * table.normalizer(n) == entry, (h.name, n, m)
+
+
+# g tables with zeros, so their term tables drop partitions: zero at g(2)
+# drops every partition with a part 1, zero at g(3) every one with a 2
+SPARSE_MAX_N = 12
+SPARSE_GS = [
+    from_table([1, 0, 3, "1/2", 2, -1, 4, 5, "2/3", 1, 1, 2], name="zero-at-2"),
+    from_table([1, 2, 0, -3, "5/2", 0, 1, 7, 1, "1/3", 2, 1], name="zero-at-3"),
+    from_table([1, 0, 0, 4, 0, "-1/2", 3, 0, 1, 2, 0, 5], name="mostly-zero"),
+    from_table([1, "1/2", 3, -2, "7/3", 1, "-5/4", 2, 6, "1/9", -1, 3], name="dense"),
+]
+SPARSE_H = from_table([1, "3/2", -2, "5/3", 7, "1/4", 3, "-2/9", "7/5", -1, "4/3", 2])
+
+
+@pytest.mark.parametrize("g", SPARSE_GS, ids=[g.name for g in SPARSE_GS])
+def test_weight_routes_match_the_literal_triangle_on_g_tables_with_zeros(g):
+    # every m, so both ends of the prefix cut (m = 1, n - 1, n) are read, on
+    # the engine of a rational h and of two builtins and on both closed forms
+    gl = [None] + [g(k) for k in range(1, SPARSE_MAX_N + 1)]
+    routes = [(h, lambda g, n, m, h=h: coefficient_from_weights(g, h, n, m))
+              for h in (SPARSE_H, one(), identity())]
+    routes += [(one(), coefficient_h_one), (identity(), coefficient_h_id)]
+    for h, route in routes:
+        hl = [None] + [h(k) for k in range(1, SPARSE_MAX_N + 1)]
+        literal = triangle_literal(gl, hl, SPARSE_MAX_N)
+        for n in range(1, SPARSE_MAX_N + 1):
+            for m in range(1, n + 1):
+                assert route(g, n, m) == literal[n][m], (h.name, n, m)
+
+
+def test_closed_form_h_id_reads_r_prime_for_the_prefix_only():
+    # A[46][1] reads the one partition (45,) of 89,134: R' for all of them
+    # took 12 s and twice the memory
+    weights._reciprocal_sum.cache_clear()
+    expected = coefficient_table(sigma(1), identity(), 46).entry(46, 1)
+    assert coefficient_h_id(sigma(1), 46, 1) == expected
+    assert weights._reciprocal_sum.cache_info().misses < 100
+
+
+def test_weight_route_builds_rows_for_the_prefix_only():
+    engine = weights._orbit_sum_engine(identity())
+    before = len(engine._rows)
+    expected = coefficient_table(sigma(1), identity(), 46).entry(46, 1)
+    assert coefficient_from_weights(sigma(1), identity(), 46, 1) == expected
+    assert len(engine._rows) - before < 100
+
+
+def test_engine_columns_are_a_bounded_lru():
+    engine = weights.OrbitWeightEngine(identity())
+    engine._read_h(weights._COLUMNS + 2)
+    first = engine.column(1, 2)
+    assert engine.column(1, 2) is first  # a hit
+    for n in range(3, weights._COLUMNS + 3):
+        engine.column(1, n)
+    assert len(engine._columns) == weights._COLUMNS
+    assert (1, 2) not in engine._columns  # the least recently read went first
+    assert engine.column(1, 2) == first == [engine.value((1,), 2)]
 
 
 def test_builtin_descriptors_share_one_instance():
