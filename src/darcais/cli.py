@@ -1,15 +1,16 @@
 """Command-line front end: compute, cross-verify, scan, export.
 
 Exit codes: 0 success, 1 verification failure (first counterexample goes
-to stdout), 2 usage error, 3 internal error.  All output is deterministic
-for a fixed invocation; rationals are always serialized as "p/q" strings
-(plain decimal strings for integers), never as floats.
+to stdout), 2 usage error, 3 internal error, 141 stdout closed by its reader
+(128 + SIGPIPE).  All output is deterministic for a fixed invocation;
+rationals are "p/q" strings (plain decimal strings for integers), never floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -267,6 +268,8 @@ def _run_export(args: argparse.Namespace) -> int:
         try:
             print(text, file=handle)
         except OSError as exc:
+            if not args.output:
+                raise
             raise UsageError(f"cannot write --output: {exc}") from exc
     return 0
 
@@ -334,7 +337,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: quiet the flush at exit, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,16 +26,16 @@ denominators of g(2..n-m+1), and divides by G^(n-m) once per coefficient.
 Its g-side, the partitions of n-m with their terms G^(n-m) gw(mu), depends
 on g and n-m only, so it is enumerated once into a term table per
 (g, n-m), held in an LRU memo of `_TERM_TABLES` tables that every n and
-all three h-sides read.  A table lists its partitions in length order
+all three h-sides read.  A table lists its partitions sorted by length
 (`_by_length`), and drops those whose g-weight is zero.
 
 All three h-sides vanish exactly when mu has more than m parts:
 C(m, len mu) for h = one, C(n, n - m + len mu) for h = id, and
 n < |mu| + len mu for the engine.  So the sum reads only the prefix of the
-table with at most m parts, and each h-side maps over that prefix in one
-pass: the closed forms as products of binomials with the memoized orbit
-sizes or R', the engine as one column W(., n) per (n - m, n), which it
-memoizes, so every g whose table keeps all partitions reads it once.
+table with at most m parts, cut by one bisect, and each h-side maps over
+that prefix in one pass: the closed forms as products of binomials with
+the memoized orbit sizes or R', the engine as one column W(., n) per
+(n - m, n), kept beside its rows and shared by every g that keeps the prefix.
 
 The engines keep h(k) as an int wherever it is integral, so for an integer
 h every weight is an int (a rational h carries its Fractions exactly), and
@@ -45,10 +45,11 @@ Fractions.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
@@ -60,16 +61,23 @@ from .partitions import compositions_of, multinomial, partitions_of
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Sizes of the LRU memos: engines per h, g-side term tables per (g, size)
-# and partitions in length order per size, orbit sizes and R' per
-# partition, and the W(., n) columns of each engine.  Builtins are shared
-# instances, so equal builtin descriptors hit the same engine and tables;
-# table and tilde functions get memos of their own, evicted once unused.
+# Sizes of the LRU memos: engines per h (its rows and columns go with it),
+# g-side term tables per (g, size) and partitions sorted by length per size,
+# orbit sizes and R' per partition.  Builtins are shared instances, so equal
+# builtin descriptors hit the same engine and tables; table and tilde
+# functions get memos of their own, evicted once unused.
 _ENGINES = 8
 _TERM_TABLES = 64
-_COLUMNS = 1024
 _ORBIT_SIZES = 1 << 15
 _RECIPROCALS = 1 << 15
+
+
+def _check_weight_args(mu: Sequence[int], n: int) -> None:
+    """Refuse n < 0 and any part of mu that is not an int >= 1 (a bool too)."""
+    if n < 0:
+        raise ValueError("weights are defined for n >= 0")
+    if not all(type(part) is int and part >= 1 for part in mu):
+        raise ValueError(f"weights need parts that are ints >= 1, got {tuple(mu)!r}")
 
 
 def _distinct_removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -110,6 +118,7 @@ class _WeightMemo:
 
     def value(self, mu: Sequence[int], n: int) -> Scalar:
         """W(mu, n) for any ordering of mu that the subclass's key accepts."""
+        _check_weight_args(mu, n)
         self._read_h(n)
         return self._value(self.key(mu), n)
 
@@ -132,9 +141,7 @@ class _WeightMemo:
         return row[n - threshold]
 
     def _read_h(self, n: int) -> None:
-        """Read h up to h(n), refusing n < 0 and a zero as the recursion to n does."""
-        if n < 0:
-            raise ValueError(f"{self.domain} defined for n >= 0")
+        """Read h up to h(n), refusing a zero as the recursion to n does."""
         h, values = self.h, self._h_values
         for k in range(len(values), n + 1):
             value = h(k)
@@ -154,7 +161,6 @@ class HWeights(_WeightMemo):
     """Memoized hw(mu, n), recursing on the last part of the composition."""
 
     __slots__ = ()
-    domain = "hw is"
 
     @staticmethod
     def key(mu: Sequence[int]) -> tuple[int, ...]:
@@ -179,16 +185,16 @@ class OrbitWeightEngine(_WeightMemo):
     W((), n) = 1.  Keys are partitions, so the memo stays small where the
     literal orbit sum would visit exponentially many compositions.  The
     columns W(., n) over the partitions of one size that the partition sum
-    reads are memoized too, in an LRU of `_COLUMNS` columns.
+    reads are memoized beside the rows, which hold each of their entries
+    save W((), n) = 1, so they go with the rows when the engine is evicted.
     """
 
     __slots__ = ("_columns",)
-    domain = "orbit weights are"
     removals = staticmethod(_distinct_removals)
 
     def __init__(self, h: ArithmeticFunction):
         super().__init__(h)
-        self._columns: OrderedDict[tuple[int, int], list[Scalar]] = OrderedDict()
+        self._columns: dict[tuple[int, int], list[Scalar]] = {}
 
     @staticmethod
     def key(mu: Sequence[int]) -> tuple[int, ...]:
@@ -197,16 +203,11 @@ class OrbitWeightEngine(_WeightMemo):
     def column(self, size: int, n: int) -> list[Scalar]:
         """W(mu, n) for the partitions mu of size with at most n - size
         parts, in length order, once h is read up to h(n)."""
-        key = (size, n)
-        got = self._columns.get(key)
+        got = self._columns.get((size, n))
         if got is None:
-            mus, ends = _by_length(size)
-            prefix = mus[:ends[min(n - size, size)]]
-            got = self._columns[key] = list(map(self._value, prefix, repeat(n)))
-            if len(self._columns) > _COLUMNS:
-                self._columns.popitem(last=False)
-        else:
-            self._columns.move_to_end(key)
+            mus = _by_length(size)
+            prefix = mus[:bisect_right(mus, n - size, key=len)]
+            got = self._columns[size, n] = list(map(self._value, prefix, repeat(n)))
         return got
 
 
@@ -226,8 +227,7 @@ def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fracti
 
 def h_weight_one(mu: Sequence[int], n: int) -> Fraction:
     """Closed form for h = one: hw(mu, n) = C(n - |mu|, len(mu))."""
-    if n < 0:
-        raise ValueError("hw is defined for n >= 0")
+    _check_weight_args(mu, n)
     size, length = sum(mu), len(mu)
     if n - size < length:
         return _F0
@@ -242,8 +242,7 @@ def h_weight_id(mu: Sequence[int], n: int) -> Fraction:
 
     The first product vanishes automatically when n < |mu| + len(mu).
     """
-    if n < 0:
-        raise ValueError("hw is defined for n >= 0")
+    _check_weight_args(mu, n)
     numerator = perm(n, sum(mu) + len(mu))
     if not numerator:
         return _F0
@@ -287,45 +286,35 @@ def _check_coeff_range(n: int, m: int) -> None:
         raise ValueError(f"coefficient indices need 1 <= m <= n, got n={n}, m={m}")
 
 
-def _ends(mus: Sequence[tuple[int, ...]], size: int) -> list[int]:
-    """ends[r] = the number of the length-ordered mus with at most r parts, r <= size."""
-    lengths = Counter(map(len, mus))
-    return list(accumulate(map(lengths.__getitem__, range(size + 1))))
-
-
 @lru_cache(maxsize=_TERM_TABLES)
-def _by_length(size: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """(mus, ends): the partitions of size sorted by length, stably, and
-    ends[r] the number of them with at most r parts, for r <= size."""
-    mus = tuple(sorted(partitions_of(size), key=len))
-    return mus, _ends(mus, size)
+def _by_length(size: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of size sorted by length, stably."""
+    return tuple(sorted(partitions_of(size), key=len))
 
 
 @lru_cache(maxsize=_TERM_TABLES)
 def _g_terms(
     g: ArithmeticFunction, size: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int]:
-    """(mus, terms, ends, G^size): the g-side of the partition sum for one size.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """(mus, terms, G^size): the g-side of the partition sum for one size.
 
     With G the lcm of the denominators of g(2..size+1), mus are the
-    partitions mu of size whose g-weight is nonzero, in the length order of
-    `_by_length`, terms the ints
+    partitions mu of size whose g-weight is nonzero, sorted by length as in
+    `_by_length`, and terms the ints
 
         (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(size - r),    r = len(mu),
 
-    each G^size gw(mu), and ends[r] the number of mus with at most r parts.
-    They depend on g and size only, so every (n, m) with n - m = size, and
-    all three h-sides, read one table.  A table that keeps every partition
-    shares the tuple of `_by_length`.
+    each G^size gw(mu).  They depend on g and size only, so every (n, m)
+    with n - m = size, and all three h-sides, read one table.  A table that
+    keeps every partition shares the tuple of `_by_length`.
     """
     gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
     powers = [G ** e for e in range(size + 1)]
-    mus, ends = _by_length(size)
+    mus = _by_length(size)
     terms = tuple([prod(map(gv.__getitem__, mu)) * powers[size - len(mu)] for mu in mus])
     if not all(terms):
         mus, terms = tuple(compress(mus, terms)), tuple(filter(None, terms))
-        ends = _ends(mus, size)
-    return mus, terms, ends, powers[size]
+    return mus, terms, powers[size]
 
 
 def _partition_sum(
@@ -344,8 +333,8 @@ def _partition_sum(
     gives 1, matching the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    mus, terms, ends, denominator = _g_terms(g, n - m)
-    prefix = mus[:ends[min(m, n - m)]]
+    mus, terms, denominator = _g_terms(g, n - m)
+    prefix = mus[:bisect_right(mus, m, key=len)]
     return Fraction(sum(map(mul, terms, h_side(prefix))), denominator)
 
 
@@ -360,7 +349,7 @@ def coefficient_from_weights(
 
     def h_side(mus: tuple[tuple[int, ...], ...]) -> Iterable[Scalar]:
         # a table that dropped no partition of the prefix reads the shared column
-        if len(mus) == _by_length(size)[1][min(m, size)]:
+        if len(mus) == bisect_right(_by_length(size), m, key=len):
             return engine.column(size, n)
         return map(engine._value, mus, repeat(n))  # the mu are partitions: canonical keys
 

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -403,6 +407,28 @@ def test_internal_error_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(darcais.cli, "coefficient_table", broken)
     code, out, err = run_cli(capsys, "export", "--max-n", "3")
     assert (code, out, err) == (3, "", "internal error: RuntimeError: table build failed\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "oracles", "--max-n", "3"],
+    ["scan", "--check", "lehmer", "--max-n", "5"],
+    ["poly", "--n", "6"],
+    ["export", "--format", "csv", "--max-n", "4"],
+], ids=["verify", "scan", "poly", "export"])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # fails, or with buffered stdout its first flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(darcais.cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)  # empty: stdout is block-buffered
+    try:
+        child = subprocess.run([sys.executable, "-m", "darcais.cli", *argv],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -426,16 +426,20 @@ def test_weight_route_builds_rows_for_the_prefix_only():
     assert len(engine._rows) - before < 100
 
 
-def test_engine_columns_are_a_bounded_lru():
-    engine = weights.OrbitWeightEngine(identity())
-    engine._read_h(weights._COLUMNS + 2)
-    first = engine.column(1, 2)
-    assert engine.column(1, 2) is first  # a hit
-    for n in range(3, weights._COLUMNS + 3):
-        engine.column(1, n)
-    assert len(engine._columns) == weights._COLUMNS
-    assert (1, 2) not in engine._columns  # the least recently read went first
-    assert engine.column(1, 2) == first == [engine.value((1,), 2)]
+@pytest.mark.parametrize("h", [identity(), tilde(sigma(1))], ids=["id", "rational"])
+def test_engine_columns_stay_within_the_rows(h):
+    # the columns are a plain dict beside the rows: every entry W(mu, n) of
+    # a column is an entry of the row of mu, save W((), n) = 1
+    max_n = 25
+    engine = weights.OrbitWeightEngine(h)
+    engine._read_h(max_n)
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            prefix = [mu for mu in weights._by_length(n - m) if len(mu) <= m]
+            assert engine.column(n - m, n) == [engine.value(mu, n) for mu in prefix], (n, m)
+    size_zero = sum(size == 0 for size, _ in engine._columns)
+    column_entries = sum(map(len, engine._columns.values()))
+    assert column_entries <= sum(map(len, engine._rows.values())) + size_zero
 
 
 def test_builtin_descriptors_share_one_instance():
@@ -504,6 +508,27 @@ def test_negative_n_is_refused_by_every_h_weight():
     for closed_form in (h_weight_one, h_weight_id):
         with pytest.raises(ValueError):
             closed_form((1,), -1)
+
+
+@pytest.mark.parametrize("mu", [(2, -1), (-1,), (0,), (3, 0, 1), (True,), (2, False), (1.0,)])
+def test_parts_that_are_not_ints_from_one_are_refused_by_every_h_weight(mu):
+    # unchecked, such parts give wrong weights: h_weight(id, (2, -1), 5) read
+    # 30 against 20/3 from the closed form, h_weight_id((-1,), n) divided by
+    # zero, and True was read as 1
+    h = identity()
+    engines = (weights._h_engine(h), weights._orbit_sum_engine(h))
+    rows = [set(engine._rows) for engine in engines]
+    entries = (
+        lambda mu, n: h_weight(h, mu, n),
+        lambda mu, n: orbit_weight_sum(h, mu, n),
+        h_weight_one,
+        h_weight_id,
+    )
+    for entry in entries:
+        for n in (3, 5, 9):
+            with pytest.raises(ValueError, match="ints >= 1"):
+                entry(mu, n)
+    assert [set(engine._rows) for engine in engines] == rows  # no memo row was made
 
 
 @pytest.mark.parametrize("order", ["descending", "ascending", "random"])
