@@ -20,7 +20,7 @@ from typing import Optional
 from .arith import ArithmeticFunction, from_descriptor
 from .checks import SUITES, run_suite
 from .exact import Poly, X, format_rational, rational
-from .recursion import coefficient_table, polynomial_sequence
+from .recursion import coefficient_table, polynomial
 from .series import generating_series_h_id, generating_series_h_one, hook_length_polynomial
 from .shapes import (
     delta_scan,
@@ -68,7 +68,7 @@ def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: Arithm
     if n < 0:
         raise UsageError("n must be nonnegative")
     if args.method == "recursion":
-        return polynomial_sequence(g, h, n)[n]
+        return polynomial(g, h, n)
     if args.method == "series":
         _require_h(args, h, ("one", "id"))
         series = generating_series_h_one(g, n) if h.name == "one" else generating_series_h_id(g, n)

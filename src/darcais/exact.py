@@ -9,7 +9,10 @@ from degree 0, and stored in primitive-part form: int numerators over one
 denominator, so polynomial arithmetic runs in ints, and an int kernel
 hands its result back through `Poly.from_numerators`.  `scaled_ints`
 scales a table of rationals to ints over the lcm of their denominators,
-which is how the int kernels take rational inputs.  A `Series` holds the
+which is how the int kernels take rational inputs.  `pack_signed` and
+`unpack_signed` are Kronecker substitution: an int polynomial evaluated
+at 2^(8w), one w-byte slot per coefficient, and read back through its
+bytes.  A `Series` holds the
 coefficients of a power series in q truncated at a fixed order, each a
 rational or a `Poly` in x, and has the two operations the
 generating-function oracles need: `exp` and `inverse`.  `first_failure`
@@ -63,6 +66,34 @@ def scaled_ints(values: Iterable) -> tuple[list[int], int]:
     values = list(values)
     s = lcm(*(v.denominator for v in values))
     return [0] + [v.numerator * (s // v.denominator) for v in values], s
+
+
+def pack_signed(coefficients: Iterable[int], width: int) -> int:
+    """sum_j c_j 2^(8 width j) for ints c_j with -2^(8 width - 1) <= c_j <
+    2^(8 width - 1): the int polynomial evaluated at 2^(8 width), one slot
+    of `width` bytes per coefficient.  Built from the bytes of the biased
+    slots in linear time; a coefficient out of range is an OverflowError."""
+    half = 1 << (8 * width - 1)
+    slots = [(c + half).to_bytes(width, "little") for c in coefficients]
+    return int.from_bytes(b"".join(slots), "little") - _slot_bias(width, len(slots))
+
+
+def unpack_signed(value: int, width: int, length: int) -> list[int]:
+    """The `length` coefficients c_j of value = sum_j c_j 2^(8 width j), given
+    that each lies in [-2^(8 width - 1), 2^(8 width - 1)): the inverse of
+    `pack_signed`.  Adding 2^(8 width - 1) to every slot makes each one a
+    digit in [0, 2^(8 width)), so one `to_bytes` reads them all in linear
+    time, where shifting the value down slot by slot is quadratic.  A value
+    with more than `length` slots is an OverflowError."""
+    half = 1 << (8 * width - 1)
+    data = (value + _slot_bias(width, length)).to_bytes(width * length, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * length, width)]
+
+
+def _slot_bias(width: int, length: int) -> int:
+    """sum_j 2^(8 width - 1) 2^(8 width j) over `length` slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
 
 
 def format_rational(value: Union[int, Fraction]) -> str:

@@ -6,7 +6,8 @@ defining recursion
     P_0 = 1,   P_n = (x / h(n)) * sum_{k=1}^{n} g(k) P_{n-k}
 
 in one loop, on values at a scalar point or on polynomials at a Poly
-point; `polynomial_sequence` is that loop at x = X.  `CoefficientTable`
+point; `polynomial_sequence` is that loop at x = X, and `polynomial` the
+same loop read only at its last row.  `CoefficientTable`
 fills the triangle A[n][m] of normalized coefficients
 (P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
 
@@ -17,9 +18,10 @@ for rational g and h too, and form Fractions only on read.  With G, D the
 lcms of the denominators of g(1..n), h(1..n), P_n(x) for (g, h) is
 P_n(x D / G) for (G g, D h), and `value_sequence` runs on those tables.  At
 a Poly point u / d it runs on int rows E_n = T P_n over one fixed
-denominator T = |d^N h(1) ... h(N)|, stored as columns, with one exact
-division per coefficient and step and one reduction per row at the end.
-The triangle telescopes the denominators of h instead: with
+denominator T = |d^N h(1) ... h(N)|, each stored packed, as one int
+E_n(2^(8w)) with a w-byte slot per coefficient, so a step is one int dot
+product and one exact division, and a row is unpacked and reduced once,
+when it is read.  The triangle telescopes the denominators of h instead: with
 h(k) = p_k / q_k in lowest terms and Q(j) = q_1 ... q_j, the entries
 A*[n][m] = G^m Q(n-1) A[n][m] follow the same recursion with the int
 weights (G g)(k) p_{n-1} ... p_{n-k+1} q_{n-k} (q_0 = 1), so they are
@@ -32,16 +34,24 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd, prod
-from operator import add, floordiv, getitem, mul
-from typing import Sequence
+from operator import floordiv, getitem, mul
+from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, X, format_rational, quotient, rational, scaled_ints
+from .exact import Poly, X, format_rational, quotient, rational, scaled_ints, unpack_signed
 
 
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
     """P_0, ..., P_max_n: the defining recursion run at the point X."""
     return value_sequence(g, h, X, max_n)
+
+
+def polynomial(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Poly:
+    """P_n alone: the loop of `polynomial_sequence`, which unpacks and
+    reduces only its last row."""
+    gv, hv, (G, D) = _kernel_inputs(g, h, n)
+    rows, read = _poly_rows(gv, hv, X * Fraction(D, G))
+    return read(rows[n], n)
 
 
 def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: int) -> list:
@@ -50,10 +60,15 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     point, the polynomials P_n(point) at a Poly point (X, -X, X + 1, ...).
     At an integral scaled point the values stay ints while each division by
     D h(n) is exact; an inexact one yields a Fraction, which every later sum
-    carries.  A Poly point runs on one fixed denominator (`_poly_values`)."""
+    carries.  A Poly point runs on packed rows over one fixed denominator
+    (`_poly_rows`), each popped and reduced once."""
     gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
     if isinstance(point, Poly):
-        return _poly_values(gv, hv, point * Fraction(D, G))
+        rows, read = _poly_rows(gv, hv, point * Fraction(D, G))
+        values = []
+        while rows:
+            values.append(read(rows.pop(), len(rows)))
+        return values[::-1]
     x0 = rational(point) * Fraction(D, G)
     x0 = x0.numerator if x0.denominator == 1 else x0
     values = [1]
@@ -62,35 +77,51 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     return [rational(v) for v in values]
 
 
-def _poly_values(gv: list[int], hv: list[int], point: Poly) -> list[Poly]:
-    """P_0(point), ..., P_N(point) for the int tables gv, hv (N = len(gv) - 1).
+def _poly_rows(gv: list[int], hv: list[int], point: Poly) -> tuple[list[int], Callable]:
+    """(rows, read) for the int tables gv, hv (N = len(gv) - 1): rows[n] is
+    E_n(B), B = 2^(8w), and read(rows[n], n) is P_n(point) as a Poly.
 
     With point = u / d (u an int polynomial, d > 0), every E_n = T P_n is an
     int polynomial for T = |d^N h(1) ... h(N)|, and
-    E_n = u * sum_k g(k) E_{n-k} / (d h(n)), each division exact.  Only the
-    columns are kept: cols[j] holds [x^j] E_m for m from the first row that
-    reaches degree j, so each sum is one int dot product.  Each row is
-    popped off the columns at the end and reduced once.
+    E_n = u * sum_k g(k) E_{n-k} / (d h(n)), each division exact.  Each row
+    is kept as one int, E_n evaluated at B (Kronecker substitution), so a
+    step is one int dot product s = sum_k g(k) E_{n-k}(B), one shift-add per
+    nonzero coefficient of u, and one division by d h(n).  Evaluation at B
+    is a ring map, so (u S)(B) = d h(n) E_n(B) for S = sum_k g(k) E_{n-k},
+    and the division is exact whatever the slots of s hold.  Only the rows
+    are read by slot, through `unpack_signed`, which needs every
+    coefficient of E_n below 2^(8w - 1) in absolute value: `_slot_width`.
     """
     u, d = point.numerators, point.denominator
     T = abs(d ** (len(gv) - 1) * prod(hv[1:]))
-    g1, cols = gv[1:], [[T]]
+    width = _slot_width(gv, hv, u, d, T)
+    terms = [(c, 8 * width * i) for i, c in enumerate(u) if c]
+    g1, rows = gv[1:], [T]
     for n in range(1, len(gv)):
-        s = [sum(map(mul, g1, reversed(col))) for col in cols]
-        row = [0] * (len(s) + max(len(u) - 1, 0))
-        for i, c in enumerate(u):
-            if c:
-                row[i:i + len(s)] = map(add, row[i:i + len(s)], map(mul, s, repeat(c)))
-        q = d * hv[n]
-        cols += [[] for _ in range(len(row) - len(cols))]
-        for col, c in zip(cols, row):
-            col.append(c // q)
-    values = []
-    while cols:
-        values.append(Poly.from_numerators([col.pop() for col in cols], T))
-        while cols and not cols[-1]:
-            cols.pop()
-    return values[::-1]
+        s = sum(map(mul, g1, reversed(rows)))
+        rows.append(sum(c * s << shift for c, shift in terms) // (d * hv[n]))
+    degree = max(len(u) - 1, 0)
+    return rows, lambda row, n: Poly.from_numerators(unpack_signed(row, width, n * degree + 1), T)
+
+
+def _slot_width(gv: list[int], hv: list[int], u: tuple, d: int, T: int) -> int:
+    """The least w with M_n < 2^(8w - 1) for every n, where M_0 = T and
+
+        M_n = ceil(|u|_1 sum_k |g(k)| M_{n-k} / (d |h(n)|)).
+
+    M_n bounds every coefficient of E_n (`_poly_rows`).  With |p|_1 the sum
+    of the absolute values of the coefficients of p, |E_0|_1 = T = M_0, and
+    by induction, the triangle inequality and |p q|_1 <= |p|_1 |q|_1,
+
+        |E_n|_1 = |u S|_1 / (d |h(n)|) <= |u|_1 sum_k |g(k)| M_{n-k} / (d |h(n)|);
+
+    |E_n|_1 is an int, so it is at most the ceiling M_n, and no coefficient
+    of E_n exceeds |E_n|_1 in absolute value.  The bound is attained when
+    each E_n is one monomial, as for g = (1, 0, 0, ...)."""
+    norm, ag, M = sum(map(abs, u)), list(map(abs, gv[1:])), [T]
+    for n in range(1, len(gv)):
+        M.append(-(-norm * sum(map(mul, ag, reversed(M))) // (d * abs(hv[n]))))
+    return (max(M).bit_length() + 8) // 8
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:

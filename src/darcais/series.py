@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from operator import add, mul, sub
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import Poly, Series, X, first_failure
+from .exact import Poly, Series, X, first_failure, unpack_signed
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
@@ -163,14 +163,16 @@ def hook_length_polynomial(n: int) -> Poly:
         n!^2 Q_n(x) = sum over lam of f_lam^2 prod (x + t^2)
 
     has int coefficients.  The sum is taken as one int, Kronecker-packed:
-    each prod (x + t^2) is evaluated at x = 2^b as one product of ints,
-    weighted by f_lam^2 and added up, and the n + 1 slots of b bits are
-    unpacked once at the end.  The slots cannot carry into each other: all
-    coefficients are nonnegative; each coefficient of prod (x + t^2) is at
-    most the sum of them all, prod (1 + t^2) <= prod 2 t^2 = 2^n prod t^2,
-    so f_lam^2 times it is at most 2^n n!^2; and so each coefficient of the
-    sum over the p(n) partitions is at most p(n) 2^n n!^2, which is below
-    2^b for b = bit_length(p(n) 2^n n!^2).
+    each prod (x + t^2) is evaluated at x = 2^(8w) as one product of ints,
+    weighted by f_lam^2 and added up, and the n + 1 slots of w bytes are
+    read once at the end by `unpack_signed`.  The slots cannot carry into
+    each other: all coefficients are nonnegative; each coefficient of
+    prod (x + t^2) is at most the sum of them all,
+    prod (1 + t^2) <= prod 2 t^2 = 2^n prod t^2, so f_lam^2 times it is at
+    most 2^n n!^2; and so each coefficient of the sum over the p(n)
+    partitions is at most p(n) 2^n n!^2, which is below 2^b for
+    b = bit_length(p(n) 2^n n!^2), and so below 2^(8w - 1) for
+    w = b // 8 + 1.
     """
     if n < 0:
         raise ValueError("hook-length polynomials need n >= 0")
@@ -179,14 +181,13 @@ def hook_length_polynomial(n: int) -> Poly:
     for k in range(1, n + 1):
         counts.append(-sum(e * counts[k - i] for i, e in pentagonal if i <= k))
     nf = factorial(n)
-    b = (counts[n] * nf * nf << n).bit_length()
-    x = 1 << b
+    width = (counts[n] * nf * nf << n).bit_length() // 8 + 1
+    x = 1 << 8 * width
     total = 0
     for lam in partitions_of(n):
         hooks = hook_multiset(lam)
         total += (nf // prod(hooks)) ** 2 * prod([t * t + x for t in hooks])
-    mask = x - 1
-    return Poly.from_numerators([total >> (b * j) & mask for j in range(n + 1)], nf * nf)
+    return Poly.from_numerators(unpack_signed(total, width, n + 1), nf * nf)
 
 
 FAMILIES = ("pochhammer", "stirling", "lah", "chebyshev3term", "symmetric_product")

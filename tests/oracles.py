@@ -7,7 +7,9 @@ test-side entries to the package that no package code needs.
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, prod
+from operator import add, mul
 
 from darcais.exact import Poly, Series, quotient
 from darcais.partitions import hook_multiset, partitions_of
@@ -168,6 +170,34 @@ def polynomials_literal(g, h, max_n):
             total = poly_add(total, poly_mul([Fraction(g[k])], polys[n - k]))
         polys.append(poly_mul([Fraction(0), 1 / Fraction(h[n])], total))
     return polys
+
+
+def poly_values_by_columns(gv, hv, point):
+    """P_0(point), ..., P_N(point) for the int tables gv, hv (N = len(gv) - 1,
+    entry 0 unused), as the defining recursion ran before its rows were
+    packed: with point = u / d, the int rows E_n = T P_n over
+    T = |d^N h(1) ... h(N)| are kept as columns, cols[j] holding [x^j] E_m
+    for m from the first row that reaches degree j, so each sum is one
+    int dot product per column and each division is one per coefficient."""
+    u, d = point.numerators, point.denominator
+    T = abs(d ** (len(gv) - 1) * prod(hv[1:]))
+    g1, cols = gv[1:], [[T]]
+    for n in range(1, len(gv)):
+        s = [sum(map(mul, g1, reversed(col))) for col in cols]
+        row = [0] * (len(s) + max(len(u) - 1, 0))
+        for i, c in enumerate(u):
+            if c:
+                row[i:i + len(s)] = map(add, row[i:i + len(s)], map(mul, s, repeat(c)))
+        q = d * hv[n]
+        cols += [[] for _ in range(len(row) - len(cols))]
+        for col, c in zip(cols, row):
+            col.append(c // q)
+    values = []
+    while cols:
+        values.append(Poly.from_numerators([col.pop() for col in cols], T))
+        while cols and not cols[-1]:
+            cols.pop()
+    return values[::-1]
 
 
 def hook_length_polynomial_by_terms(n):

@@ -15,7 +15,11 @@ evaluation at a negative rational point.  The last two cases were recorded
 while `euler_product_power` multiplied the product out factor by factor
 and the hook scan read its rows off the defining recursion at X + 1.
 The four cases on the rational h table `r.json` were recorded while the
-triangle scaled A[n][m] by G^m D^(n-m) and stored its rows.
+triangle scaled A[n][m] by G^m D^(n-m) and stored its rows.  The last
+three were recorded while the defining recursion at a polynomial point
+kept its rows as int columns and `poly` read P_n off the whole sequence;
+the first of them is `perfbench/golden.json`'s `poly-recursion` digest, and
+the signed tables `s.json` and `t.json` give P_12 negative coefficients.
 """
 
 import hashlib
@@ -78,6 +82,9 @@ CASES = [
     (('export', '--g', 'table:q.json', '--h', 'table:r.json', '--max-n', '4', '--format', 'csv'), 0, "a60bb013324e9551f3c805c4fe3d0851ef24f9237987e0e424cdcd1a3fe6f0dc"),
     (('export', '--g', 'sigma:1', '--h', 'table:r.json', '--max-n', '5'), 0, "133bd02d0c980aa671a280f764b50f2556c29e7cdd04ff5b8bb583906779e5c7"),
     (('coeff', '--g', 'table:q.json', '--h', 'table:r.json', '--n', '4', '--m', '2', '--method', 'lemma'), 0, "64eca3319f202f8ea2813ca6716554c076c5539ba995bcc60c062e0328e69f46"),
+    (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '125', '--format', 'json'), 0, "342e09598b5062368b0ae74299065135c78072332bf44598cc2f48930b7d508d"),
+    (('coeff', '--method', 'recursion', '--n', '60', '--m', '7'), 0, "07cb18b186370a6d44920b4164da5ab9ea8a9074a02df3f08dd33e33e92df77a"),
+    (('poly', '--g', 'table:s.json', '--h', 'table:t.json', '--n', '12', '--format', 'json'), 0, "322943205436946be2f4e3756470855ca8dfd28fc741a2bc011024f45434dd2d"),
 ]
 
 
@@ -88,6 +95,10 @@ def table_dir(tmp_path, monkeypatch):
     (tmp_path / "g.json").write_text(json.dumps([1, 1, 8]))
     (tmp_path / "q.json").write_text(json.dumps([1, "1/2", "-3/4", 2]))
     (tmp_path / "r.json").write_text(json.dumps([1, "-2/3", "9/8", "1/6", "5/7"]))
+    (tmp_path / "s.json").write_text(json.dumps(
+        [1, "-5/3", "7/2", "-1/4", 3, "2/9", -6, "11/5", "-8/7", 4, "1/3", "-9/2"]))
+    (tmp_path / "t.json").write_text(json.dumps(
+        [1, "-2/3", "9/8", "1/6", "5/7", -3, "4/5", "-7/9", 2, "-1/2", "3/8", "-6/5"]))
     monkeypatch.chdir(tmp_path)
 
 

@@ -13,12 +13,36 @@ from darcais.exact import (
     Series,
     X,
     format_rational,
+    pack_signed,
     quotient,
     rational,
+    unpack_signed,
 )
 from oracles import poly_add, poly_eval, poly_mul, poly_trim
 
 HALF = Fraction(1, 2)
+
+
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(-(1 << (8 * w - 1)), (1 << (8 * w - 1)) - 1), max_size=12))))
+@settings(max_examples=200, deadline=None)
+def test_packed_slots_round_trip(case):
+    width, coefficients = case
+    packed = pack_signed(coefficients, width)
+    assert packed == sum(c << (8 * width * j) for j, c in enumerate(coefficients))
+    assert unpack_signed(packed, width, len(coefficients)) == coefficients
+    # room to spare reads as zero slots
+    assert unpack_signed(packed, width, len(coefficients) + 2) == coefficients + [0, 0]
+
+
+def test_packed_slots_refuse_what_does_not_fit():
+    assert pack_signed([-128, 127], 1) == -128 + (127 << 8)
+    for coefficients in ([128], [0, -129]):
+        with pytest.raises(OverflowError):
+            pack_signed(coefficients, 1)
+    with pytest.raises(OverflowError):
+        unpack_signed(1 << 16, 1, 2)  # three slots read as two
+    assert unpack_signed(0, 3, 0) == []
 
 
 def test_rational_parsing_and_formatting():

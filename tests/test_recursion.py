@@ -5,14 +5,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcais.arith import from_table, identity, one, sigma, tilde
 from darcais.exact import Poly, X, rational
 from darcais.recursion import (
+    _kernel_inputs,
     coefficient_table,
     coefficient_top_band,
+    polynomial,
     polynomial_sequence,
     value_sequence,
 )
@@ -21,6 +23,7 @@ from oracles import (
     chebyshev_example,
     laguerre_example,
     poly_eval,
+    poly_values_by_columns,
     polynomials_literal,
     triangle_literal,
 )
@@ -329,6 +332,43 @@ def test_poly_point_values_match_the_literal_recursion(g_rest, h_rest, point, ma
     for p in values:
         nums, den = p.numerators, p.denominator
         assert den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1])
+
+
+# Points whose numerators u have zero, negative and non-unit entries, over
+# d = 1 and d = 3, and the zero point, whose rows vanish past E_0.
+_packed_points = [X, -X, X + 1, (2 * X - 1) / 3, X**2 - Fraction(1, 3), Poly()]
+_signed_rationals = st.lists(_signed, min_size=11, max_size=11)
+
+
+@given(_signed_rationals, _signed_rationals, st.sampled_from(_packed_points), st.integers(0, 12))
+@example([Fraction(1)] * 11, [Fraction(1)] * 11, Poly(), 0)
+@example([Fraction(-9)] * 11, [Fraction(1, 9)] * 11, X**2 - Fraction(1, 3), 12)
+@settings(max_examples=150, deadline=None)
+def test_packed_rows_match_the_column_kernel(g_rest, h_rest, point, max_n):
+    g, h = from_table([1, *g_rest]), from_table([1, *h_rest])
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    columns = poly_values_by_columns(gv, hv, point * Fraction(D, G))
+    assert value_sequence(g, h, point, max_n) == columns
+    assert polynomial(g, h, max_n) == polynomial_sequence(g, h, max_n)[max_n]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_slots_hold_rows_that_attain_their_bound(sign):
+    # g = (1, 0, 0, ...) makes P_n = x^n / H(n), and each E_n = T P_n one
+    # monomial whose coefficient is its majorant M_n.  With
+    # h = (1, s/2, s/2, ...) the int tables are g and (2, s, s, ...) at the
+    # point 2X, T = 2 and E_n = s^(n-1) 2^n x^n, so the last row is the
+    # widest.  At n = 7, 15, 23, 31 its coefficient is +2^n, which fills
+    # all (n + 1) / 8 bytes of its bits and so reads back only with one
+    # more byte for the sign; one byte fewer than the bound fails at every
+    # n >= 7.
+    max_n = 40
+    g = from_table([1] + [0] * (max_n - 1))
+    h = from_table([1] + [Fraction(sign, 2)] * (max_n - 1))
+    expected = [Poly([1])] + [(2 * sign) ** (n - 1) * X**n for n in range(1, max_n + 1)]
+    assert value_sequence(g, h, X, max_n) == expected
+    for n in range(max_n + 1):
+        assert polynomial(g, h, n) == expected[n], n
 
 
 def test_rescaled_routes_at_max_n_zero():
