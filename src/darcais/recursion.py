@@ -7,7 +7,10 @@ defining recursion
 
 in one loop, on values at a scalar point or on polynomials at a Poly
 point; `polynomial_sequence` is that loop at x = X, and `polynomial` the
-same loop read only at its last row.  `CoefficientTable`
+same loop read only at its last row.  At an integral scaled point the loop
+starts after the longest prefix of int values, which `_int_prefix` finds
+as an online convolution by divide and conquer, each block's terms one
+product of Kronecker-packed ints.  `CoefficientTable`
 fills the triangle A[n][m] of normalized coefficients
 (P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
 
@@ -34,11 +37,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd, prod
-from operator import floordiv, getitem, mul
+from operator import add, floordiv, getitem, mul
 from typing import Callable, Sequence
 
 from .arith import ArithmeticFunction
-from .exact import Poly, X, format_rational, quotient, rational, scaled_ints, unpack_signed
+from .exact import (
+    Poly,
+    X,
+    format_rational,
+    pack_signed,
+    quotient,
+    rational,
+    scaled_ints,
+    unpack_signed,
+)
 
 
 def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> list[Poly]:
@@ -59,9 +71,11 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     int tables (G g, D h) at point * D / G: Fractions at an int or Fraction
     point, the polynomials P_n(point) at a Poly point (X, -X, X + 1, ...).
     At an integral scaled point the values stay ints while each division by
-    D h(n) is exact; an inexact one yields a Fraction, which every later sum
-    carries.  A Poly point runs on packed rows over one fixed denominator
-    (`_poly_rows`), each popped and reduced once."""
+    D h(n) is exact: `_int_prefix` computes that prefix in O(M(N) log N),
+    and the loop runs from its end.  The first inexact division yields a
+    Fraction, which every later sum carries; at any other scalar point the
+    loop runs from n = 1.  A Poly point runs on packed rows over one fixed
+    denominator (`_poly_rows`), each popped and reduced once."""
     gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
     if isinstance(point, Poly):
         rows, read = _poly_rows(gv, hv, point * Fraction(D, G))
@@ -70,11 +84,62 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
             values.append(read(rows.pop(), len(rows)))
         return values[::-1]
     x0 = rational(point) * Fraction(D, G)
-    x0 = x0.numerator if x0.denominator == 1 else x0
-    values = [1]
-    for n in range(1, max_n + 1):
+    values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else [1]
+    for n in range(len(values), max_n + 1):
         values.append(quotient(x0 * sum(map(mul, gv[1:n + 1], values[n - 1::-1])), hv[n]))
     return [rational(v) for v in values]
+
+
+_LEAF = 32  # blocks this short are finished by the direct dot products
+
+
+def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
+    """v_0 = 1, v_1, ... for v_n = x0 sum_k gv[k] v_{n-k} / hv[n], up to
+    n = len(gv) - 1 or to the first division with a remainder, exclusive:
+    the longest prefix of the recursion that stays in ints.
+
+    The sums acc[n] = sum_k gv[k] v_{n-k} form an online convolution, and
+    `solve(l, r)` finishes v on [l, r) once acc[l:r) holds the terms of
+    every v_j with j < l.  It finishes [l, m), adds the terms of v[l:m) to
+    acc[m:r) as one product of packed ints, and finishes [m, r); a block of
+    at most `_LEAF` entries adds the terms of its own v_j one dot product at
+    a time.  Each pair j < n is added once, where j and n first fall into
+    different halves, so the whole costs O(M(N) log N).
+
+    The product is pack_signed(a, w) * pack_signed(b, w) for a = v[l:m),
+    b = gv[:r-l], and its slot t holds c_t = sum_i a_i b_(t-i), since
+    evaluation at 2^(8w) is a ring map; acc[n] gains c_(n-l).  Each c_t has
+    at most len(a) terms, so |c_t| <= len(a) max|a| max|b| < 2^bits with
+    bits the bit length of that bound, and w = bits // 8 + 1 bytes give
+    8w - 1 >= bits: every c_t lies in the signed slot range of
+    `unpack_signed`.  A block whose a or b is all zeros adds nothing and is
+    skipped; otherwise max|a|, max|b| >= 1, so each a_i and b_j is at most
+    the bound too, and `pack_signed` takes them."""
+    values, acc = [1], list(gv)  # acc[n] starts with the term gv[n] v_0
+
+    def solve(l: int, r: int) -> bool:
+        if r - l <= _LEAF:
+            for n in range(l, r):
+                own = sum(map(mul, gv[1:n - l + 1], reversed(values[l:])))
+                q, rem = divmod(x0 * (acc[n] + own), hv[n])
+                if rem:
+                    return False
+                values.append(q)
+            return True
+        m = (l + r) // 2
+        if not solve(l, m):
+            return False
+        a, b = values[l:m], gv[:r - l]
+        amax, bmax = max(map(abs, a)), max(map(abs, b))
+        if amax and bmax:
+            width = (len(a) * amax * bmax).bit_length() // 8 + 1
+            c = pack_signed(a, width) * pack_signed(b, width)
+            c = unpack_signed(c, width, len(a) + len(b) - 1)
+            acc[m:r] = map(add, acc[m:r], c[m - l:r - l])
+        return solve(m, r)
+
+    solve(1, len(gv))
+    return values
 
 
 def _poly_rows(gv: list[int], hv: list[int], point: Poly) -> tuple[list[int], Callable]:

@@ -172,6 +172,19 @@ def polynomials_literal(g, h, max_n):
     return polys
 
 
+def values_literal(g, h, point, max_n):
+    """P_0(point), ..., P_max_n(point) as Fractions by
+    P_n = (point / h(n)) sum_k g(k) P_{n-k}, one Fraction operation at a
+    time; g and h are lists of values indexed from 1 (entry 0 unused)."""
+    values = [Fraction(1)]
+    for n in range(1, max_n + 1):
+        total = Fraction(0)
+        for k in range(1, n + 1):
+            total += Fraction(g[k]) * values[n - k]
+        values.append(Fraction(point) * total / h[n])
+    return values
+
+
 def poly_values_by_columns(gv, hv, point):
     """P_0(point), ..., P_N(point) for the int tables gv, hv (N = len(gv) - 1,
     entry 0 unused), as the defining recursion ran before its rows were

@@ -20,6 +20,8 @@ three were recorded while the defining recursion at a polynomial point
 kept its rows as int columns and `poly` read P_n off the whole sequence;
 the first of them is `perfbench/golden.json`'s `poly-recursion` digest, and
 the signed tables `s.json` and `t.json` give P_12 negative coefficients.
+The lehmer scan to n = 4000 was recorded while the values at x = -24 came
+from the quadratic loop, before its int prefix ran by divide and conquer.
 """
 
 import hashlib
@@ -85,6 +87,7 @@ CASES = [
     (('poly', '--g', 'sigma:1', '--h', 'id', '--n', '125', '--format', 'json'), 0, "342e09598b5062368b0ae74299065135c78072332bf44598cc2f48930b7d508d"),
     (('coeff', '--method', 'recursion', '--n', '60', '--m', '7'), 0, "07cb18b186370a6d44920b4164da5ab9ea8a9074a02df3f08dd33e33e92df77a"),
     (('poly', '--g', 'table:s.json', '--h', 'table:t.json', '--n', '12', '--format', 'json'), 0, "322943205436946be2f4e3756470855ca8dfd28fc741a2bc011024f45434dd2d"),
+    (('scan', '--check', 'lehmer', '--max-n', '4000'), 0, "e20855ad118df64d432ac6a2197060967c4b4e1e2450dfef96a17f0ed533d396"),
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from darcais.arith import from_table, identity, one, sigma, tilde
 from darcais.exact import Poly, X, rational
 from darcais.recursion import (
+    _int_prefix,
     _kernel_inputs,
     coefficient_table,
     coefficient_top_band,
@@ -26,6 +27,7 @@ from oracles import (
     poly_values_by_columns,
     polynomials_literal,
     triangle_literal,
+    values_literal,
 )
 
 HALF = Fraction(1, 2)
@@ -369,6 +371,74 @@ def test_packed_slots_hold_rows_that_attain_their_bound(sign):
     assert value_sequence(g, h, X, max_n) == expected
     for n in range(max_n + 1):
         assert polynomial(g, h, n) == expected[n], n
+
+
+def _value_cases():
+    """(name, g, h, point, max_n) for the int prefix of `value_sequence` and
+    its handoff to the Fraction loop; g and h are tables from n = 1."""
+    rng = random.Random(22)
+    for max_n in (5, 33, 64, 97, 150, 260):
+        ints = [1] + [rng.randint(-9, 9) for _ in range(max_n - 1)]
+        units = [1] + [rng.choice((1, -1)) for _ in range(max_n - 1)]
+        yield f"int-exact-{max_n}", ints, units, rng.choice((-24, -7, 2, 13)), max_n
+        yield f"int-zero-point-{max_n}", ints, units, 0, max_n
+        yield f"int-at-fraction-{max_n}", ints, units, Fraction(-7, 3), max_n
+        # h = +-1 up to some index past 32 and then small non-units, so
+        # the first inexact division comes after the first block
+        cut = rng.randint(33, max_n) if max_n > 33 else max_n
+        late = units[:cut] + [rng.choice((2, -2, 3, -3, 5)) for _ in range(max_n - cut)]
+        yield f"int-late-handoff-{max_n}", ints, late, rng.choice((-5, 7)), max_n
+        g, h = _seeded_pq(rng, max_n), _seeded_pq(rng, max_n)
+        yield f"rational-at-fraction-{max_n}", g, h, Fraction(rng.randint(-9, 9), 7), max_n
+        # point = k G / D makes the scaled point k an int, so the int
+        # prefix runs on the scaled tables until D h(n) first fails to divide
+        _, _, (G, D) = _kernel_inputs(from_table(g), from_table(h), max_n)
+        yield f"rational-at-int-scaled-{max_n}", g, h, Fraction(-3 * G, D), max_n
+
+
+_VALUE_CASES = list(_value_cases())
+
+
+@pytest.mark.parametrize("name, g_values, h_values, point, max_n", _VALUE_CASES,
+                         ids=[case[0] for case in _VALUE_CASES])
+def test_values_match_the_literal_loop(name, g_values, h_values, point, max_n):
+    # N = 5 is one leaf of the int prefix, 33 and 64 one split, 97 to 260
+    # several levels with ragged last blocks
+    g, h = from_table(g_values), from_table(h_values)
+    values = value_sequence(g, h, point, max_n)
+    literal = values_literal([0, *g_values], [0, *h_values], point, max_n)
+    assert values == literal
+    assert all(type(v) is Fraction for v in values)
+    # the int prefix is the longest run of int values, which a wrong block
+    # product would cut short even where the Fraction loop mends the values
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    x0 = Fraction(point) * D / G
+    first = next((n for n, v in enumerate(literal) if v.denominator != 1), max_n + 1)
+    if x0.denominator == 1:
+        prefix = _int_prefix(gv, hv, x0.numerator)
+        assert prefix == literal[:first] and all(type(v) is int for v in prefix)
+    if name.startswith("int-late-handoff") and max_n > 33:
+        assert 32 < first <= max_n, first
+
+
+@pytest.mark.parametrize("max_n, L", [(64, 32), (97, 24), (97, 48)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_prefix_slots_hold_products_that_attain_their_bound(max_n, L, k, sign):
+    # g = (1, s, s, ...) and h(n) = 1 + s (n - 1) give P_n(1) = 1 for every
+    # n.  The int prefix at N = 64 multiplies blocks of L = 32 values, and at
+    # N = 97 blocks of 24 and 48, each against gv[:r-l] of length 2L or
+    # more, so the product's slots t > L hold L s: the bound
+    # L max|a| max|b| itself.  s = +-(2^(8k) - 1) // L puts L |s| just below
+    # 2^(8k), so a width without a sign bit reads those slots back wrong.
+    # A wrong slot makes a value wrong or an inexact division that stops
+    # the int prefix early; the Fraction loop then mends the values, so the
+    # prefix itself is checked.
+    s = sign * ((256**k - 1) // L)
+    g = from_table([1] + [s] * (max_n - 1))
+    h = from_table([1 + s * (n - 1) for n in range(1, max_n + 1)])
+    assert _int_prefix(*_kernel_inputs(g, h, max_n)[:2], 1) == [1] * (max_n + 1)
+    assert value_sequence(g, h, 1, max_n) == [1] * (max_n + 1)
 
 
 def test_rescaled_routes_at_max_n_zero():

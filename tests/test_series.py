@@ -2,13 +2,13 @@
 
 import hashlib
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, isqrt
 
 import pytest
 
 import darcais.series
 
-from darcais.arith import identity, one, sigma
+from darcais.arith import divisor_power_sum, identity, one, sigma
 from darcais.exact import Poly, X
 from darcais.recursion import polynomial_sequence, value_sequence
 from darcais.series import (
@@ -110,6 +110,33 @@ def test_euler_product_24():
     values = value_sequence(sigma(1), identity(), Fraction(-24), 10)
     for n in range(11):
         assert expansion.coefficient(n) == values[n]
+
+
+def test_tau_identities_hold_on_the_recursion_values():
+    # tau(n) = P_{n-1}(-24) for (sigma, id), checked against four classical
+    # facts that share nothing with the value route but divisor sums
+    top = 2000
+    tau = [None, *value_sequence(sigma(1), identity(), Fraction(-24), top - 1)]
+    assert all(t.denominator == 1 for t in tau[1:])
+    tau = [None, *(int(t) for t in tau[1:])]
+    assert tau[1:6] == [1, -24, 252, -1472, 4830]
+    # Ramanujan's congruence modulo 691
+    for n in range(1, top + 1):
+        assert (tau[n] - divisor_power_sum(n, 11)) % 691 == 0, n
+    # multiplicativity on coprime pairs
+    for m in range(2, top + 1):
+        for n in range(m + 1, top // m + 1):
+            if gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+    for p in primes:
+        # Deligne's bound |tau(p)| <= 2 p^(11/2), squared so it stays in ints
+        assert tau[p] ** 2 <= 4 * p**11, p
+        # the Hecke recursion tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+        k = 1
+        while p ** (k + 1) <= top:
+            assert tau[p ** (k + 1)] == tau[p] * tau[p**k] - p**11 * tau[p ** (k - 1)], (p, k)
+            k += 1
 
 
 def test_euler_product_integer_exponents_match_recursion_values():
