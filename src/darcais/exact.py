@@ -12,7 +12,7 @@ scales a table of rationals to ints over the lcm of their denominators,
 which is how the int kernels take rational inputs.  `pack_signed` and
 `unpack_signed` are Kronecker substitution: an int polynomial evaluated
 at 2^(8w), one w-byte slot per coefficient, and read back through its
-bytes.  A `Series` holds the
+bytes; `unpack_window` reads a run of slots out of a longer product.  A `Series` holds the
 coefficients of a power series in q truncated at a fixed order, each a
 rational or a `Poly` in x, and has the two operations the
 generating-function oracles need: `exp` and `inverse`.  `first_failure`
@@ -91,6 +91,19 @@ def unpack_signed(value: int, width: int, length: int) -> list[int]:
             for i in range(0, width * length, width)]
 
 
+def unpack_window(value: int, width: int, start: int, stop: int) -> list[int]:
+    """The coefficients c_start, ..., c_(stop-1) of value = sum_j c_j 2^(8 width j),
+    given that each lies in the signed slot range of `unpack_signed`, however
+    many slots the value has.  Adding the slot bias to the slots below `stop`
+    makes each a digit in [0, 2^(8 width)), so the sum modulo 2^(8 width stop)
+    is those digits and nothing of the slots above; shifting off the low
+    `start` digits and taking the bias off again leaves the window packed."""
+    digits = (value + _slot_bias(width, stop)) & ((1 << 8 * width * stop) - 1)
+    length = stop - start
+    window = (digits >> 8 * width * start) - _slot_bias(width, length)
+    return unpack_signed(window, width, length)
+
+
 def _slot_bias(width: int, length: int) -> int:
     """sum_j 2^(8 width - 1) 2^(8 width j) over `length` slots."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
@@ -153,13 +166,15 @@ class Poly:
     @classmethod
     def _reduced(cls, nums: list, den: int, modulus: int) -> "Poly":
         """nums / den (den > 0) in canonical form, given that every factor
-        common to den and all of nums divides `modulus`."""
+        common to den and all of nums divides `modulus`.  The gcd reads the
+        leading coefficient first: `math.gcd` stops dividing once its running
+        gcd is 1, and leading coefficients are often +-1."""
         while nums and not nums[-1]:
             nums.pop()
         if not nums:
             return cls()
         if modulus != 1:
-            g = gcd(modulus, *nums)
+            g = gcd(modulus, *reversed(nums))
             if g != 1:
                 nums = [c // g for c in nums]
                 den //= g

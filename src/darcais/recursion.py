@@ -50,6 +50,7 @@ from .exact import (
     rational,
     scaled_ints,
     unpack_signed,
+    unpack_window,
 )
 
 
@@ -111,8 +112,9 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
     evaluation at 2^(8w) is a ring map; acc[n] gains c_(n-l).  Each c_t has
     at most len(a) terms, so |c_t| <= len(a) max|a| max|b| < 2^bits with
     bits the bit length of that bound, and w = bits // 8 + 1 bytes give
-    8w - 1 >= bits: every c_t lies in the signed slot range of
-    `unpack_signed`.  A block whose a or b is all zeros adds nothing and is
+    8w - 1 >= bits: every c_t lies in the signed slot range, and
+    `unpack_window` reads only the r - m slots [m - l, r - l) that acc[m:r)
+    gains.  A block whose a or b is all zeros adds nothing and is
     skipped; otherwise max|a|, max|b| >= 1, so each a_i and b_j is at most
     the bound too, and `pack_signed` takes them."""
     values, acc = [1], list(gv)  # acc[n] starts with the term gv[n] v_0
@@ -134,8 +136,7 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
         if amax and bmax:
             width = (len(a) * amax * bmax).bit_length() // 8 + 1
             c = pack_signed(a, width) * pack_signed(b, width)
-            c = unpack_signed(c, width, len(a) + len(b) - 1)
-            acc[m:r] = map(add, acc[m:r], c[m - l:r - l])
+            acc[m:r] = map(add, acc[m:r], unpack_window(c, width, m - l, r - l))
         return solve(m, r)
 
     solve(1, len(gv))

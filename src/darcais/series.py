@@ -7,7 +7,8 @@ meaningful evidence:
 * h = id:   sum_n P_n(x) q^n = exp(x * sum_k g(k) q^k / k),
 * h = one:  sum_n P_n(x) q^n = 1 / (1 - x * sum_k g(k) q^k),
 * Euler products prod_n (1 - q^n)^r by Miller's power recurrence on
-  Euler's pentagonal series (r may be a polynomial variable),
+  Euler's pentagonal series (r may be a polynomial variable, whose q^n
+  coefficient runs division-free on ints over its own scale d^n n!),
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import add, mul, sub
 
 from .arith import ArithmeticFunction, identity, one, sigma
@@ -70,9 +71,11 @@ def euler_product_power(exponent, order: int) -> Series:
 
     (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7).  For
     r = u / d (u an int, or an int polynomial for a Poly exponent; d > 0)
-    it runs in ints on E_n = T G_n, with T = 1 for an integer r and
-    T = d^order order! otherwise, which n! G_n in Z[r] makes integral; each
-    step divides each coefficient by n d once, exactly.
+    it runs in ints.  A scalar r runs on E_n = T G_n, with T = 1 for an
+    integer r and T = d^order order! otherwise, which n! G_n in Z[r] makes
+    integral; each step divides by n d once, exactly.  A Poly r runs on
+    the rows F_n = d^n n! G_n, each over its own scale, by a division-free
+    form of the recurrence (`_poly_power`).
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -98,41 +101,65 @@ def euler_product_power(exponent, order: int) -> Series:
 
 
 def _poly_power(exponent: Poly, order: int, pentagonal: list) -> Series:
-    """The Poly branch of `euler_product_power`: E_n is an int row, and
-    s0 = sum e_i E_{n-i} and s1 = sum i e_i E_{n-i} give
-    n d E_n = (u + d) s1 - n d s0.  The sums are taken in place, one
-    coefficient at a time, so a step copies no row: summing slice by slice,
-    a copy per term, fragmented the heap and raised the peak RSS of
-    `scan --check hook-logconcave --max-n 200` from about 22.4 to 23.3 MiB.
-    Each row is reduced to a Poly as it is popped off the list of rows."""
+    """The Poly branch of `euler_product_power`, run on int rows over each
+    row's own scale: F_n = d^n n! G_n, with F_0 = 1.  Multiplying
+    n d G_n = sum_i e_i ((u + d) i - n d) G_{n-i} by d^(n-1) (n-1)! gives
+    the division-free recurrence
+
+        F_n = sum_i e_i ((u + d) i - n d) a_i F_{n-i},
+        a_i = d^(i-1) (n-1)! / (n-i)! = d^(i-1) (n-1) (n-2) ... (n-i+1),
+
+    so each F_n is an int polynomial, with no division by n d.  With
+    s0 = sum e_i a_i F_{n-i} and s1 = sum i e_i a_i F_{n-i},
+    F_n = (u + d) s1 - n d s0.  Both sums are taken by Horner's rule from
+    the largest pentagonal step i' <= n down: between consecutive steps
+    i < i' the sums so far are multiplied by
+    a_i' / a_i = d^(i'-i) (n-i)! / (n-i')!, and at i = 1, where a_1 = 1,
+    they are s0 and s1.  Rows grow with n, so F_{n-i} is at least as long
+    as the sums so far, and one pass over it scales them and adds it.  The
+    sums are taken in place, one coefficient at a time, so a step copies no
+    row: summing slice by slice, a copy per term, fragmented the heap and
+    raised the peak RSS of `scan --check hook-logconcave --max-n 200` from
+    about 22.4 to 23.3 MiB.  Row n is read as F_n / (d^n n!), reduced as it
+    is popped off the list of rows.
+
+    For r = -x - 1, the hook scan's exponent, each F_n is already
+    canonical, since its leading coefficient is 1.  There d = 1 and
+    G = exp((x + 1) L), with L = -log prod (1 - q^k) = sum_m sigma(m) q^m / m
+    = q + O(q^2).  In exp((x + 1) L) = sum_k (x + 1)^k L^k / k! the terms
+    with k < n have degree k < n in x, and those with k > n start at q^k,
+    so [x^n q^n] G = [x^n] (x + 1)^n [q^n] L^n / n! = 1 / n!.  The x^n
+    coefficient of F_n = n! G_n is therefore 1, and its gcd with n! is 1.
+    """
     v, d = list(exponent.numerators), exponent.denominator
     v[0] += d  # u + d
-    T = d**order * factorial(order)
-    rows = [[T]]
+    rows = [[1]]
+    k = 0  # the steps i <= n are pentagonal[:k]
     for n in range(1, order + 1):
+        if k < len(pentagonal) and pentagonal[k][0] == n:
+            k += 1
         s0, s1 = [0] * len(rows[-1]), [0] * len(rows[-1])
-        for i, e in pentagonal:
-            if i > n:
-                break
-            w = i * e
+        top = pentagonal[k - 1][0]
+        for i, e in reversed(pentagonal[:k]):
+            ratio = d ** (top - i) * perm(n - i, top - i)  # a_top / a_i
+            top, w = i, i * e
             if e > 0:
                 for j, c in enumerate(rows[n - i]):
-                    s0[j] += c
-                    s1[j] += w * c
+                    s0[j] = s0[j] * ratio + c
+                    s1[j] = s1[j] * ratio + w * c
             else:
                 for j, c in enumerate(rows[n - i]):
-                    s0[j] -= c
-                    s1[j] += w * c
+                    s0[j] = s0[j] * ratio - c
+                    s1[j] = s1[j] * ratio + w * c
         out = [0] * (len(s1) + len(v) - 1)
         for j, c in enumerate(v):
             if c:
                 out[j:j + len(s1)] = map(add, out[j:j + len(s1)], map(mul, s1, repeat(c)))
-        q = n * d
-        out[:len(s0)] = map(sub, out[:len(s0)], map(mul, s0, repeat(q)))
-        rows.append([c // q for c in out])
+        out[:len(s0)] = map(sub, out[:len(s0)], map(mul, s0, repeat(n * d)))
+        rows.append(out)
     coefficients = []
-    while len(rows) > 1:
-        coefficients.append(Poly.from_numerators(rows.pop(), T))
+    for n in range(order, 0, -1):
+        coefficients.append(Poly.from_numerators(rows.pop(), d**n * factorial(n)))
     return Series([1] + coefficients[::-1])
 
 

@@ -17,10 +17,9 @@ values too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
 from .exact import X, first_failure
@@ -142,8 +141,7 @@ def top_margin_lower_bound(g: ArithmeticFunction, h: ArithmeticFunction, n: int)
     return (g(2) ** 2 - g(3)) * window_sum
 
 
-@dataclass(frozen=True)
-class MarginCounterexample:
+class MarginCounterexample(NamedTuple):
     """A g-table and an n where the top margin goes negative."""
 
     g_values: tuple[int, ...]

@@ -1,5 +1,6 @@
 """Exact polynomial and truncated-series arithmetic."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from darcais.exact import (
     quotient,
     rational,
     unpack_signed,
+    unpack_window,
 )
 from oracles import poly_add, poly_eval, poly_mul, poly_trim
 
@@ -43,6 +45,18 @@ def test_packed_slots_refuse_what_does_not_fit():
     with pytest.raises(OverflowError):
         unpack_signed(1 << 16, 1, 2)  # three slots read as two
     assert unpack_signed(0, 3, 0) == []
+
+
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(-(1 << (8 * w - 1)), (1 << (8 * w - 1)) - 1), max_size=12))))
+@settings(max_examples=200, deadline=None)
+def test_a_window_of_packed_slots_reads_only_its_own_slots(case):
+    width, coefficients = case
+    packed = pack_signed(coefficients, width)
+    padded = coefficients + [0, 0]
+    for stop in range(len(padded) + 1):
+        for start in range(stop + 1):
+            assert unpack_window(packed, width, start, stop) == padded[start:stop], (start, stop)
 
 
 def test_rational_parsing_and_formatting():
@@ -263,6 +277,24 @@ def test_poly_from_numerators_reduces_once(numerators, denominator):
     assert list(p.coefficients) == poly_trim(Fraction(c, denominator) for c in numerators)
     assert Poly.from_numerators(p.numerators, p.denominator) == p
     assert (p.numerators, p.denominator) == (p._nums, p._den)
+
+
+def test_reduced_rows_match_the_fraction_built_poly():
+    # random int rows over random denominators, each row scaled by a common
+    # factor, some led by +-1, and half of them with that factor dropped from
+    # the constant term alone, so that their gcd with the denominator is 1
+    # only there
+    rng = random.Random(23)
+    for _ in range(400):
+        common = rng.choice([1, 2, 6, 35, 2**40 * 3**7, 10**30 + 1])
+        row = [rng.randint(-10**12, 10**12) * common for _ in range(rng.randint(1, 12))]
+        row[-1] = rng.choice([1, -1, common, row[-1]])
+        if rng.random() < 0.5:
+            row[0] = rng.randint(-10**6, 10**6) * common + 1
+        denominator = rng.randint(1, 10**9) * common
+        p = Poly.from_numerators(row, denominator)
+        assert p == Poly([Fraction(c, denominator) for c in row])
+        assert_canonical(p)
 
 
 @pytest.mark.parametrize("numerators, denominator",

@@ -7,6 +7,7 @@ from math import factorial, gcd, isqrt
 import pytest
 
 import darcais.series
+import darcais.shapes
 
 from darcais.arith import divisor_power_sum, identity, one, sigma
 from darcais.exact import Poly, X
@@ -156,6 +157,7 @@ def test_euler_product_integer_exponents_match_recursion_values():
 
 EXPONENTS = [
     *range(-6, 31), HALF, Fraction(-5, 3), X, -X, -X - 1, 2 * X / 3 + 1, X**2, Poly(),
+    (X**2 - 3 * X) / 5 + HALF,  # d = 10 and deg u = 2
 ]
 
 
@@ -163,16 +165,26 @@ EXPONENTS = [
 def test_euler_product_power_matches_the_factor_by_factor_product(exponent):
     # the pentagonal recurrence against the product multiplied out factor
     # by factor, coefficient by coefficient and type by type; each
-    # truncation is a prefix of the longest one
-    slow_40 = euler_product_by_factors(exponent, 40).coefficients
-    for order in range(41):
+    # truncation is a prefix of the longest one, of order 80 for the hook
+    # scan's exponent and 40 for the others
+    top = 80 if exponent == -X - 1 else 40
+    slow_top = euler_product_by_factors(exponent, top).coefficients
+    for order in range(top + 1):
         fast = euler_product_power(exponent, order).coefficients
-        slow = slow_40[:order + 1]
+        slow = slow_top[:order + 1]
         assert fast == slow, (exponent, order)
         assert list(map(type, fast)) == list(map(type, slow)), (exponent, order)
         for c in fast:
             if isinstance(c, Poly):
                 assert_canonical(c)
+
+
+def test_hook_rows_are_canonical_as_they_come():
+    # for r = -x - 1 the row F_n = n! G_n has leading coefficient 1, so the
+    # hook scan's rows are the kernel's rows, unreduced
+    rows = darcais.shapes._shifted_rows(200)
+    assert len(rows) == 201
+    assert all(row[-1] == 1 and len(row) == n + 1 for n, row in enumerate(rows))
 
 
 def test_pentagonal_pairs_are_euler_coefficients():
