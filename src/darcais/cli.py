@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=_run_poly)
     add_functions(p_poly)
     p_poly.add_argument("--n", type=int, required=True)
-    p_poly.add_argument("--method", choices=("recursion", "series", "hook"), default="recursion")
+    p_poly.add_argument("--method", choices=POLY_METHODS, default="recursion")
     p_poly.add_argument("--eval-at", dest="eval_at", default=None,
                         help="evaluate at this rational (p/q) instead of printing coefficients")
     p_poly.add_argument("--format", choices=("text", "json"), default="text")

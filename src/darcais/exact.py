@@ -49,17 +49,6 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def quotient(a, b):
-    """a / b without leaving the exact domain.
-
-    For two ints: their int quotient when b divides a, else a Fraction,
-    never a float.  Otherwise (a Fraction or Poly operand) plain `/`."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return a / b
-
-
 def scaled_ints(values: Iterable) -> tuple[list[int], int]:
     """([0, s v_1, s v_2, ...], s) for rationals v_1, v_2, ...: s is the lcm
     of their denominators (1 for none), so each s v_k is an int, at index k."""
@@ -278,16 +267,19 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._scaled(other.numerator, other.denominator)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            b, db = other._nums, other._den
+        elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            b, db = (other.numerator,) if other else (), other.denominator
+        else:
             return NotImplemented
-        a, da, b, db = self._nums, self._den, other._nums, other._den
+        a, da = self._nums, self._den
         if not a or not b:
             return Poly()
         # content(a * b) = content(a) * content(b) (Gauss), and each side is
         # already coprime to its own denominator, so cancelling each
-        # numerator against the other's denominator leaves a reduced product.
+        # numerator against the other's denominator leaves a reduced product;
+        # a scalar p/q is the constant polynomial (p,) over q.
         if db != 1:
             g = gcd(db, *a)
             if g != 1:
@@ -307,29 +299,12 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _scaled(self, p: int, q: int) -> "Poly":
-        """self * p/q for coprime p and q > 0.  The input is reduced, so only
-        gcd(p, d) and gcd(q, numerators) can cancel."""
-        nums, d = self._nums, self._den
-        if not p or not nums:
-            return Poly()
-        g = gcd(p, d)
-        p, d = p // g, d // g
-        if q != 1:
-            g = gcd(q, *nums)
-            if g != 1:
-                nums, q = [c // g for c in nums], q // g
-        if p != 1:
-            nums = map(mul, nums, repeat(p, len(nums)))
-        return Poly._canonical(tuple(nums), d * q)
-
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool):
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        p, q = scalar.numerator, scalar.denominator
-        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
+        return self * (_F1 / scalar)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool):

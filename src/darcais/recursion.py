@@ -46,7 +46,6 @@ from .exact import (
     X,
     format_rational,
     pack_signed,
-    quotient,
     rational,
     scaled_ints,
     unpack_signed,
@@ -87,7 +86,7 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     x0 = rational(point) * Fraction(D, G)
     values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else [1]
     for n in range(len(values), max_n + 1):
-        values.append(quotient(x0 * sum(map(mul, gv[1:n + 1], values[n - 1::-1])), hv[n]))
+        values.append(x0 * sum(map(mul, gv[1:n + 1], values[n - 1::-1])) / hv[n])
     return [rational(v) for v in values]
 
 

@@ -23,11 +23,11 @@ brute-force sum over compositions is a route of its own.
 
 The partition sum runs in ints: it takes G g, G the lcm of the
 denominators of g(2..n-m+1), and divides by G^(n-m) once per coefficient.
-Its g-side, the partitions of n-m with their terms G^(n-m) gw(mu), depends
-on g and n-m only, so it is enumerated once into a term table per
+Its g-side, the terms G^(n-m) gw(mu) of the partitions mu of n-m, depends
+on g and n-m only, so it is computed once into a term table per
 (g, n-m), held in an LRU memo of `_TERM_TABLES` tables that every n and
-all three h-sides read.  A table lists its partitions sorted by length
-(`_by_length`), and drops those whose g-weight is zero.
+all three h-sides read.  A table holds one term for each partition, zero
+weights included, in the length order of `_by_length`.
 
 All three h-sides vanish exactly when mu has more than m parts:
 C(m, len mu) for h = one, C(n, n - m + len mu) for h = id, and
@@ -35,7 +35,7 @@ n < |mu| + len mu for the engine.  So the sum reads only the prefix of the
 table with at most m parts, cut by one bisect, and each h-side maps over
 that prefix in one pass: the closed forms as products of binomials with
 the memoized orbit sizes or R', the engine as one column W(., n) per
-(n - m, n), kept beside its rows and shared by every g that keeps the prefix.
+(n - m, n), kept beside its rows and shared by every g.
 
 The engines keep h(k) as an int wherever it is integral, so for an integer
 h every weight is an int (a rational h carries its Fractions exactly), and
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
@@ -293,28 +293,23 @@ def _by_length(size: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=_TERM_TABLES)
-def _g_terms(
-    g: ArithmeticFunction, size: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """(mus, terms, G^size): the g-side of the partition sum for one size.
+def _g_terms(g: ArithmeticFunction, size: int) -> tuple[tuple[int, ...], int]:
+    """(terms, G^size): the g-side of the partition sum for one size.
 
-    With G the lcm of the denominators of g(2..size+1), mus are the
-    partitions mu of size whose g-weight is nonzero, sorted by length as in
-    `_by_length`, and terms the ints
+    With G the lcm of the denominators of g(2..size+1), terms holds, for
+    each partition mu of size in the order of `_by_length(size)`, the int
 
         (G g)(mu_1 + 1) ... (G g)(mu_r + 1) * G^(size - r),    r = len(mu),
 
-    each G^size gw(mu).  They depend on g and size only, so every (n, m)
-    with n - m = size, and all three h-sides, read one table.  A table that
-    keeps every partition shares the tuple of `_by_length`.
+    which is G^size gw(mu), zero where gw(mu) is.  The terms depend on g
+    and size only, so every (n, m) with n - m = size, and all three
+    h-sides, read one table.
     """
     gv, G = scaled_ints(g(k) for k in range(2, size + 2))  # gv[part] = G g(part + 1)
     powers = [G ** e for e in range(size + 1)]
-    mus = _by_length(size)
-    terms = tuple([prod(map(gv.__getitem__, mu)) * powers[size - len(mu)] for mu in mus])
-    if not all(terms):
-        mus, terms = tuple(compress(mus, terms)), tuple(filter(None, terms))
-    return mus, terms, powers[size]
+    terms = tuple([prod(map(gv.__getitem__, mu)) * powers[size - len(mu)]
+                   for mu in _by_length(size)])
+    return terms, powers[size]
 
 
 def _partition_sum(
@@ -324,16 +319,17 @@ def _partition_sum(
     """sum over partitions mu of n-m of gw(mu) times its h-side, in ints.
 
     The g-side terms G^s gw(mu), s = n - m, come from the memoized table
-    `_g_terms(g, s)`; h_side is called once, on the prefix of the table's
-    mus with at most m parts, outside which every h-side vanishes, and
-    yields h_side(mu) for each of them in order.  The sum of each term
-    times h_side(mu) is divided by G^s once.  An int h_side keeps every
-    term an int, and a Fraction one (the engine of a rational h) is carried
-    exactly.  For m = n the sum has the single empty-partition term and
+    `_g_terms(g, s)`; h_side is called once, on the prefix of
+    `_by_length(s)` with at most m parts, outside which every h-side
+    vanishes, and yields h_side(mu) for each of them in order.  The sum of
+    each term times h_side(mu) is divided by G^s once.  An int h_side keeps
+    every term an int, and a Fraction one (the engine of a rational h) is
+    carried exactly.  For m = n the sum has the single empty-partition term and
     gives 1, matching the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    mus, terms, denominator = _g_terms(g, n - m)
+    terms, denominator = _g_terms(g, n - m)
+    mus = _by_length(n - m)
     prefix = mus[:bisect_right(mus, m, key=len)]
     return Fraction(sum(map(mul, terms, h_side(prefix))), denominator)
 
@@ -345,15 +341,8 @@ def coefficient_from_weights(
     _check_coeff_range(n, m)  # before h is read, so bad indices are named as such
     engine = _orbit_sum_engine(h)
     engine._read_h(n)
-    size = n - m
-
-    def h_side(mus: tuple[tuple[int, ...], ...]) -> Iterable[Scalar]:
-        # a table that dropped no partition of the prefix reads the shared column
-        if len(mus) == bisect_right(_by_length(size), m, key=len):
-            return engine.column(size, n)
-        return map(engine._value, mus, repeat(n))  # the mu are partitions: canonical keys
-
-    return _partition_sum(g, n, m, h_side)
+    # the column W(., n) is the engine's value on that same prefix
+    return _partition_sum(g, n, m, lambda prefix: engine.column(n - m, n))
 
 
 def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:

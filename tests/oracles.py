@@ -11,7 +11,7 @@ from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, mul
 
-from darcais.exact import Poly, Series, quotient
+from darcais.exact import Poly, Series
 from darcais.partitions import hook_multiset, partitions_of
 from darcais.shapes import is_log_concave, is_ultra_log_concave, is_unimodal
 from darcais.weights import _reciprocal_sum
@@ -237,13 +237,13 @@ def _signed_binomial_terms(exponent, kmax):
     """Coefficients (-1)^k C(exponent, k) for k = 1..kmax, up to the first zero.
 
     Works for integer exponents (negative included), where every term is
-    an int because C(r, k) = C(r, k-1) (r - k + 1) / k divides exactly, and
-    for Fraction and Poly exponents.
+    integral because C(r, k) = C(r, k-1) (r - k + 1) / k divides exactly,
+    and for Fraction and Poly exponents.
     """
     current = 1
     terms = []
     for k in range(1, kmax + 1):
-        current = quotient(-current * (exponent - (k - 1)), k)
+        current = -current * (exponent - (k - 1)) * Fraction(1, k)
         if current == 0:
             break  # nonnegative integer exponent: the factor is a polynomial
         terms.append(current)

@@ -2,9 +2,10 @@
 
 The routes are checked against each other, so agreement means something
 only while they share no code beyond `exact` and `arith` (and, for the
-partition routes, `partitions`).  The imports are read from the source
-with `ast`, so a route that reaches another one at call time is caught
-before it runs.
+partition routes, `partitions`).  The primitives are layered below the
+routes: `exact` and `partitions` import no package module, and `arith`
+only `exact`.  The imports are read from the source with `ast`, so a
+route that reaches another one at call time is caught before it runs.
 """
 
 import ast
@@ -17,6 +18,9 @@ import darcais
 PACKAGE = Path(darcais.__file__).parent
 
 ALLOWED = {
+    "exact": set(),
+    "arith": {"exact"},
+    "partitions": set(),
     "recursion": {"exact", "arith"},
     "weights": {"exact", "arith", "partitions"},
     # series -> recursion is the one exception: `closed_family_check` is a

@@ -381,8 +381,8 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
                 assert series.coefficient(n)[m] * table.normalizer(n) == entry, (h.name, n, m)
 
 
-# g tables with zeros, so their term tables drop partitions: zero at g(2)
-# drops every partition with a part 1, zero at g(3) every one with a 2
+# g tables with zeros, so their term tables hold zero terms: zero at g(2)
+# zeroes every partition with a part 1, zero at g(3) every one with a 2
 SPARSE_MAX_N = 12
 SPARSE_GS = [
     from_table([1, 0, 3, "1/2", 2, -1, 4, 5, "2/3", 1, 1, 2], name="zero-at-2"),
