@@ -15,12 +15,12 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from math import prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import ArithmeticFunction, from_descriptor
 from .checks import SUITES, run_suite
 from .exact import Poly, X, format_rational, rational
-from .recursion import coefficient_table, polynomial
+from .recursion import CoefficientTable, coefficient_table, polynomial
 from .series import generating_series_h_id, generating_series_h_one, hook_length_polynomial
 from .shapes import (
     delta_scan,
@@ -240,6 +240,25 @@ def _run_scan(args: argparse.Namespace) -> int:
     return 0 if failure is None else 1
 
 
+def _export_chunks(table: CoefficientTable, fmt: str) -> Iterator[str]:
+    """The export document, one row formatted at a time, so that only the
+    triangle and the row being written are held.  The JSON pieces are the
+    bytes of json.dumps(table.to_dict()): the header goes through
+    json.dumps, which escapes the names, and entries hold only digits, "-"
+    and "/", which JSON never escapes."""
+    rows = range(table.max_n + 1)
+    if fmt == "json":
+        yield json.dumps(table.header())[:-1] + ', "rows": ['
+        for n in rows:
+            cells = '", "'.join(table.formatted_row(n))
+            yield f'{", " if n else ""}["{cells}"]'
+        yield "]}\n"
+    else:
+        yield f"n/m,{','.join(map(str, rows))}\n"
+        for n in rows:
+            yield f"{n},{','.join(table.formatted_row(n))}{',' * (table.max_n - n)}\n"
+
+
 def _run_export(args: argparse.Namespace) -> int:
     g, h = _parse_functions(args)
     if args.max_n < 0:
@@ -249,28 +268,17 @@ def _run_export(args: argparse.Namespace) -> int:
         output = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     except OSError as exc:
         raise UsageError(f"cannot write --output: {exc}") from exc
-    with output as handle:
-        try:
-            table = coefficient_table(g, h, args.max_n)
-        except (ValueError, IndexError) as exc:
-            raise UsageError(str(exc)) from exc
-        doc = table.to_dict()
-        if args.format == "json":
-            text = json.dumps(doc)
-        else:
-            header = "n/m," + ",".join(str(m) for m in range(args.max_n + 1))
-            lines = [header]
-            for n in range(args.max_n + 1):
-                row = doc["rows"][n]
-                cells = row + [""] * (args.max_n + 1 - len(row))
-                lines.append(f"{n}," + ",".join(cells))
-            text = "\n".join(lines)
-        try:
-            print(text, file=handle)
-        except OSError as exc:
-            if not args.output:
-                raise
-            raise UsageError(f"cannot write --output: {exc}") from exc
+    try:
+        with output as handle:
+            try:
+                table = coefficient_table(g, h, args.max_n)
+            except (ValueError, IndexError) as exc:
+                raise UsageError(str(exc)) from exc
+            handle.writelines(_export_chunks(table, args.format))
+    except OSError as exc:  # a write, or the flush when the file closes
+        if not args.output:
+            raise
+        raise UsageError(f"cannot write --output: {exc}") from exc
     return 0
 
 

@@ -292,19 +292,26 @@ class CoefficientTable:
             raise IndexError(f"normalizer index {n} outside 0 <= n <= {self.max_n}")
         return self._normalizers[n]
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict; every rational rendered as a "p/q" string.  Each
+    def formatted_row(self, n: int) -> list[str]:
+        """Row n as "p/q" strings (plain decimal strings for ints).  Each
         entry is reduced by one gcd and formatted from its two ints, without
         a Fraction, as `format_rational` would render it."""
-        rows = []
-        for n in range(self.max_n + 1):
-            entries, denominators = self._scaled_row(n)
-            rows.append(list(map(str, entries) if denominators is None
-                             else map(_format_quotient, entries, denominators)))
+        if not 0 <= n <= self.max_n:
+            raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
+        entries, denominators = self._scaled_row(n)
+        return list(map(str, entries) if denominators is None
+                    else map(_format_quotient, entries, denominators))
+
+    def header(self) -> dict:
+        """The fields of `to_dict` before its rows, in the same order."""
         return {
             "kind": "coefficient-table", "g": self.g.name, "h": self.h.name, "max_n": self.max_n,
-            "normalizers": [format_rational(v) for v in self._normalizers], "rows": rows,
+            "normalizers": [format_rational(v) for v in self._normalizers],
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready dict; every rational rendered as a "p/q" string."""
+        return {**self.header(), "rows": [self.formatted_row(n) for n in range(self.max_n + 1)]}
 
 
 def _format_quotient(a: int, b: int) -> str:

@@ -116,6 +116,9 @@ def test_table_edges_and_errors():
         table.entry(3, 4)
     with pytest.raises(IndexError):
         table.entry(3, -1)
+    for n in (-1, 9):
+        with pytest.raises(IndexError):
+            table.formatted_row(n)
 
 
 def test_scaled_coefficients():
