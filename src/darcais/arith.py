@@ -12,6 +12,7 @@ so their memos (and the weight engines keyed by them) serve every caller.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence, Union
@@ -20,6 +21,7 @@ from .exact import format_rational, rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+MAX_TILDE_DEPTH = 100  # each level adds two stack frames to an evaluation
 
 
 class ArithmeticFunction:
@@ -120,7 +122,8 @@ def from_descriptor(descriptor: str) -> ArithmeticFunction:
 
     Grammar: ``one`` | ``id`` | ``sigma:<ell>`` | ``tilde:<descriptor>`` |
     ``table:<path>`` where the file holds a JSON array of integers or
-    "p/q" strings, index 0 being the value at n = 1.
+    "p/q" strings, index 0 being the value at n = 1.  ``tilde:`` nests at
+    most MAX_TILDE_DEPTH deep.
     """
     descriptor = descriptor.strip()
     if descriptor == "one":
@@ -134,6 +137,8 @@ def from_descriptor(descriptor: str) -> ArithmeticFunction:
             raise ValueError(f"bad sigma exponent in descriptor {descriptor!r}") from None
         return sigma(power)
     if descriptor.startswith("tilde:"):
+        if re.match(r"(?:tilde:\s*){%d}" % (MAX_TILDE_DEPTH + 1), descriptor):
+            raise ValueError(f"tilde: nests more than {MAX_TILDE_DEPTH} deep")
         return tilde(from_descriptor(descriptor[len("tilde:"):]))
     if descriptor.startswith("table:"):
         path = descriptor[len("table:"):]

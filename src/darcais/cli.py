@@ -41,8 +41,9 @@ from .series import euler_product_power  # noqa: F401
 
 METHODS = ("recursion", "lemma", "main-theorem", "thm1", "thm2", "composition", "series", "hook")
 POLY_METHODS = ("recursion", "series", "hook")
-CHECKS = ("lehmer", "hook-logconcave", "hook-top", "delta")
-FORMATS = ("text", "json", "csv")
+# the h each method takes, for the methods that do not take every h
+_METHOD_H = {"series": ("one", "id"), "composition": ("one", "id"),
+             "thm1": ("one",), "thm2": ("id",)}
 
 
 class UsageError(Exception):
@@ -58,27 +59,26 @@ def _parse_functions(args: argparse.Namespace) -> tuple[ArithmeticFunction, Arit
     return g, h
 
 
-def _require_h(args: argparse.Namespace, h: ArithmeticFunction, names: tuple[str, ...]) -> None:
-    if h.name not in names:
+def _check_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> None:
+    names = _METHOD_H.get(args.method)
+    if names is not None and h.name not in names:
         raise UsageError(f"method {args.method!r} needs h in {names}, got {args.h_desc!r}")
+    if args.method == "hook" and (g.name, h.name) != ("sigma:1", "id"):
+        raise UsageError("method 'hook' is only defined for --g sigma:1 --h id")
 
 
 def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> Poly:
     n = args.n
     if n < 0:
         raise UsageError("n must be nonnegative")
+    _check_method(args, g, h)
     if args.method == "recursion":
         return polynomial(g, h, n)
     if args.method == "series":
-        _require_h(args, h, ("one", "id"))
         series = generating_series_h_one(g, n) if h.name == "one" else generating_series_h_id(g, n)
         coeff = series.coefficient(n)
         return coeff if isinstance(coeff, Poly) else Poly((coeff,))
-    if args.method == "hook":
-        if g.name != "sigma:1" or h.name != "id":
-            raise UsageError("method 'hook' is only defined for --g sigma:1 --h id")
-        return hook_length_polynomial(n)(X - 1)
-    raise UsageError(f"method {args.method!r} is not valid for 'poly'")
+    return hook_length_polynomial(n)(X - 1)
 
 
 def _coeff_from_method(
@@ -92,20 +92,16 @@ def _coeff_from_method(
         raise UsageError(f"method {method!r} needs m >= 1")
     if method in POLY_METHODS:
         return _poly_from_method(args, g, h)[m]
+    _check_method(args, g, h)
     if method == "lemma":
         return Fraction(coefficient_table(g, h, n).entry(n, m))
     if method == "main-theorem":
         return coefficient_from_weights(g, h, n, m)
     if method == "thm1":
-        _require_h(args, h, ("one",))
         return coefficient_h_one(g, n, m)
     if method == "thm2":
-        _require_h(args, h, ("id",))
         return coefficient_h_id(g, n, m)
-    if method == "composition":
-        _require_h(args, h, ("one", "id"))
-        return coefficient_composition_sum(g, n, m, h.name)
-    raise UsageError(f"unknown method {method!r}")
+    return coefficient_composition_sum(g, n, m, h.name)
 
 
 def _run_poly(args: argparse.Namespace) -> int:
@@ -120,19 +116,17 @@ def _run_poly(args: argparse.Namespace) -> int:
         poly = _poly_from_method(args, g, h)
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
-    doc = {"g": g.name, "h": h.name, "n": args.n, "method": args.method}
-    if eval_at is not None:
-        value = poly(eval_at)
-        if args.format == "json":
-            doc.update(eval_at=format_rational(eval_at), value=format_rational(value))
-            print(json.dumps(doc))
+    value = None if eval_at is None else format_rational(poly(eval_at))
+    if args.format == "json":
+        doc = {"g": g.name, "h": h.name, "n": args.n, "method": args.method}
+        if value is None:
+            doc["coefficients"] = [format_rational(c) for c in poly.padded(args.n + 1)]
         else:
-            print(format_rational(value))
-    elif args.format == "json":
-        doc["coefficients"] = [format_rational(c) for c in poly.padded(args.n + 1)]
-        print(json.dumps(doc))
+            doc.update(eval_at=format_rational(eval_at), value=value)
+        text = json.dumps(doc)
     else:
-        print(str(poly))
+        text = str(poly) if value is None else value
+    print(text)
     return 0
 
 
@@ -216,27 +210,24 @@ def _run_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"{check} scan is only defined for --g sigma:1 --h id")
     if check == "lehmer":
         values, (_, failure) = lehmer_scan(max_n)
-        _emit_value_rows([(n, values[n]) for n in range(1, max_n + 1)], args.format)
-        if failure is not None:
-            print("FAIL lehmer: {1} at n={0}".format(*failure), file=sys.stderr)
-            return 1
-        return 0
-    if check == "delta":
+        rows, reason = [(n, values[n]) for n in range(1, max_n + 1)], "{0[1]} at n={0[0]}"
+    elif check == "delta":
         try:
             rows, (_, failure) = delta_scan(g, h, max_n)
         except (ValueError, IndexError) as exc:
             raise UsageError(str(exc)) from exc
-        _emit_value_rows(rows, args.format)
-        if failure is not None:
-            print(f"FAIL delta: nonpositive margin at n={failure}", file=sys.stderr)
-            return 1
-        return 0
-    if check == "hook-logconcave":
-        name, (_, failure) = "hook-log-concavity", hook_poly_log_concavity_scan(max_n)
+        reason = "nonpositive margin at n={0}"
     else:
-        name, (_, failure) = "hook-top-inequality", hook_poly_top_inequality_scan(max_n)
-    _emit_summary({"check": name, "max_n": max_n, "passed": failure is None,
-                   "first_failure": failure}, args.format)
+        if check == "hook-logconcave":
+            name, (_, failure) = "hook-log-concavity", hook_poly_log_concavity_scan(max_n)
+        else:
+            name, (_, failure) = "hook-top-inequality", hook_poly_top_inequality_scan(max_n)
+        _emit_summary({"check": name, "max_n": max_n, "passed": failure is None,
+                       "first_failure": failure}, args.format)
+        return 0 if failure is None else 1
+    _emit_value_rows(rows, args.format)
+    if failure is not None:
+        print(f"FAIL {check}: " + reason.format(failure), file=sys.stderr)
     return 0 if failure is None else 1
 
 
@@ -263,19 +254,15 @@ def _run_export(args: argparse.Namespace) -> int:
     g, h = _parse_functions(args)
     if args.max_n < 0:
         raise UsageError("export needs --max-n >= 0")
-    # open --output before the work, so an unwritable path fails fast
-    try:
+    try:  # open --output before the work, so an unwritable path fails fast
         output = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
-    except OSError as exc:
-        raise UsageError(f"cannot write --output: {exc}") from exc
-    try:
         with output as handle:
             try:
                 table = coefficient_table(g, h, args.max_n)
             except (ValueError, IndexError) as exc:
                 raise UsageError(str(exc)) from exc
             handle.writelines(_export_chunks(table, args.format))
-    except OSError as exc:  # a write, or the flush when the file closes
+    except OSError as exc:  # the open, a write, or the flush when the file closes
         if not args.output:
             raise
         raise UsageError(f"cannot write --output: {exc}") from exc
@@ -324,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="run an exact scan")
     p_scan.set_defaults(func=_run_scan)
     add_functions(p_scan)
-    p_scan.add_argument("--check", choices=CHECKS, required=True)
+    p_scan.add_argument("--check", choices=tuple(_SCAN_MIN_N), required=True)
     p_scan.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p_scan.add_argument("--format", choices=FORMATS, default="text")
+    p_scan.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_export = sub.add_parser("export", help="export a coefficient table")
     p_export.set_defaults(func=_run_export)
@@ -344,6 +331,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # lift the int-to-str digit cap, absent before Python 3.10.7, for the call
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
@@ -357,6 +348,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import comb, factorial, perm, prod
 from operator import add, mul
@@ -200,13 +200,12 @@ class OrbitWeightEngine(_WeightMemo):
     def key(mu: Sequence[int]) -> tuple[int, ...]:
         return tuple(sorted(mu, reverse=True))
 
-    def column(self, size: int, n: int) -> list[Scalar]:
-        """W(mu, n) for the partitions mu of size with at most n - size
-        parts, in length order, once h is read up to h(n)."""
+    def column(self, size: int, n: int, prefix: Sequence[tuple[int, ...]]) -> list[Scalar]:
+        """W(mu, n) for each mu of prefix, the partitions of size with at
+        most n - size parts in length order; reads h up to h(n)."""
         got = self._columns.get((size, n))
         if got is None:
-            mus = _by_length(size)
-            prefix = mus[:bisect_right(mus, n - size, key=len)]
+            self._read_h(n)
             got = self._columns[size, n] = list(map(self._value, prefix, repeat(n)))
         return got
 
@@ -319,30 +318,26 @@ def _partition_sum(
     """sum over partitions mu of n-m of gw(mu) times its h-side, in ints.
 
     The g-side terms G^s gw(mu), s = n - m, come from the memoized table
-    `_g_terms(g, s)`; h_side is called once, on the prefix of
-    `_by_length(s)` with at most m parts, outside which every h-side
-    vanishes, and yields h_side(mu) for each of them in order.  The sum of
-    each term times h_side(mu) is divided by G^s once.  An int h_side keeps
-    every term an int, and a Fraction one (the engine of a rational h) is
-    carried exactly.  For m = n the sum has the single empty-partition term and
-    gives 1, matching the diagonal of the triangle.
+    `_g_terms(g, s)`; h_side is called once, before g is read (so a bad h
+    is named first), on the prefix of `_by_length(s)` with at most m parts,
+    outside which every h-side vanishes, and yields h_side(mu) for each of
+    them in order.  The sum of each term times h_side(mu) is divided by G^s
+    once.  An int h_side keeps every term an int, and a Fraction one (the
+    engine of a rational h) is carried exactly.  For m = n the sum has the
+    single empty-partition term and gives 1, the diagonal of the triangle.
     """
     _check_coeff_range(n, m)
-    terms, denominator = _g_terms(g, n - m)
     mus = _by_length(n - m)
-    prefix = mus[:bisect_right(mus, m, key=len)]
-    return Fraction(sum(map(mul, terms, h_side(prefix))), denominator)
+    h_values = h_side(mus[:bisect_right(mus, m, key=len)])
+    terms, denominator = _g_terms(g, n - m)
+    return Fraction(sum(map(mul, terms, h_values)), denominator)
 
 
 def coefficient_from_weights(
     g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int
 ) -> Fraction:
     """A[n][m] as the partition sum of g-weights times orbit-summed h-weights."""
-    _check_coeff_range(n, m)  # before h is read, so bad indices are named as such
-    engine = _orbit_sum_engine(h)
-    engine._read_h(n)
-    # the column W(., n) is the engine's value on that same prefix
-    return _partition_sum(g, n, m, lambda prefix: engine.column(n - m, n))
+    return _partition_sum(g, n, m, partial(_orbit_sum_engine(h).column, n - m, n))
 
 
 def coefficient_h_one(g: ArithmeticFunction, n: int, m: int) -> Fraction:

@@ -436,7 +436,7 @@ def test_engine_columns_stay_within_the_rows(h):
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             prefix = [mu for mu in weights._by_length(n - m) if len(mu) <= m]
-            assert engine.column(n - m, n) == [engine.value(mu, n) for mu in prefix], (n, m)
+            assert engine.column(n - m, n, prefix) == [engine.value(mu, n) for mu in prefix], (n, m)
     size_zero = sum(size == 0 for size, _ in engine._columns)
     column_entries = sum(map(len, engine._columns.values()))
     assert column_entries <= sum(map(len, engine._rows.values())) + size_zero
