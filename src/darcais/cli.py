@@ -50,6 +50,13 @@ class UsageError(Exception):
     """Bad descriptors, indices, bounds, or method/function mismatches (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own usage errors as UsageError: one `error:` line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _parse_functions(args: argparse.Namespace) -> tuple[ArithmeticFunction, ArithmeticFunction]:
     try:
         g = from_descriptor(args.g_desc)
@@ -270,7 +277,7 @@ def _run_export(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darcais",
         description="Exact polynomials attached to arithmetic functions: "
         "computation, cross-verification, scans, export.",
@@ -289,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--method", choices=POLY_METHODS, default="recursion")
     p_poly.add_argument("--eval-at", dest="eval_at", default=None,
-                        help="evaluate at this rational (p/q) instead of printing coefficients")
+                        help="evaluate at this rational (p/q) instead of printing coefficients "
+                        "(a negative one as --eval-at=-1/2)")
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
 
     p_coeff = sub.add_parser("coeff", help="compute one triangle coefficient A[n][m]")
@@ -326,19 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    # lift the int-to-str digit cap, absent before Python 3.10.7, for the call
+    # lift the int-to-str digit cap (absent before Python 3.10.7) for the run, not the parse
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if cap:
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        if cap:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except BrokenPipeError:  # the reader is gone: quiet the flush at exit, exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

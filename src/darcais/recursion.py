@@ -202,15 +202,6 @@ def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> 
     return gv, hv, (G, D)
 
 
-def _triangle_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
-    """(gv, p, q, (G, D)): gv = G g at 0..max_n as ints, h(k) = p[k] / q[k]
-    in lowest terms with q[k] > 0 (q[0] = 1), and the lcms G, D of the
-    denominators of g(1..max_n) and h(1..max_n), which decide the read type."""
-    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
-    r = list(map(gcd, hv, repeat(D)))
-    return gv, list(map(floordiv, hv, r)), [D // v for v in r], (G, D)
-
-
 def _band(gv: list[int], p: list[int], q: list[int], depth: int) -> list[list[int]]:
     """The band n - m <= depth of the scaled triangle, as int columns
     col[m][n - m] = A*[n][m] = G^m Q(n-1) A[n][m].
@@ -237,9 +228,23 @@ def _band(gv: list[int], p: list[int], q: list[int], depth: int) -> list[list[in
     return cols
 
 
-def _scales(G: int, q: list[int], max_n: int) -> tuple[list[int], list[int]]:
-    """(G^m for m <= max_n, Q(n-1) for n <= max_n): A[n][m] = A*[n][m] / (G^m Q(n-1))."""
-    return [G**m for m in range(max_n + 1)], [1, *accumulate(q[1:max_n], mul, initial=1)]
+def _scaled_band(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int, depth: int) -> tuple:
+    """(cols, p, q, scale): `_band` at this depth for g, h at 0..max_n,
+    h(k) = p[k] / q[k] in lowest terms with q[k] > 0 (q[0] = 1), and the
+    read's denominators scale = (G^m for m <= max_n, Q(n-1) for n <= max_n),
+    or None when g(1..max_n) and h(1..max_n) are integers (G = D = 1)."""
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    r = list(map(gcd, hv, repeat(D)))
+    p, q = list(map(floordiv, hv, r)), [D // v for v in r]
+    scale = None if G * D == 1 else (
+        [G**m for m in range(max_n + 1)], [1, *accumulate(q[1:max_n], mul, initial=1)])
+    return _band(gv, p, q, depth), p, q, scale
+
+
+def _read(cols: list[list[int]], scale: tuple | None, n: int, m: int):
+    """A[n][m] = col[m][n - m] / (G^m Q(n-1)) of `_scaled_band`; an int if scale is None."""
+    a = cols[m][n - m]
+    return a if scale is None else Fraction(a, scale[0][m] * scale[1][n])
 
 
 class CoefficientTable:
@@ -252,37 +257,32 @@ class CoefficientTable:
     read divides once by G^m Q(n-1), and H(n) = p_1 ... p_n / Q(n).
     """
 
-    __slots__ = ("g", "h", "max_n", "_cols", "_normalizers", "_gp", "_qp")
+    __slots__ = ("g", "h", "max_n", "_cols", "_scale", "_normalizers")
 
     def __init__(self, g: ArithmeticFunction, h: ArithmeticFunction, max_n: int):
-        gv, p, q, (G, D) = _triangle_inputs(g, h, max_n)
+        self._cols, p, q, self._scale = _scaled_band(g, h, max_n, max_n)
         self.g, self.h, self.max_n = g, h, max_n
-        self._cols = _band(gv, p, q, max_n)
-        normalizers = list(accumulate(p[1:], mul, initial=1))
-        self._gp = self._qp = None  # G^m and Q(n-1): the read's denominator factors
-        if G * D > 1:
-            self._gp, self._qp = _scales(G, q, max_n)
-            normalizers = list(map(Fraction, normalizers, accumulate(q[1:], mul, initial=1)))
-        self._normalizers = normalizers
+        H = accumulate(p[1:], mul, initial=1)
+        self._normalizers = list(H if self._scale is None
+                                 else map(Fraction, H, accumulate(q[1:], mul, initial=1)))
 
     def entry(self, n: int, m: int):
         """A[n][m], an int or Fraction."""
         if not 0 <= n <= self.max_n or not 0 <= m <= n:
             raise IndexError(f"table index (n={n}, m={m}) outside 0 <= m <= n <= {self.max_n}")
-        a = self._cols[m][n - m]
-        return a if self._gp is None else Fraction(a, self._gp[m] * self._qp[n])
+        return _read(self._cols, self._scale, n, m)
 
     def _scaled_row(self, n: int) -> tuple:
         """(A*[n][m] for m = 0..n, their denominators G^m Q(n-1)), the second
         None for an int table."""
-        entries = map(getitem, self._cols[:n + 1], range(n, -1, -1))
-        if self._gp is None:
-            return entries, None
-        return entries, map(mul, self._gp[:n + 1], repeat(self._qp[n]))
-
-    def row(self, n: int) -> tuple:
         if not 0 <= n <= self.max_n:
             raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
+        entries = map(getitem, self._cols[:n + 1], range(n, -1, -1))
+        if self._scale is None:
+            return entries, None
+        return entries, map(mul, self._scale[0][:n + 1], repeat(self._scale[1][n]))
+
+    def row(self, n: int) -> tuple:
         entries, denominators = self._scaled_row(n)
         return tuple(entries if denominators is None else map(Fraction, entries, denominators))
 
@@ -296,8 +296,6 @@ class CoefficientTable:
         """Row n as "p/q" strings (plain decimal strings for ints).  Each
         entry is reduced by one gcd and formatted from its two ints, without
         a Fraction, as `format_rational` would render it."""
-        if not 0 <= n <= self.max_n:
-            raise IndexError(f"row {n} outside 0 <= n <= {self.max_n}")
         entries, denominators = self._scaled_row(n)
         return list(map(str, entries) if denominators is None
                     else map(_format_quotient, entries, denominators))
@@ -332,18 +330,13 @@ def coefficient_top_band(
     The band is closed under the recursion (A[n][n-j] only needs entries
     with smaller offsets from the diagonal), so `_band` at this depth
     keeps depth + 1 entries per column and top-coefficient scans to large n
-    skip the O(n^2) bulk of the triangle.  Read as in the table.
+    skip the O(n^2) bulk of the triangle.  Read as in the table, by `_read`.
     """
     if depth < 0:
         raise ValueError("band depth must be nonnegative")
-    gv, p, q, (G, D) = _triangle_inputs(g, h, max_n)
-    cols = _band(gv, p, q, depth)
-    band = [tuple(cols[n - j][j] for j in range(min(depth, n) + 1)) for n in range(max_n + 1)]
-    if G * D == 1:
-        return band
-    gp, qp = _scales(G, q, max_n)
-    return [tuple(Fraction(b, gp[n - j] * qp[n]) for j, b in enumerate(row))
-            for n, row in enumerate(band)]
+    cols, _, _, scale = _scaled_band(g, h, max_n, depth)
+    return [tuple(_read(cols, scale, n, n - j) for j in range(min(depth, n) + 1))
+            for n in range(max_n + 1)]
 
 
 def shifted_coefficient_numerators(row: Sequence) -> list:

@@ -1,7 +1,8 @@
 """The CLI's exit-code contract: 0 success, 1 a verification failure, 2 bad
 input with one `error:` line on stderr and nothing on stdout.  Covers values
 past Python's int-to-str digit cap, the nesting limit of `tilde:`, the exact
-usage-error lines of the method and scan checks, and a grammar fuzzer."""
+usage-error lines of the method and scan checks and of argparse, and a
+grammar fuzzer."""
 
 import argparse
 import contextlib
@@ -88,6 +89,16 @@ def test_tilde_nests_to_a_fixed_depth(depth):
         assert err == f"error: {line}\n"
 
 
+def _bad_choice(flag, value, choices):
+    """argparse's message for a bad choice, whose quoting of the choices
+    differs between Python versions."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument(flag, choices=choices)
+    with pytest.raises(argparse.ArgumentError) as info:
+        parser.parse_args([flag, value])
+    return str(info.value)
+
+
 COEFF = ("coeff", "--n", "3", "--m", "1")
 SCAN = ("scan", "--max-n", "5")
 
@@ -114,14 +125,33 @@ SCAN = ("scan", "--max-n", "5")
         *[((*SCAN, "--check", check, "--g", "one"),
            f"{check} scan is only defined for --g sigma:1 --h id")
           for check in ("lehmer", "hook-logconcave", "hook-top")],
+        # argparse's own errors
+        (("coeff", "--n", "2"), "the following arguments are required: --m"),
+        (("poly", "--n", "x"), "argument --n: invalid int value: 'x'"),
+        (("scan", "--check", "nope", "--max-n", "3"),
+         _bad_choice("--check", "nope", ("lehmer", "hook-logconcave", "hook-top", "delta"))),
+        ((), "the following arguments are required: command"),
+        (("poly", "--n", "3", "--bogus"), "unrecognized arguments: --bogus"),
+        # argparse reads -1/2 as an option: a negative fraction needs --eval-at=-1/2
+        (("poly", "--n", "3", "--eval-at", "-1/2"), "argument --eval-at: expected one argument"),
     ],
     ids=["series-h", "thm1-h", "thm2-h", "composition-h", "hook-g", "hook-h",
          "m0-main-theorem", "m0-thm1", "m0-thm2", "m0-composition",
          "min-lehmer", "min-hook-logconcave", "min-hook-top", "min-delta",
-         "only-lehmer", "only-hook-logconcave", "only-hook-top"],
+         "only-lehmer", "only-hook-logconcave", "only-hook-top",
+         "argparse-missing-flag", "argparse-bad-int", "argparse-bad-choice",
+         "argparse-no-subcommand", "argparse-unknown-flag", "argparse-negative-eval-at"],
 )
 def test_usage_error_lines(argv, line):
     assert run_cli(*argv) == (2, "", f"error: {line}\n")
+
+
+def test_a_negative_fraction_eval_at_takes_the_equals_form():
+    assert run_cli("poly", "--n", "3", "--eval-at=-1/2") == (0, "-5/16\n", "")
+
+
+def test_help_exits_0_with_the_parsers_help():
+    assert run_cli("--help") == (0, build_parser().format_help(), "")
 
 
 def test_output_into_a_missing_directory_is_one_error_line(tmp_path):

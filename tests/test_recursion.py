@@ -230,6 +230,7 @@ def test_top_band_matches_table():
             assert len(band[n]) == min(depth, n) + 1
             for j in range(min(depth, n) + 1):
                 assert band[n][j] == table.entry(n, n - j), (g.name, h.name, depth, n, j)
+                assert type(band[n][j]) is type(table.entry(n, n - j)), (g.name, h.name, n, j)
 
 
 def test_table_dict_roundtrip():
