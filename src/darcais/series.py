@@ -6,9 +6,12 @@ meaningful evidence:
 
 * h = id:   sum_n P_n(x) q^n = exp(x * sum_k g(k) q^k / k),
 * h = one:  sum_n P_n(x) q^n = 1 / (1 - x * sum_k g(k) q^k),
-* Euler products prod_n (1 - q^n)^r by Miller's power recurrence on
-  Euler's pentagonal series (r may be a polynomial variable, whose q^n
-  coefficient runs division-free on ints over its own scale d^n n!),
+* Euler products prod_n (1 - q^n)^r: for an int r >= 0, Jacobi's cube
+  series to the power r // 3 by squarings of Kronecker-packed ints, times
+  Euler's pentagonal series to the power r % 3; for every other r, Miller's
+  power recurrence on Euler's pentagonal series (r may be a polynomial
+  variable, whose q^n coefficient runs division-free on ints over its own
+  scale d^n n!),
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
@@ -21,7 +24,7 @@ from math import comb, factorial, perm, prod
 from operator import add, mul, sub
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import Poly, Series, X, first_failure, unpack_signed
+from .exact import Poly, Series, X, first_failure, pack_signed, unpack_signed, unpack_window
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
@@ -65,15 +68,18 @@ def euler_product_power(exponent, order: int) -> Series:
     `exponent` may be any integer or Fraction, or a Poly (typically X), in
     which case the q^n coefficient is an exact polynomial of degree n in
     the exponent variable.  With E = prod (1 - q^k) = sum e_i q^i, sparse by
-    `_pentagonal`, G = E^r satisfies E G' = r E' G, that is
+    `_pentagonal`, a nonnegative integral r takes the product route
+    (`_jacobi_power`): E^r from Jacobi's cube by packed squarings.  Every
+    other r runs Miller's recurrence: G = E^r satisfies E G' = r E' G, that is
 
         n G_n = sum_{i>=1} e_i ((r + 1) i - n) G_{n-i}
 
     (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7).  For
     r = u / d (u an int, or an int polynomial for a Poly exponent; d > 0)
-    it runs in ints.  A scalar r runs on E_n = T G_n, with T = 1 for an
-    integer r and T = d^order order! otherwise, which n! G_n in Z[r] makes
-    integral; each step divides by n d once, exactly.  A Poly r runs on
+    it runs in ints.  A negative or non-integral scalar r runs on
+    E_n = T G_n, with T = 1 for an integer r and T = d^order order!
+    otherwise, which n! G_n in Z[r] makes integral; each step divides by
+    n d once, exactly.  A Poly r runs on
     the rows F_n = d^n n! G_n, each over its own scale, by a division-free
     form of the recurrence (`_poly_power`).
     """
@@ -87,6 +93,8 @@ def euler_product_power(exponent, order: int) -> Series:
             return _poly_power(exponent, order, pentagonal)
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
     u, d = exponent.numerator, exponent.denominator
+    if d == 1 and u >= 0:
+        return Series(_jacobi_power(u, order, pentagonal))
     T = 1 if d == 1 else d**order * factorial(order)
     steps, signs = [i for i, _ in pentagonal], [e for _, e in pentagonal]
     weights = list(map(mul, steps, signs))
@@ -98,6 +106,51 @@ def euler_product_power(exponent, order: int) -> Series:
         s0, s1 = sum(map(mul, signs, terms)), sum(map(mul, weights, terms))
         values.append(((u + d) * s1 - d * n * s0) // (n * d))
     return Series(values if T == 1 else [Fraction(v, T) for v in values])
+
+
+def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
+    """The branch of `euler_product_power` for an int r >= 0: with r = 3 t + s,
+    s < 3, prod (1 - q^k)^r = J^t E^s, where E = sum_i e_i q^i by
+    `_pentagonal` and J = prod (1 - q^k)^3 = sum_{k>=0} (-1)^k (2k + 1)
+    q^(k (k + 1) / 2) by Jacobi's identity.  J^t is taken by left-to-right
+    binary powering, so r = 24 costs three squarings, and each step is one
+    truncated product (`_truncated_product`)."""
+    t, s = divmod(r, 3)
+    euler = [1] + [0] * order
+    for i, e in pentagonal:
+        euler[i] = e
+    jacobi = [0] * (order + 1)
+    k = 0
+    while k * (k + 1) // 2 <= order:
+        jacobi[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    power = jacobi if t else [1] + [0] * order
+    for bit in bin(t)[3:]:
+        power = _truncated_product(power, power, order)
+        if bit == "1":
+            power = _truncated_product(power, jacobi, order)
+    for _ in range(s):
+        power = _truncated_product(power, euler, order)
+    return power
+
+
+def _truncated_product(a: list[int], b: list[int], order: int) -> list[int]:
+    """The coefficients of q^0 .. q^order of the product of the int series a
+    and b, as one product of Kronecker-packed ints (a square packs its
+    operand once).  Slot t of pack_signed(a, w) * pack_signed(b, w) holds
+    c_t = sum_i a_i b_(t-i), a sum of at most min(len a, len b) terms, so
+    |c_t| <= min(len a, len b) max|a| max|b| < 2^bits with bits the bit
+    length of that bound, and w = bits // 8 + 1 bytes give 8w - 1 >= bits:
+    every c_t, and so every a_i and b_j, lies in the signed slot range, the
+    bound `recursion._int_prefix` sizes its slots by.  `unpack_window`
+    reads the low order + 1 slots; a factor of all zeros gives zeros."""
+    amax, bmax = max(map(abs, a)), max(map(abs, b))
+    if not (amax and bmax):
+        return [0] * (order + 1)
+    width = (min(len(a), len(b)) * amax * bmax).bit_length() // 8 + 1
+    packed = pack_signed(a, width)
+    c = packed * packed if a is b else packed * pack_signed(b, width)
+    return unpack_window(c, width, 0, order + 1)
 
 
 def _poly_power(exponent: Poly, order: int, pentagonal: list) -> Series:

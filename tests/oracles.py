@@ -264,6 +264,20 @@ def euler_product_by_factors(exponent, order):
     return Series(acc)
 
 
+def euler_power_by_binomials(r, order):
+    """prod_{n>=1} (1 - q^n)^r for an int r >= 0, truncated at q^order, in
+    ints: each factor (1 - q^n)^r = sum_k (-1)^k C(r, k) q^(nk) multiplied
+    in one term at a time."""
+    acc = [1] + [0] * order
+    for n in range(1, order + 1):
+        out = list(acc)
+        for k in range(1, min(r, order // n) + 1):
+            c = (-1) ** k * comb(r, k)
+            out[n * k:] = map(add, out[n * k:], map(mul, acc, repeat(c)))
+        acc = out
+    return acc
+
+
 # A polynomial as a plain list of Fractions, constant term first, with no
 # trailing zero: the representation `exact.Poly` had before it kept
 # integer numerators over one denominator.

@@ -22,6 +22,9 @@ the first of them is `perfbench/golden.json`'s `poly-recursion` digest, and
 the signed tables `s.json` and `t.json` give P_12 negative coefficients.
 The lehmer scan to n = 4000 was recorded while the values at x = -24 came
 from the quadratic loop, before its int prefix ran by divide and conquer.
+The lehmer digests up to n = 4000 were recorded while the product
+prod (1 - q^k)^24 came from Miller's recurrence, before it was built from
+Jacobi's cube by squarings.
 """
 
 import hashlib

@@ -22,6 +22,7 @@ from darcais.series import (
 )
 
 from oracles import (
+    euler_power_by_binomials,
     euler_product_by_factors,
     hook_length_polynomial_by_terms,
     poly_mul,
@@ -113,11 +114,11 @@ def test_euler_product_24():
         assert expansion.coefficient(n) == values[n]
 
 
-def test_tau_identities_hold_on_the_recursion_values():
-    # tau(n) = P_{n-1}(-24) for (sigma, id), checked against four classical
-    # facts that share nothing with the value route but divisor sums
-    top = 2000
-    tau = [None, *value_sequence(sigma(1), identity(), Fraction(-24), top - 1)]
+def assert_tau_identities(values):
+    # tau(n) for n = 1..len(values) is values[n - 1], checked against four
+    # classical facts that share nothing with the routes but divisor sums
+    top = len(values)
+    tau = [None, *values]
     assert all(t.denominator == 1 for t in tau[1:])
     tau = [None, *(int(t) for t in tau[1:])]
     assert tau[1:6] == [1, -24, 252, -1472, 4830]
@@ -138,6 +139,28 @@ def test_tau_identities_hold_on_the_recursion_values():
         while p ** (k + 1) <= top:
             assert tau[p ** (k + 1)] == tau[p] * tau[p**k] - p**11 * tau[p ** (k - 1)], (p, k)
             k += 1
+
+
+def test_tau_identities_hold_on_the_recursion_values():
+    # tau(n) = P_{n-1}(-24) for (sigma, id)
+    assert_tau_identities(value_sequence(sigma(1), identity(), Fraction(-24), 1999))
+
+
+def test_tau_identities_hold_on_the_product_route():
+    # tau(n) = [q^(n-1)] prod (1 - q^k)^24, by three squarings of Jacobi's cube
+    assert_tau_identities(euler_product_power(24, 1999).coefficients)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6, 8, 24, 25, 26])
+def test_nonnegative_integer_powers_match_the_binomial_product(r):
+    # the product route, J^t E^s by packed squarings, against the factors
+    # (1 - q^n)^r multiplied out by binomial coefficients, well past the
+    # order 40 of the factor-by-factor test
+    order = 300
+    coefficients = euler_product_power(r, order).coefficients
+    assert coefficients == tuple(euler_power_by_binomials(r, order))
+    assert all(type(c) is Fraction for c in coefficients)
+    assert euler_product_power(Fraction(r), order) == euler_product_power(r, order)
 
 
 def test_euler_product_integer_exponents_match_recursion_values():
