@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--method", choices=POLY_METHODS, default="recursion")
     p_poly.add_argument("--eval-at", dest="eval_at", default=None,
-                        help="evaluate at this rational (p/q) instead of printing coefficients "
+                        help="evaluate at this integer or p/q instead of printing coefficients "
                         "(a negative one as --eval-at=-1/2)")
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
 

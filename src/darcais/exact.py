@@ -4,24 +4,27 @@ Scalars are `fractions.Fraction` (or ints, where an interface says so),
 so every computation in this package is exact and polynomial equality is
 decidable.  Kernels whose inputs are integral may run in plain ints and
 convert their results with `rational`; `rational`, `Poly` and `Series`
-refuse floats and booleans.  Polynomials are dense, coefficients indexed
-from degree 0, and stored in primitive-part form: int numerators over one
-denominator, so polynomial arithmetic runs in ints, and an int kernel
-hands its result back through `Poly.from_numerators`.  `scaled_ints`
-scales a table of rationals to ints over the lcm of their denominators,
-which is how the int kernels take rational inputs.  `pack_signed` and
-`unpack_signed` are Kronecker substitution: an int polynomial evaluated
-at 2^(8w), one w-byte slot per coefficient, and read back through its
-bytes; `unpack_window` reads a run of slots out of a longer product.  A `Series` holds the
-coefficients of a power series in q truncated at a fixed order, each a
-rational or a `Poly` in x, and has the two operations the
-generating-function oracles need: `exp` and `inverse`.  `first_failure`
-is the loop that counts a check's comparisons and stops at the first
-failing one.
+refuse floats and booleans, and strings other than "p" or "p/q".
+Polynomials are dense, coefficients indexed from degree 0, and stored in
+primitive-part form: int numerators over one denominator, so polynomial
+arithmetic runs in ints, and an int kernel hands its result back through
+`Poly.from_numerators`.  `scaled_ints` scales a table of rationals to ints
+over the lcm of their denominators, which is how the int kernels take
+rational inputs.  `pack_signed` and `unpack_signed` are Kronecker
+substitution: an int polynomial evaluated at 2^(8w), one w-byte slot per
+coefficient, and read back through its bytes; `unpack_window` reads a run
+of slots out of a longer product.  `slot_width` is the one rule for w, and
+`product_window`, a window of the slots of one packed product, is how the
+routes multiply.  A `Series` holds the coefficients of a power series in q
+truncated at a fixed order, each a rational or a `Poly` in x, and has the
+two operations the generating-function oracles need: `exp` and `inverse`.
+`first_failure` is the loop that counts a check's comparisons and stops
+at the first failing one.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -32,15 +35,19 @@ Scalar = Union[int, Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an int, a Fraction, or a "p/q" / "p" string to a Fraction.
 
     bool is refused although it is an int: a JSON `true` is not a number.
-    A "p/0" string is a ValueError, like any other malformed string."""
+    A string must be "p" or "p/q" in ASCII digits, so that no decimal or
+    exponent ("1e100000000") is built; that and "p/0" are ValueErrors."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"not an integer or p/q: {value!r}")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
@@ -91,6 +98,28 @@ def unpack_window(value: int, width: int, start: int, stop: int) -> list[int]:
     length = stop - start
     window = (digits >> 8 * width * start) - _slot_bias(width, length)
     return unpack_signed(window, width, length)
+
+
+def slot_width(bound: int) -> int:
+    """The bytes w of a slot that holds every int c with |c| <= bound: with
+    bits = bound.bit_length(), |c| < 2^bits, and 8w - 1 >= bits puts c in
+    [-2^(8w - 1), 2^(8w - 1)), the signed slot range of `pack_signed`."""
+    return bound.bit_length() // 8 + 1
+
+
+def product_window(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
+    """c_start, ..., c_(stop-1) of the int polynomial product c = a b, as one
+    product of Kronecker-packed ints.  Each c_t = sum_i a_i b_(t-i) has at
+    most min(len a, len b) terms, so |c_t| <= min(len a, len b) max|a| max|b|,
+    a bound on every a_i and b_j too, and slots of its `slot_width` hold them
+    all.  A square (a is b) packs once; an all-zero factor gives zeros."""
+    amax, bmax = max(map(abs, a)), max(map(abs, b))
+    if not (amax and bmax):
+        return [0] * (stop - start)
+    width = slot_width(min(len(a), len(b)) * amax * bmax)
+    packed = pack_signed(a, width)
+    c = packed * packed if a is b else packed * pack_signed(b, width)
+    return unpack_window(c, width, start, stop)
 
 
 def _slot_bias(width: int, length: int) -> int:

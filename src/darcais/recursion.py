@@ -45,11 +45,11 @@ from .exact import (
     Poly,
     X,
     format_rational,
-    pack_signed,
+    product_window,
     rational,
     scaled_ints,
+    slot_width,
     unpack_signed,
-    unpack_window,
 )
 
 
@@ -106,16 +106,8 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
     a time.  Each pair j < n is added once, where j and n first fall into
     different halves, so the whole costs O(M(N) log N).
 
-    The product is pack_signed(a, w) * pack_signed(b, w) for a = v[l:m),
-    b = gv[:r-l], and its slot t holds c_t = sum_i a_i b_(t-i), since
-    evaluation at 2^(8w) is a ring map; acc[n] gains c_(n-l).  Each c_t has
-    at most len(a) terms, so |c_t| <= len(a) max|a| max|b| < 2^bits with
-    bits the bit length of that bound, and w = bits // 8 + 1 bytes give
-    8w - 1 >= bits: every c_t lies in the signed slot range, and
-    `unpack_window` reads only the r - m slots [m - l, r - l) that acc[m:r)
-    gains.  A block whose a or b is all zeros adds nothing and is
-    skipped; otherwise max|a|, max|b| >= 1, so each a_i and b_j is at most
-    the bound too, and `pack_signed` takes them."""
+    The product of v[l:m) and gv[:r-l] is read by `exact.product_window`
+    in only the slots [m - l, r - l) that acc[m:r) gains."""
     values, acc = [1], list(gv)  # acc[n] starts with the term gv[n] v_0
 
     def solve(l: int, r: int) -> bool:
@@ -130,12 +122,7 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
         m = (l + r) // 2
         if not solve(l, m):
             return False
-        a, b = values[l:m], gv[:r - l]
-        amax, bmax = max(map(abs, a)), max(map(abs, b))
-        if amax and bmax:
-            width = (len(a) * amax * bmax).bit_length() // 8 + 1
-            c = pack_signed(a, width) * pack_signed(b, width)
-            acc[m:r] = map(add, acc[m:r], unpack_window(c, width, m - l, r - l))
+        acc[m:r] = map(add, acc[m:r], product_window(values[l:m], gv[:r - l], m - l, r - l))
         return solve(m, r)
 
     solve(1, len(gv))
@@ -186,7 +173,7 @@ def _slot_width(gv: list[int], hv: list[int], u: tuple, d: int, T: int) -> int:
     norm, ag, M = sum(map(abs, u)), list(map(abs, gv[1:])), [T]
     for n in range(1, len(gv)):
         M.append(-(-norm * sum(map(mul, ag, reversed(M))) // (d * abs(hv[n]))))
-    return (max(M).bit_length() + 8) // 8
+    return slot_width(max(M))
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:

@@ -24,7 +24,7 @@ from math import comb, factorial, perm, prod
 from operator import add, mul, sub
 
 from .arith import ArithmeticFunction, identity, one, sigma
-from .exact import Poly, Series, X, first_failure, pack_signed, unpack_signed, unpack_window
+from .exact import Poly, Series, X, first_failure, product_window, slot_width, unpack_signed
 from .partitions import hook_multiset, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
@@ -114,7 +114,7 @@ def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
     `_pentagonal` and J = prod (1 - q^k)^3 = sum_{k>=0} (-1)^k (2k + 1)
     q^(k (k + 1) / 2) by Jacobi's identity.  J^t is taken by left-to-right
     binary powering, so r = 24 costs three squarings, and each step is one
-    truncated product (`_truncated_product`)."""
+    packed product read to q^order (`exact.product_window`)."""
     t, s = divmod(r, 3)
     euler = [1] + [0] * order
     for i, e in pentagonal:
@@ -126,31 +126,12 @@ def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
         k += 1
     power = jacobi if t else [1] + [0] * order
     for bit in bin(t)[3:]:
-        power = _truncated_product(power, power, order)
+        power = product_window(power, power, 0, order + 1)
         if bit == "1":
-            power = _truncated_product(power, jacobi, order)
+            power = product_window(power, jacobi, 0, order + 1)
     for _ in range(s):
-        power = _truncated_product(power, euler, order)
+        power = product_window(power, euler, 0, order + 1)
     return power
-
-
-def _truncated_product(a: list[int], b: list[int], order: int) -> list[int]:
-    """The coefficients of q^0 .. q^order of the product of the int series a
-    and b, as one product of Kronecker-packed ints (a square packs its
-    operand once).  Slot t of pack_signed(a, w) * pack_signed(b, w) holds
-    c_t = sum_i a_i b_(t-i), a sum of at most min(len a, len b) terms, so
-    |c_t| <= min(len a, len b) max|a| max|b| < 2^bits with bits the bit
-    length of that bound, and w = bits // 8 + 1 bytes give 8w - 1 >= bits:
-    every c_t, and so every a_i and b_j, lies in the signed slot range, the
-    bound `recursion._int_prefix` sizes its slots by.  `unpack_window`
-    reads the low order + 1 slots; a factor of all zeros gives zeros."""
-    amax, bmax = max(map(abs, a)), max(map(abs, b))
-    if not (amax and bmax):
-        return [0] * (order + 1)
-    width = (min(len(a), len(b)) * amax * bmax).bit_length() // 8 + 1
-    packed = pack_signed(a, width)
-    c = packed * packed if a is b else packed * pack_signed(b, width)
-    return unpack_window(c, width, 0, order + 1)
 
 
 def _poly_power(exponent: Poly, order: int, pentagonal: list) -> Series:
@@ -250,9 +231,8 @@ def hook_length_polynomial(n: int) -> Poly:
     prod (x + t^2) is at most the sum of them all,
     prod (1 + t^2) <= prod 2 t^2 = 2^n prod t^2, so f_lam^2 times it is at
     most 2^n n!^2; and so each coefficient of the sum over the p(n)
-    partitions is at most p(n) 2^n n!^2, which is below 2^b for
-    b = bit_length(p(n) 2^n n!^2), and so below 2^(8w - 1) for
-    w = b // 8 + 1.
+    partitions is at most p(n) 2^n n!^2, and slots of
+    w = slot_width(p(n) 2^n n!^2) bytes hold it.
     """
     if n < 0:
         raise ValueError("hook-length polynomials need n >= 0")
@@ -261,7 +241,7 @@ def hook_length_polynomial(n: int) -> Poly:
     for k in range(1, n + 1):
         counts.append(-sum(e * counts[k - i] for i, e in pentagonal if i <= k))
     nf = factorial(n)
-    width = (counts[n] * nf * nf << n).bit_length() // 8 + 1
+    width = slot_width(counts[n] * nf * nf << n)
     x = 1 << 8 * width
     total = 0
     for lam in partitions_of(n):

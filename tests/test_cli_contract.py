@@ -1,8 +1,8 @@
 """The CLI's exit-code contract: 0 success, 1 a verification failure, 2 bad
 input with one `error:` line on stderr and nothing on stdout.  Covers values
 past Python's int-to-str digit cap, the nesting limit of `tilde:`, the exact
-usage-error lines of the method and scan checks and of argparse, and a
-grammar fuzzer."""
+usage-error lines of the method and scan checks and of argparse, the refusal
+of decimals and exponents as rationals, and a grammar fuzzer."""
 
 import argparse
 import contextlib
@@ -146,6 +146,22 @@ def test_usage_error_lines(argv, line):
     assert run_cli(*argv) == (2, "", f"error: {line}\n")
 
 
+EXPONENT = "1e100000000"  # Fraction's grammar would build 10^(10^8) from it
+
+
+def test_an_eval_at_decimal_or_exponent_is_refused_before_it_is_built():
+    line = f"bad --eval-at value {EXPONENT!r}: not an integer or p/q: {EXPONENT!r}"
+    assert run_cli("poly", "--n", "2", "--eval-at", EXPONENT) == (2, "", f"error: {line}\n")
+    line = "bad --eval-at value '0.5': not an integer or p/q: '0.5'"
+    assert run_cli("poly", "--n", "2", "--eval-at", "0.5") == (2, "", f"error: {line}\n")
+
+
+def test_a_table_entry_decimal_or_exponent_is_refused(table_dir):
+    line = f"bad function descriptor: not an integer or p/q: {EXPONENT!r}"
+    argv = ("poly", "--n", "2", "--g", f"table:{table_dir}/exponent.json")
+    assert run_cli(*argv) == (2, "", f"error: {line}\n")
+
+
 def test_a_negative_fraction_eval_at_takes_the_equals_form():
     assert run_cli("poly", "--n", "3", "--eval-at=-1/2") == (0, "-5/16\n", "")
 
@@ -172,6 +188,7 @@ TABLES = {
     "nested": "[1, [2], 3, 4]",
     "not-a-list": "{\"1\": 1}",
     "huge": "[1, " + "9" * 5000 + ", 3, 4, 5, 6, 7, 8, 9]",
+    "exponent": "[1, \"1e100000000\", 3, 4]",
 }
 
 
@@ -201,7 +218,8 @@ def _argv(draw, table_dir, command, subparser):
     pools = {
         "--g": descriptor,
         "--h": descriptor,
-        "--eval-at": st.one_of(ratio, st.sampled_from(["1/0", "x", "1/2/3", "1" + "0" * 1000])),
+        "--eval-at": st.one_of(
+            ratio, st.sampled_from(["1/0", "x", "1/2/3", "1e5", "0.5", "1" + "0" * 1000])),
         "--output": st.sampled_from([f"{table_dir}/out", f"{table_dir}/missing/out"]),
         "--max-n": st.integers(-2, 4 if command == "verify" else 8),
     }

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,9 @@ from darcais.exact import (
     X,
     format_rational,
     pack_signed,
+    product_window,
     rational,
+    slot_width,
     unpack_signed,
     unpack_window,
 )
@@ -58,6 +60,58 @@ def test_a_window_of_packed_slots_reads_only_its_own_slots(case):
             assert unpack_window(packed, width, start, stop) == padded[start:stop], (start, stop)
 
 
+def _padded_product(a, b):
+    """The schoolbook product of a and b, padded with zeros past its degree."""
+    return poly_mul(a, b) + [0] * (len(a) + len(b) + 2)
+
+
+def _windows(a, b):
+    """Every window of the product's slots, from past 0 to past its degree."""
+    top = len(a) + len(b) + 1
+    return [(start, stop) for stop in range(top + 1) for start in range(stop + 1)]
+
+
+signed_ints = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+
+
+@given(st.lists(signed_ints, min_size=1, max_size=9), st.lists(signed_ints, min_size=1, max_size=13))
+@settings(max_examples=200, deadline=None)
+def test_product_window_matches_the_schoolbook_product(a, b):
+    c, square = _padded_product(a, b), _padded_product(a, a)
+    for start, stop in _windows(a, b):
+        assert product_window(a, b, start, stop) == c[start:stop], (start, stop)
+        assert product_window(b, a, start, stop) == c[start:stop], (start, stop)
+    for start, stop in _windows(a, a):
+        assert product_window(a, a, start, stop) == square[start:stop], (start, stop)
+        assert product_window(a, list(a), start, stop) == square[start:stop], (start, stop)
+
+
+def test_product_window_of_an_all_zero_factor_is_zeros():
+    assert product_window([0, 0, 0], [5, -7], 1, 6) == [0] * 5
+    assert product_window([5, -7], [0], 0, 3) == [0] * 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("length", [1, 3, 7, 40])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_product_window_holds_slots_that_attain_the_bound(k, length, signs):
+    """a = [s] * L and b = [+-s] * L with L s^2 just below 2^(8k): the middle
+    slot is +-L s^2, whose bit length 8k leaves no room for the sign in k
+    bytes, so the width must be k + 1."""
+    s = isqrt(((1 << 8 * k) - 1) // length)
+    bound = length * s * s
+    assert bound.bit_length() == 8 * k
+    a, b = [signs[0] * s] * length, [signs[1] * s] * length
+    stop = 2 * length + 1
+    assert product_window(a, b, 0, stop) == _padded_product(a, b)[:stop]
+    assert product_window(a, a, 0, stop) == _padded_product(a, a)[:stop]
+
+
+def test_slot_width_keeps_the_sign_bit():
+    assert [slot_width(c) for c in (0, 1, 127, 128, 255, 256, (1 << 15) - 1, 1 << 15)] == \
+        [1, 1, 1, 2, 2, 2, 2, 3]
+
+
 def test_rational_parsing_and_formatting():
     assert rational("3/2") == Fraction(3, 2)
     assert rational("-7") == Fraction(-7)
@@ -70,6 +124,14 @@ def test_rational_parsing_and_formatting():
         rational(True)
     with pytest.raises(ValueError):
         rational("1/0")
+    assert rational(" +12/8 ") == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5", ".5", "1_000", "1e100000000", "10**8", "1/2/3",
+                                  "1/-2", "2/+3", "x", "", " ", "\u0663", "inf", "nan", "3 / 4"])
+def test_rational_reads_only_integers_and_p_over_q(text):
+    with pytest.raises(ValueError, match="not an integer or p/q"):
+        rational(text)
 
 
 def test_format_rational_refuses_floats():

@@ -6,6 +6,9 @@ partition routes, `partitions`).  The primitives are layered below the
 routes: `exact` and `partitions` import no package module, and `arith`
 only `exact`.  The imports are read from the source with `ast`, so a
 route that reaches another one at call time is caught before it runs.
+Within `exact`, the Kronecker packing is reached only through
+`product_window` and `slot_width`: no other module names `pack_signed` or
+`unpack_window`, so the slot-width rule has one home.
 """
 
 import ast
@@ -69,3 +72,38 @@ def test_every_import_spelling_is_seen():
         "from fractions import Fraction",
     ])
     assert package_imports(source) == {"weights", "shapes", "checks", "cli", "recursion"}
+
+
+PACKED_PRIMITIVES = {"pack_signed", "unpack_window"}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name, attribute and imported name a module's source spells."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_only_exact_packs_a_product():
+    """The routes multiply through `exact.product_window`, which sizes its
+    slots by `exact.slot_width`; packing and reading a window of slots stay
+    inside exact, so no route sizes a packed product of its own."""
+    packers = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if names_used(path.read_text()) & PACKED_PRIMITIVES)
+    assert packers == ["exact"]
+
+
+def test_every_name_spelling_is_seen():
+    source = "\n".join([
+        "from .exact import pack_signed as p",
+        "import darcais.exact as e",
+        "w = e.unpack_window",
+        "unpack_signed(1, 2, 3)",
+    ])
+    assert {"pack_signed", "unpack_window", "unpack_signed"} <= names_used(source)
