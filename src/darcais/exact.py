@@ -255,6 +255,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as the scalar does
+        if len(self._nums) <= 1:
+            return hash(self[0])
         return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:

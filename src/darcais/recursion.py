@@ -5,12 +5,12 @@ defining recursion
 
     P_0 = 1,   P_n = (x / h(n)) * sum_{k=1}^{n} g(k) P_{n-k}
 
-in one loop, on values at a scalar point or on polynomials at a Poly
-point; `polynomial_sequence` is that loop at x = X, and `polynomial` the
-same loop read only at its last row.  At an integral scaled point the loop
-starts after the longest prefix of int values, which `_int_prefix` finds
-as an online convolution by divide and conquer, each block's terms one
-product of Kronecker-packed ints.  `CoefficientTable`
+in two int kernels, on values at a scalar point or on polynomials at a
+Poly point; `polynomial_sequence` is it at x = X, and `polynomial` reads
+its last row only.  At an integral scaled point `_int_prefix` finds the
+prefix of int values as an online convolution by divide and conquer, each
+block's terms one product of Kronecker-packed ints.  Where it stops short,
+and at any other point, the row loop `_rows` runs.  `CoefficientTable`
 fills the triangle A[n][m] of normalized coefficients
 (P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
 
@@ -20,11 +20,11 @@ so that each route can serve as an oracle for the other.  Both run in ints,
 for rational g and h too, and form Fractions only on read.  With G, D the
 lcms of the denominators of g(1..n), h(1..n), P_n(x) for (g, h) is
 P_n(x D / G) for (G g, D h), and `value_sequence` runs on those tables.  At
-a Poly point u / d it runs on int rows E_n = T P_n over one fixed
-denominator T = |d^N h(1) ... h(N)|, each stored packed, as one int
-E_n(2^(8w)) with a w-byte slot per coefficient, so a step is one int dot
-product and one exact division, and a row is unpacked and reduced once,
-when it is read.  The triangle telescopes the denominators of h instead: with
+a point u / d the row loop runs on int rows E_n = T P_n over one fixed
+denominator T = |d^N h(1) ... h(N)|, a step one int dot product and one
+exact division; at a Poly point each row is packed, as one int E_n(2^(8w))
+with a w-byte slot per coefficient, and unpacked once, when it is read.
+The triangle telescopes the denominators of h instead: with
 h(k) = p_k / q_k in lowest terms and Q(j) = q_1 ... q_j, the entries
 A*[n][m] = G^m Q(n-1) A[n][m] follow the same recursion with the int
 weights (G g)(k) p_{n-1} ... p_{n-k+1} q_{n-k} (q_0 = 1), so they are
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd, prod
 from operator import add, floordiv, getitem, mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arith import ArithmeticFunction
 from .exact import (
@@ -61,8 +61,7 @@ def polynomial_sequence(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int
 def polynomial(g: ArithmeticFunction, h: ArithmeticFunction, n: int) -> Poly:
     """P_n alone: the loop of `polynomial_sequence`, which unpacks and
     reduces only its last row."""
-    gv, hv, (G, D) = _kernel_inputs(g, h, n)
-    rows, read = _poly_rows(gv, hv, X * Fraction(D, G))
+    rows, read = _poly_rows(g, h, X, n)
     return read(rows[n], n)
 
 
@@ -70,24 +69,23 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     """P_0(point), ..., P_max_n(point) by the defining recursion, run on the
     int tables (G g, D h) at point * D / G: Fractions at an int or Fraction
     point, the polynomials P_n(point) at a Poly point (X, -X, X + 1, ...).
-    At an integral scaled point the values stay ints while each division by
-    D h(n) is exact: `_int_prefix` computes that prefix in O(M(N) log N),
-    and the loop runs from its end.  The first inexact division yields a
-    Fraction, which every later sum carries; at any other scalar point the
-    loop runs from n = 1.  A Poly point runs on packed rows over one fixed
-    denominator (`_poly_rows`), each popped and reduced once."""
-    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    At an integral scaled point `_int_prefix` runs while each division by
+    D h(n) is exact, in O(M(N) log N).  Where it stops short, and at any
+    other scalar point, the values are the rows E_n / T of `_rows`.  A Poly
+    point runs on packed rows (`_poly_rows`), each popped and reduced once."""
     if isinstance(point, Poly):
-        rows, read = _poly_rows(gv, hv, point * Fraction(D, G))
+        rows, read = _poly_rows(g, h, point, max_n)
         values = []
         while rows:
             values.append(read(rows.pop(), len(rows)))
         return values[::-1]
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
     x0 = rational(point) * Fraction(D, G)
-    values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else [1]
-    for n in range(len(values), max_n + 1):
-        values.append(x0 * sum(map(mul, gv[1:n + 1], values[n - 1::-1])) / hv[n])
-    return [rational(v) for v in values]
+    values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else []
+    if len(values) <= max_n:
+        rows = _rows(gv, hv, [(x0.numerator, 0)], x0.denominator)
+        return [Fraction(row, rows[0]) for row in rows]
+    return list(map(Fraction, values))
 
 
 _LEAF = 32  # blocks this short are finished by the direct dot products
@@ -129,51 +127,43 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
     return values
 
 
-def _poly_rows(gv: list[int], hv: list[int], point: Poly) -> tuple[list[int], Callable]:
-    """(rows, read) for the int tables gv, hv (N = len(gv) - 1): rows[n] is
-    E_n(B), B = 2^(8w), and read(rows[n], n) is P_n(point) as a Poly.
-
-    With point = u / d (u an int polynomial, d > 0), every E_n = T P_n is an
-    int polynomial for T = |d^N h(1) ... h(N)|, and
-    E_n = u * sum_k g(k) E_{n-k} / (d h(n)), each division exact.  Each row
-    is kept as one int, E_n evaluated at B (Kronecker substitution), so a
-    step is one int dot product s = sum_k g(k) E_{n-k}(B), one shift-add per
-    nonzero coefficient of u, and one division by d h(n).  Evaluation at B
-    is a ring map, so (u S)(B) = d h(n) E_n(B) for S = sum_k g(k) E_{n-k},
-    and the division is exact whatever the slots of s hold.  Only the rows
-    are read by slot, through `unpack_signed`, which needs every
-    coefficient of E_n below 2^(8w - 1) in absolute value: `_slot_width`.
-    """
-    u, d = point.numerators, point.denominator
-    T = abs(d ** (len(gv) - 1) * prod(hv[1:]))
-    width = _slot_width(gv, hv, u, d, T)
-    terms = [(c, 8 * width * i) for i, c in enumerate(u) if c]
-    g1, rows = gv[1:], [T]
+def _rows(gv: list[int], hv: list[int], terms: list[tuple[int, int]], d: int) -> list[int]:
+    """E_0 = T = |d^N h(1) ... h(N)|, E_1, ..., E_N (N = len(gv) - 1) for
+    E_n = u s / (d h(n)), s = sum_k g(k) E_{n-k}: T P_n at u / d, an int,
+    so each division is exact.  The int u = sum c 2^shift comes as its terms
+    (c, shift): (u, 0) for a scalar, one per nonzero coefficient of a packed
+    polynomial (`_poly_rows`)."""
+    g1, rows = gv[1:], [abs(d ** (len(gv) - 1) * prod(hv[1:]))]
     for n in range(1, len(gv)):
         s = sum(map(mul, g1, reversed(rows)))
         rows.append(sum(c * s << shift for c, shift in terms) // (d * hv[n]))
-    degree = max(len(u) - 1, 0)
+    return rows
+
+
+def _poly_rows(g: ArithmeticFunction, h: ArithmeticFunction, point: Poly, max_n: int) -> tuple:
+    """(rows, read) at a Poly point: rows[n] is E_n(B) of `_rows`, B = 2^(8w),
+    and read(rows[n], n) is P_n(point) as a Poly.
+
+    On the int tables (G g, D h), with point D / G = u / d (u an int
+    polynomial, d > 0), E_n = T P_n is an int polynomial, kept as one int,
+    E_n evaluated at B (Kronecker substitution).  Evaluation at B is a ring
+    map, so a step is one int dot product, one shift-add per nonzero
+    coefficient of u and one exact division by d h(n).  Only `unpack_signed`
+    reads slots, and it needs every coefficient of E_n below 2^(8w - 1) in
+    absolute value.  M_n, `_rows` on |gv|, |hv| at the int point |u|_1 (the
+    sum of the absolute values of the coefficients of u), is an int, T P_n of
+    (|gv|, |hv|) at |u|_1 / d, and bounds them: M_0 = T = |E_0|_1, and by
+    induction, the triangle inequality and |p q|_1 <= |p|_1 |q|_1 give
+    |E_n|_1 <= M_n, attained by monomial rows, as for g = (1, 0, 0, ...).
+    """
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    point = point * Fraction(D, G)
+    u, d = point.numerators, point.denominator
+    majorant = _rows(list(map(abs, gv)), list(map(abs, hv)), [(sum(map(abs, u)), 0)], d)
+    width = slot_width(max(majorant))
+    rows = _rows(gv, hv, [(c, 8 * width * i) for i, c in enumerate(u) if c], d)
+    degree, T = max(len(u) - 1, 0), rows[0]
     return rows, lambda row, n: Poly.from_numerators(unpack_signed(row, width, n * degree + 1), T)
-
-
-def _slot_width(gv: list[int], hv: list[int], u: tuple, d: int, T: int) -> int:
-    """The least w with M_n < 2^(8w - 1) for every n, where M_0 = T and
-
-        M_n = ceil(|u|_1 sum_k |g(k)| M_{n-k} / (d |h(n)|)).
-
-    M_n bounds every coefficient of E_n (`_poly_rows`).  With |p|_1 the sum
-    of the absolute values of the coefficients of p, |E_0|_1 = T = M_0, and
-    by induction, the triangle inequality and |p q|_1 <= |p|_1 |q|_1,
-
-        |E_n|_1 = |u S|_1 / (d |h(n)|) <= |u|_1 sum_k |g(k)| M_{n-k} / (d |h(n)|);
-
-    |E_n|_1 is an int, so it is at most the ceiling M_n, and no coefficient
-    of E_n exceeds |E_n|_1 in absolute value.  The bound is attained when
-    each E_n is one monomial, as for g = (1, 0, 0, ...)."""
-    norm, ag, M = sum(map(abs, u)), list(map(abs, gv[1:])), [T]
-    for n in range(1, len(gv)):
-        M.append(-(-norm * sum(map(mul, ag, reversed(M))) // (d * abs(hv[n]))))
-    return slot_width(max(M))
 
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:

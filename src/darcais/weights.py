@@ -59,7 +59,6 @@ from .exact import Scalar, first_failure, rational, scaled_ints
 from .partitions import compositions_of, multinomial, partitions_of
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # Sizes of the LRU memos: engines per h (its rows and columns go with it),
 # g-side term tables per (g, size) and partitions sorted by length per size,
@@ -397,15 +396,14 @@ def coefficient_composition_sum(
 
     h_kind = "one":  sum of prod g(k_i);
     h_kind = "id":   (n!/m!) * sum of prod g(k_i)/k_i.
+
+    The factors are tabulated once as ints over the lcm L of their
+    denominators, so the sum runs in ints and is divided by L^m once.
     """
     _check_coeff_range(n, m)
     if h_kind not in ("one", "id"):
         raise ValueError(f"h_kind must be 'one' or 'id', got {h_kind!r}")
     # no part exceeds n - m + 1
-    factors = [_F0] + [g(k) / k if h_kind == "id" else g(k) for k in range(1, n - m + 2)]
-    total = _F0
-    for parts in compositions_of(n, m):
-        total += prod(map(factors.__getitem__, parts), start=_F1)
-    if h_kind == "id":
-        total *= Fraction(factorial(n), factorial(m))
-    return total
+    factors, L = scaled_ints(g(k) / k if h_kind == "id" else g(k) for k in range(1, n - m + 2))
+    total = sum(prod(map(factors.__getitem__, parts)) for parts in compositions_of(n, m))
+    return Fraction(total * perm(n, n - m) if h_kind == "id" else total, L**m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcais import exact
@@ -320,6 +320,18 @@ def test_series_exp_additivity(a_coeffs, b_coeffs):
     total = (poly_add(a, b) + [Fraction(0)] * size)[:size]
     product = poly_mul(Series(a).exp().coefficients, Series(b).exp().coefficients)
     assert poly_trim(product[:size]) == poly_trim(Series(total).exp().coefficients)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6),
+                 st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))))
+@example(3)
+@example(0)
+@settings(max_examples=150, deadline=None)
+def test_constant_polys_hash_as_their_scalars(c):
+    # equal objects hash equal: a constant Poly, zero included, is its scalar
+    p = Poly([c])
+    assert p == c and hash(p) == hash(c) and len({p, c, Fraction(c)}) == 1
+    assert Series([p, X]) == Series([c, X]) and hash(Series([p, X])) == hash(Series([c, X]))
 
 
 @given(st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 10**6))

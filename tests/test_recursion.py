@@ -379,7 +379,7 @@ def test_packed_slots_hold_rows_that_attain_their_bound(sign):
 
 def _value_cases():
     """(name, g, h, point, max_n) for the int prefix of `value_sequence` and
-    its handoff to the Fraction loop; g and h are tables from n = 1."""
+    its handoff to the row loop; g and h are tables from n = 1."""
     rng = random.Random(22)
     for max_n in (5, 33, 64, 97, 150, 260):
         ints = [1] + [rng.randint(-9, 9) for _ in range(max_n - 1)]
@@ -398,6 +398,18 @@ def _value_cases():
         # prefix runs on the scaled tables until D h(n) first fails to divide
         _, _, (G, D) = _kernel_inputs(from_table(g), from_table(h), max_n)
         yield f"rational-at-int-scaled-{max_n}", g, h, Fraction(-3 * G, D), max_n
+        # h over D = 2 at the point k / 2, k odd: the scaled point k D / G = k
+        # is an int, but P_1 = k / 2 is not, so the int prefix stops at n = 1
+        # and the row loop computes every value
+        halves = [1, Fraction(-1, 2)] + [Fraction(rng.choice((-3, -1, 1, 2, 3)), 2)
+                                         for _ in range(max_n - 2)]
+        odd_half = Fraction(rng.choice((-7, 3)), 2)
+        yield f"first-division-inexact-{max_n}", ints, halves, odd_half, max_n
+        yield f"rational-at-zero-{max_n}", g, h, 0, max_n
+        # every h(n) < 0 past h(1) = 1, so the sign of d^N h(1) ... h(N),
+        # whose absolute value is the fixed denominator T, alternates with N
+        negative = [1] + [-abs(v) for v in _seeded_pq(rng, max_n)[1:]]
+        yield f"negative-h-at-fraction-{max_n}", g, negative, Fraction(5, rng.choice((2, 9))), max_n
 
 
 _VALUE_CASES = list(_value_cases())
@@ -414,7 +426,7 @@ def test_values_match_the_literal_loop(name, g_values, h_values, point, max_n):
     assert values == literal
     assert all(type(v) is Fraction for v in values)
     # the int prefix is the longest run of int values, which a wrong block
-    # product would cut short even where the Fraction loop mends the values
+    # product would cut short even where the row loop mends the values
     gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
     x0 = Fraction(point) * D / G
     first = next((n for n, v in enumerate(literal) if v.denominator != 1), max_n + 1)
@@ -423,6 +435,8 @@ def test_values_match_the_literal_loop(name, g_values, h_values, point, max_n):
         assert prefix == literal[:first] and all(type(v) is int for v in prefix)
     if name.startswith("int-late-handoff") and max_n > 33:
         assert 32 < first <= max_n, first
+    if name.startswith("first-division-inexact"):
+        assert first == 1 and _int_prefix(gv, hv, x0.numerator) == [1]
 
 
 @pytest.mark.parametrize("max_n, L", [(64, 32), (97, 24), (97, 48)])
@@ -436,7 +450,7 @@ def test_int_prefix_slots_hold_products_that_attain_their_bound(max_n, L, k, sig
     # L max|a| max|b| itself.  s = +-(2^(8k) - 1) // L puts L |s| just below
     # 2^(8k), so a width without a sign bit reads those slots back wrong.
     # A wrong slot makes a value wrong or an inexact division that stops
-    # the int prefix early; the Fraction loop then mends the values, so the
+    # the int prefix early; the row loop then mends the values, so the
     # prefix itself is checked.
     s = sign * ((256**k - 1) // L)
     g = from_table([1] + [s] * (max_n - 1))

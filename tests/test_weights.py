@@ -367,7 +367,8 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
             assert coefficient_from_weights(g, h, n, m) == entry, (n, m)
         for j in range(min(2, n) + 1):
             assert band[n][j] == table.entry(n, n - j), (n, j)
-    # the closed forms and the generating series, for h = one and h = id
+    # the closed forms, the composition sums and the generating series,
+    # for h = one and h = id
     max_n = min(7, len(g_values))
     for h, closed_form, series in (
         (one(), coefficient_h_one, generating_series_h_one(g, max_n)),
@@ -378,6 +379,8 @@ def test_routes_agree_on_random_rational_tables(g_values, h_values):
             for m in range(1, n + 1):
                 entry = table.entry(n, m)
                 assert closed_form(g, n, m) == entry, (h.name, n, m)
+                brute = coefficient_composition_sum(g, n, m, h.name)
+                assert type(brute) is Fraction and brute == entry, (h.name, n, m)
                 assert series.coefficient(n)[m] * table.normalizer(n) == entry, (h.name, n, m)
 
 
