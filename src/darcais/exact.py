@@ -418,8 +418,11 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable):
+        # a plain int (not a bool) is made a Fraction directly; the rest
+        # goes through `rational`, which refuses floats and bools
         coeffs = tuple(
-            c if isinstance(c, (Fraction, Poly)) else rational(c) for c in coefficients
+            Fraction(c) if type(c) is int else c if isinstance(c, (Fraction, Poly)) else rational(c)
+            for c in coefficients
         )
         if not coeffs:
             raise ValueError("a series truncation needs at least the q^0 coefficient")

@@ -11,17 +11,19 @@ meaningful evidence:
   Euler's pentagonal series to the power r % 3; for every other r, Miller's
   power recurrence on Euler's pentagonal series (r may be a polynomial
   variable, whose q^n coefficient runs division-free on ints over its own
-  scale d^n n!),
+  scale d^n n!, one power of the variable at a time),
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, perm, prod
-from operator import add, mul, sub
+from operator import add, mul
+from typing import Iterator
 
 from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import Poly, Series, X, first_failure, product_window, slot_width, unpack_signed
@@ -79,19 +81,26 @@ def euler_product_power(exponent, order: int) -> Series:
     it runs in ints.  A negative or non-integral scalar r runs on
     E_n = T G_n, with T = 1 for an integer r and T = d^order order!
     otherwise, which n! G_n in Z[r] makes integral; each step divides by
-    n d once, exactly.  A Poly r runs on
-    the rows F_n = d^n n! G_n, each over its own scale, by a division-free
-    form of the recurrence (`_poly_power`).
+    n d once, exactly.  A Poly r runs a division-free form of the
+    recurrence column by column (`euler_product_columns`), and its rows
+    F_n = d^n n! G_n are read back over their own scales.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
     if isinstance(exponent, bool) or not isinstance(exponent, (int, Fraction, Poly)):
         raise TypeError("exponent must be an integer, Fraction, or Poly")
-    pentagonal = _pentagonal(order)
+    if isinstance(exponent, Poly) and not exponent.is_zero():
+        rows = [[] for _ in range(order + 1)]
+        for column in euler_product_columns(exponent, order):
+            for row, c in zip(rows[order + 1 - len(column):], column):
+                row.append(c)
+        d, coefficients = exponent.denominator, []
+        for n in range(order, 0, -1):  # each row reduced as it is popped off
+            coefficients.append(Poly.from_numerators(rows.pop(), d**n * factorial(n)))
+        return Series([1] + coefficients[::-1])
     if isinstance(exponent, Poly):
-        if not exponent.is_zero():
-            return _poly_power(exponent, order, pentagonal)
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
+    pentagonal = _pentagonal(order)
     u, d = exponent.numerator, exponent.denominator
     if d == 1 and u >= 0:
         return Series(_jacobi_power(u, order, pentagonal))
@@ -134,67 +143,100 @@ def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
     return power
 
 
-def _poly_power(exponent: Poly, order: int, pentagonal: list) -> Series:
-    """The Poly branch of `euler_product_power`, run on int rows over each
-    row's own scale: F_n = d^n n! G_n, with F_0 = 1.  Multiplying
+def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
+    """Miller's recurrence for a nonzero Poly r = u / d (u an int polynomial
+    of degree D, d > 0), run column by column on the int rows
+    F_n = d^n n! G_n of G = prod (1 - q^k)^r, with F_0 = 1.  Multiplying
     n d G_n = sum_i e_i ((u + d) i - n d) G_{n-i} by d^(n-1) (n-1)! gives
     the division-free recurrence
 
         F_n = sum_i e_i ((u + d) i - n d) a_i F_{n-i},
         a_i = d^(i-1) (n-1)! / (n-i)! = d^(i-1) (n-1) (n-2) ... (n-i+1),
 
-    so each F_n is an int polynomial, with no division by n d.  With
-    s0 = sum e_i a_i F_{n-i} and s1 = sum i e_i a_i F_{n-i},
-    F_n = (u + d) s1 - n d s0.  Both sums are taken by Horner's rule from
-    the largest pentagonal step i' <= n down: between consecutive steps
-    i < i' the sums so far are multiplied by
-    a_i' / a_i = d^(i'-i) (n-i)! / (n-i')!, and at i = 1, where a_1 = 1,
-    they are s0 and s1.  Rows grow with n, so F_{n-i} is at least as long
-    as the sums so far, and one pass over it scales them and adds it.  The
-    sums are taken in place, one coefficient at a time, so a step copies no
-    row: summing slice by slice, a copy per term, fragmented the heap and
-    raised the peak RSS of `scan --check hook-logconcave --max-n 200` from
-    about 22.4 to 23.3 MiB.  Row n is read as F_n / (d^n n!), reduced as it
-    is popped off the list of rows.
+    so each F_n is an int polynomial of degree at most n D.  With
+    f_{n,j} = [x^j] F_n, v = u + d, s0_j(n) = sum_i e_i a_i f_{n-i,j} and
+    s1_j(n) = sum_i i e_i a_i f_{n-i,j}, it reads, coefficient by coefficient,
 
-    For r = -x - 1, the hook scan's exponent, each F_n is already
-    canonical, since its leading coefficient is 1.  There d = 1 and
-    G = exp((x + 1) L), with L = -log prod (1 - q^k) = sum_m sigma(m) q^m / m
-    = q + O(q^2).  In exp((x + 1) L) = sum_k (x + 1)^k L^k / k! the terms
-    with k < n have degree k < n in x, and those with k > n start at q^k,
-    so [x^n q^n] G = [x^n] (x + 1)^n [q^n] L^n / n! = 1 / n!.  The x^n
+        f_{n,j} = sum_t v_t s1_{j-t}(n) - n d s0_j(n),
+
+    so column j needs only its own earlier entries and the s1 of the last D
+    columns: O(order^2) bits are held, where rows would hold O(order^3).
+    Both sums are taken by Horner's rule from the largest pentagonal step
+    i' <= n - ceil(j / D) down (F_{n-i} has no x^j below that): between
+    consecutive steps i < i' the sums so far are multiplied by
+    a_i' / a_i = d^(i'-i) (n-i)! / (n-i')!, which depends on n alone and
+    is tabulated once, and at i = 1, where a_1 = 1, they are s0 and s1.
+    Columns j and j + 1 are taken in one pass over the rows and the steps
+    of column j (column j + 1 reads 0 on the one row it lacks), so the
+    interpreter's share of each step is paid once for two bigint updates,
+    and f_{n,j+1} takes s1_j(n) from the same pass.
+
+    Yields the columns j = 0, ..., order D in turn; column j lists f_{n,j} for
+    n = ceil(j / D), ..., order (every n for D = 0), the rows whose degree
+    bound n D reaches j.  Row n is complete once column n D has come.
+    `euler_product_power` reads the rows back over their scales d^n n!.
+
+    For r = -x - 1, the hook scan's exponent, D = d = 1 and column j lists
+    rows j..order.  Each F_n is then canonical, since its leading
+    coefficient is 1: G = exp((x + 1) L), with
+    L = -log prod (1 - q^k) = sum_m sigma(m) q^m / m = q + O(q^2).  In
+    exp((x + 1) L) = sum_k (x + 1)^k L^k / k! the terms with k < n have
+    degree k < n in x, and those with k > n start at q^k, so
+    [x^n q^n] G = [x^n] (x + 1)^n [q^n] L^n / n! = 1 / n!.  The x^n
     coefficient of F_n = n! G_n is therefore 1, and its gcd with n! is 1.
     """
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
     v, d = list(exponent.numerators), exponent.denominator
     v[0] += d  # u + d
-    rows = [[1]]
-    k = 0  # the steps i <= n are pentagonal[:k]
-    for n in range(1, order + 1):
-        if k < len(pentagonal) and pentagonal[k][0] == n:
-            k += 1
-        s0, s1 = [0] * len(rows[-1]), [0] * len(rows[-1])
-        top = pentagonal[k - 1][0]
-        for i, e in reversed(pentagonal[:k]):
-            ratio = d ** (top - i) * perm(n - i, top - i)  # a_top / a_i
-            top, w = i, i * e
-            if e > 0:
-                for j, c in enumerate(rows[n - i]):
-                    s0[j] = s0[j] * ratio + c
-                    s1[j] = s1[j] * ratio + w * c
-            else:
-                for j, c in enumerate(rows[n - i]):
-                    s0[j] = s0[j] * ratio - c
-                    s1[j] = s1[j] * ratio + w * c
-        out = [0] * (len(s1) + len(v) - 1)
-        for j, c in enumerate(v):
-            if c:
-                out[j:j + len(s1)] = map(add, out[j:j + len(s1)], map(mul, s1, repeat(c)))
-        out[:len(s0)] = map(sub, out[:len(s0)], map(mul, s0, repeat(n * d)))
-        rows.append(out)
-    coefficients = []
-    for n in range(order, 0, -1):
-        coefficients.append(Poly.from_numerators(rows.pop(), d**n * factorial(n)))
-    return Series([1] + coefficients[::-1])
+    degree = len(v) - 1
+    pentagonal = _pentagonal(order)
+    steps = [i for i, _ in pentagonal]
+    below = [bisect_right(steps, t) for t in range(order + 1)]  # steps <= t
+    # horner[n]: (n - i, e_i > 0, i e_i, a_i' / a_i) for the steps i <= n,
+    # largest first; the largest one's next step i' is past n, and its
+    # ratio 0 multiplies sums that are still 0
+    nexts = steps[1:] + [order + 1]
+    horner = [[(n - a, e > 0, a * e, d ** (b - a) * perm(n - a, b - a) if b <= n else 0)
+               for (a, e), b in zip(pentagonal[k - 1::-1], nexts[k - 1::-1])] if k else []
+              for n, k in enumerate(below)]
+    last, v1 = order * degree, v[1] if degree else 0
+    history = []  # s1 of the last D columns before the pair, newest first, indexed by n
+    for j in range(0, last + 1, 2):  # columns j and j + 1 share the steps of column j
+        first = -(-j // degree) if degree else 0
+        later = -(-(j + 1) // degree) if degree else order + 1  # column j + 1's first row
+        start = max(first, 1)
+        column = [0] * first if j else [1]  # f_{0,j}, ..., f_{order,j}
+        beside = [0] * min(later, order + 1)  # f_{0,j+1}, ..., f_{order,j+1}
+        # carry[n], carry_beside[n]: the terms v_t s1_{j-t}(n) and
+        # v_t s1_{j+1-t}(n) of the columns before the pair
+        carry, carry_beside = [0] * (order + 1), [0] * (order + 1)
+        for h, older in enumerate(history):  # column j - 1 - h
+            carry = list(map(add, carry, map(mul, older, repeat(v[h + 1]))))
+            if h + 2 <= degree:
+                carry_beside = list(map(add, carry_beside, map(mul, older, repeat(v[h + 2]))))
+        s1s, s1s_beside = [0] * (order + 1), [0] * (order + 1)
+        for n, steps_n, k_n, k in zip(range(start, order + 1), horner[start:], below[start:],
+                                      below[start - first:]):
+            s0 = s1 = r0 = r1 = 0
+            for m, positive, w, ratio in steps_n[k_n - k:]:  # m = n - i
+                c, e = column[m], beside[m]
+                if positive:
+                    s0, r0 = s0 * ratio + c, r0 * ratio + e
+                else:
+                    s0, r0 = s0 * ratio - c, r0 * ratio - e
+                s1, r1 = s1 * ratio + w * c, r1 * ratio + w * e
+            f = carry[n] - n * d * s0
+            column.append(f + v[0] * s1 if v[0] else f)
+            s1s[n] = s1
+            if n >= later:
+                f = carry_beside[n] + v1 * s1 - n * d * r0
+                beside.append(f + v[0] * r1 if v[0] else f)
+                s1s_beside[n] = r1
+        yield column[first:]
+        if j < last:
+            yield beside[later:]
+        history = [s1s_beside, s1s, *history][:degree]
 
 
 def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:

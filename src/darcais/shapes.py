@@ -2,29 +2,31 @@
 
 The predicates (unimodal, log-concave, ultra-log-concave) are evaluated
 exactly on sequences of nonnegative rationals, and each returns the first
-index where its sequence breaks the shape, or None where it holds.  The scans combine routes
-from the recursion engine and the oracles: the hook log-concavity scan
-reads the hook polynomials Q_n(x) = P_n(x+1) for (sigma, id) off the
-Euler-product power prod (1 - q^k)^(-x-1), the D'Arcais generating
-function at -x - 1, the hook top-inequality scan reads the top band of the
-integer coefficient triangle, the delta scan takes the top margin of
-(g, h) through the weight route, and the Lehmer scan runs the recursion
-on values at x = -24 and cross-checks the 24th Euler-product power.  Each
-scan returns (checks, first_failure): the comparisons it made and where
-the first one failed, or None; the delta and Lehmer scans return their
-values too.
+index where its sequence breaks the shape, or None where it holds.  The
+scans combine routes from the recursion engine and the oracles: the hook
+log-concavity scan reads the hook polynomials Q_n(x) = P_n(x+1) for
+(sigma, id) off the Euler-product power prod (1 - q^k)^(-x-1), the
+D'Arcais generating function at -x - 1, one power of x at a time; the
+hook top-inequality scan reads the top band of the integer coefficient
+triangle, the delta scan takes the top margin of (g, h) through the
+weight route, and the Lehmer scan runs the recursion on values at x = -24
+and cross-checks the 24th Euler-product power.  Each scan returns
+(checks, first_failure): the comparisons it made and where the first one
+failed, or None; the delta and Lehmer scans return their values too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from math import comb
+from operator import le, lt, mul, ne
 from typing import NamedTuple, Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
 from .exact import X, first_failure
 from .recursion import coefficient_table, coefficient_top_band, value_sequence
-from .series import euler_product_power
+from .series import euler_product_columns, euler_product_power
 from .weights import orbit_weight_sum
 
 _F0 = Fraction(0)
@@ -165,14 +167,6 @@ def counterexample_search(h: ArithmeticFunction, max_n: int = 50) -> MarginCount
     return None
 
 
-def _shifted_rows(max_n: int) -> list:
-    """Int numerators of Q_n(x) = P_n(x+1) for (sigma, id), n = 0..max_n:
-    positive multiples of the hook-polynomial coefficients, read off the
-    Euler-product power prod (1 - q^k)^(-x-1)."""
-    product = euler_product_power(-X - 1, max_n).coefficients
-    return [(1,)] + [p.numerators for p in product[1:]]
-
-
 def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     """Exact log-concavity of the hook-polynomial coefficients, and
     ultra => log-concave => unimodal on each of them, for 1 <= n <= max_n.
@@ -180,14 +174,49 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     Once a row is log-concave, the first link of the chain holds whatever
     its ultra-log-concavity, so the chain comes down to unimodality.
     Q_n = P_n(x+1) is the q^n coefficient of prod (1 - q^k)^(-x-1), not read
-    off the triangle; each row is the int numerators of Q_n over its
-    positive denominator, which drops out of every comparison.  Returns
-    (values of n compared, first failing n or None).
+    off the triangle: its int numerators over a positive denominator, which
+    drops out of every comparison, come one power of x at a time from
+    `euler_product_columns`, and column j holds the x^j coefficients of
+    rows j..max_n.  Three consecutive columns give a_{j-1}^2 >= a_{j-2} a_j
+    on every row at once.  A nonnegative log-concave row is unimodal
+    exactly when no zero lies between two positive entries: a fall to 0
+    and a later rise break unimodality, and without such a zero the
+    positive entries are one block whose ratios a_j / a_{j-1} do not
+    increase.  So only the rows with a zero after a positive entry are
+    followed, and such a row fails at its next positive entry.  Row n is
+    complete once column n has come, so the scan stops at the first failing
+    row, and its verdict on each row is that of `is_log_concave` and
+    `is_unimodal`.  A negative entry is refused as they refuse it, when its
+    row is reached.  Column 0 is cross-checked by another route, which is
+    cheap: Q_n(0) = p(n), the q^n coefficient of prod (1 - q^k)^-1, so a
+    row whose constant term is not n! p(n) fails too.  Returns (values of
+    n compared, first failing n or None).
     """
-    rows = _shifted_rows(max_n)
-    return first_failure(
-        None if is_log_concave(rows[n]) is None and is_unimodal(rows[n]) is None else n
-        for n in range(1, max_n + 1))
+    partitions = euler_product_power(-1, max_n).coefficients[1:]
+    failed = negative = max_n + 1  # the first row seen to fail, to hold a negative
+    unstarted, gapped = set(range(1, max_n + 1)), set()  # no positive yet; a zero since one
+    before = last = None
+    for j, column in enumerate(euler_product_columns(-X - 1, max_n)):
+        rows = range(j, max_n + 1)
+        low = set(compress(rows, map(le, column, repeat(0))))
+        negative = min([negative, *(n for n in low if n and column[n - j] < 0)])
+        failed = min([failed, *(n for n in gapped if n >= j and n not in low)])
+        gapped, unstarted = (gapped & low) | (low - unstarted), unstarted & low
+        if j == 0:
+            factorials = accumulate(range(1, max_n + 1), mul)
+            off = compress(rows[1:], map(ne, column[1:], map(mul, factorials, partitions)))
+            failed = min(failed, next(off, failed))
+        if j > 1:
+            above = last[1:]  # column j - 1 on rows j..max_n
+            dips = compress(range(j, failed),
+                            map(lt, map(mul, above, above), map(mul, before[2:], column)))
+            failed = min(failed, next(dips, failed))
+        if min(failed, negative) <= j:
+            break
+        before, last = last, column
+    if negative <= min(failed, max_n):
+        raise ValueError("shape predicates are defined for nonnegative sequences")
+    return (failed, failed) if failed <= max_n else (max_n, None)
 
 
 def hook_poly_top_inequality_scan(max_n: int) -> tuple[int, int | None]:

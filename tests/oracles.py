@@ -8,11 +8,12 @@ test-side entries to the package that no package code needs.
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 from operator import add, mul
 
-from darcais.exact import Poly, Series
+from darcais.exact import Poly, Series, X
 from darcais.partitions import hook_multiset, partitions_of
+from darcais.series import euler_product_columns
 from darcais.shapes import is_log_concave, is_ultra_log_concave, is_unimodal
 from darcais.weights import _reciprocal_sum
 
@@ -278,6 +279,50 @@ def euler_power_by_binomials(r, order):
     return acc
 
 
+def pentagonal_pairs(order):
+    """(i, e_i) for the nonzero q^i coefficients e_i of prod (1 - q^k),
+    1 <= i <= order, in increasing i: (-1)^j at i = j (3j -+ 1) / 2."""
+    pairs = {}
+    for j in range(1, order + 1):
+        for i in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if i <= order:
+                pairs[i] = (-1) ** j
+    return sorted(pairs.items())
+
+
+def euler_power_by_rows(exponent, order):
+    """prod_{n>=1} (1 - q^n)^r for a nonzero Poly r = u / d, truncated at
+    q^order, by Miller's recurrence run row by row: on the int rows
+    F_n = d^n n! G_n, F_0 = 1, with
+
+        F_n = sum_i e_i ((u + d) i - n d) a_i F_{n-i},
+        a_i = d^(i-1) (n-1) (n-2) ... (n-i+1),
+
+    each sum taken by Horner's rule from the largest pentagonal i <= n
+    down, every row kept to the end and read over d^n n!."""
+    v, d = list(exponent.numerators), exponent.denominator
+    v[0] += d  # u + d
+    pentagonal = pentagonal_pairs(order)
+    rows = [[1]]
+    for n in range(1, order + 1):
+        steps = [(i, e) for i, e in pentagonal if i <= n]
+        s0, s1 = [0] * len(rows[-1]), [0] * len(rows[-1])
+        top = steps[-1][0]
+        for i, e in reversed(steps):
+            ratio = d ** (top - i) * perm(n - i, top - i)  # a_top / a_i
+            top = i
+            for j, c in enumerate(rows[n - i]):
+                s0[j] = s0[j] * ratio + e * c
+                s1[j] = s1[j] * ratio + i * e * c
+        out = [0] * (len(s1) + len(v) - 1)
+        for j, c in enumerate(v):
+            out[j:j + len(s1)] = map(add, out[j:j + len(s1)], map(mul, s1, repeat(c)))
+        out[:len(s0)] = [a - n * d * b for a, b in zip(out, s0)]
+        rows.append(out)
+    return Series([1] + [Poly.from_numerators(rows[n], d**n * factorial(n))
+                         for n in range(1, order + 1)])
+
+
 # A polynomial as a plain list of Fractions, constant term first, with no
 # trailing zero: the representation `exact.Poly` had before it kept
 # integer numerators over one denominator.
@@ -323,6 +368,22 @@ def orbit_reciprocal_sum(mu):
     """R(mu) from the memoized int R'(mu) = s! R(mu) of `darcais.weights`,
     s = |mu| + len(mu), for the parts in any order."""
     return Fraction(_reciprocal_sum(tuple(sorted(mu, reverse=True))), factorial(sum(mu) + len(mu)))
+
+
+def hook_rows(max_n):
+    """The rows n! Q_n(x), n = 0..max_n, that the hook scan reads column by
+    column: `euler_product_columns(-X - 1, max_n)` transposed."""
+    rows = [[] for _ in range(max_n + 1)]
+    for j, column in enumerate(euler_product_columns(-X - 1, max_n)):
+        for row, c in zip(rows[j:], column):
+            row.append(c)
+    return rows
+
+
+def columns_of(rows):
+    """The columns of a triangle whose row n has n + 1 entries: column j
+    lists the x^j entries of rows j, j + 1, ..., as the hook scan reads them."""
+    return [[row[j] for row in rows[j:]] for j in range(len(rows))]
 
 
 def implication_chain_holds(seq):

@@ -317,10 +317,13 @@ def test_verify_failure_is_exit_1(capsys, monkeypatch, suite, name, broken, line
     assert (code, out, err) == (1, f"FAIL {suite}: {line}\n", "")
 
 
-def _dip(shifted_rows):
-    # a zero before the last coefficient breaks log-concavity from n = 3 on
-    return lambda max_n: [row if len(row) < 4 else [1] * (len(row) - 2) + [0, 1]
-                          for row in shifted_rows(max_n)]
+def _dip(euler_product_columns):
+    # rows n >= 3 become [Q_n(0), 1, ..., 1, 0, 1]: a zero before the last
+    # coefficient breaks log-concavity from n = 3 on; column j lists rows j..
+    def broken(exponent, order):
+        for j, column in enumerate(euler_product_columns(exponent, order)):
+            yield [c if n < 3 or j == 0 else int(j != n - 1) for n, c in enumerate(column, j)]
+    return broken
 
 
 def _zero_at_3(value_sequence):
@@ -352,7 +355,7 @@ LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
 @pytest.mark.parametrize(
     "name, breaker, argv, out, err",
     [
-        ("_shifted_rows", _dip, ("scan", "--check", "hook-logconcave"),
+        ("euler_product_columns", _dip, ("scan", "--check", "hook-logconcave"),
          "check=hook-log-concavity max_n=5 passed=False first_failure=3\n", ""),
         ("coefficient_top_band", lambda band: lambda g, h, max_n, depth: [[0, 0, 0]] * (max_n + 1),
          ("scan", "--check", "hook-top"),

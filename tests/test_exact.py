@@ -163,6 +163,13 @@ def test_no_float_or_bool_enters_a_poly_or_series():
     assert Poly((1,)) == 1 and Poly((1,)) == Fraction(1) and X != 1
     with pytest.raises(ValueError):
         X ** -1
+    # ints, big ones included, become Fractions on the direct path; "p/q"
+    # strings still go through `rational`
+    series = Series([1, -7, 10**40, "3/4", Fraction(1, 3), X])
+    assert list(map(type, series.coefficients)) == [Fraction] * 5 + [Poly]
+    assert series.coefficients[:4] == (1, -7, 10**40, Fraction(3, 4))
+    with pytest.raises(TypeError):
+        Series([True])
 
 
 def test_poly_add():

@@ -1,19 +1,20 @@
 """Generating-function, Euler-product, Eisenstein, and hook-length oracles."""
 
 import hashlib
+import random
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import pytest
 
 import darcais.series
-import darcais.shapes
 
 from darcais.arith import divisor_power_sum, identity, one, sigma
 from darcais.exact import Poly, X
 from darcais.recursion import polynomial_sequence, value_sequence
 from darcais.series import (
     closed_family_check,
+    euler_product_columns,
     euler_product_power,
     generating_series_h_id,
     generating_series_h_one,
@@ -23,6 +24,7 @@ from darcais.series import (
 
 from oracles import (
     euler_power_by_binomials,
+    euler_power_by_rows,
     euler_product_by_factors,
     hook_length_polynomial_by_terms,
     poly_mul,
@@ -203,11 +205,71 @@ def test_euler_product_power_matches_the_factor_by_factor_product(exponent):
 
 
 def test_hook_rows_are_canonical_as_they_come():
-    # for r = -x - 1 the row F_n = n! G_n has leading coefficient 1, so the
-    # hook scan's rows are the kernel's rows, unreduced
-    rows = darcais.shapes._shifted_rows(200)
-    assert len(rows) == 201
-    assert all(row[-1] == 1 and len(row) == n + 1 for n, row in enumerate(rows))
+    # for r = -x - 1 column j lists f_{n,j} = [x^j] F_n, F_n = n! G_n, for
+    # n = j..200: the leading entry f_{n,n} is 1, so the hook scan's rows are
+    # the kernel's rows, unreduced, and every entry is nonnegative
+    columns = list(euler_product_columns(-X - 1, 200))
+    assert [len(column) for column in columns] == list(range(201, 0, -1))
+    assert all(column[0] == 1 for column in columns)
+    assert all(c >= 0 for column in columns for c in column)
+
+
+def assert_columns_match_rows(exponent, order):
+    """The columns, transposed by `euler_product_power`, against the row
+    kernel of `oracles`: value and type, order by order."""
+    columns = euler_product_power(exponent, order).coefficients
+    rows = euler_power_by_rows(exponent, order).coefficients
+    assert columns == rows, exponent
+    assert list(map(type, columns)) == list(map(type, rows)), exponent
+
+
+def seeded_exponents(count, seed=31):
+    """Poly exponents u / d with deg u <= 3, d <= 6 and orders <= 40."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        exponent = Poly(u) / rng.randint(1, 6)
+        if not exponent.is_zero():
+            yield exponent, rng.randint(0, 40)
+
+
+@pytest.mark.parametrize(
+    "exponent, order",
+    [(-X - 1, 200), (X, 40), *seeded_exponents(30)],
+    ids=lambda value: repr(value),
+)
+def test_columns_transposed_are_the_row_kernel(exponent, order):
+    assert_columns_match_rows(exponent, order)
+
+
+def test_a_flipped_pentagonal_sign_fails_the_row_kernel_comparison(monkeypatch):
+    # mutation: the kernel reads e_5 = -1 where Euler's theorem has +1;
+    # the row kernel takes its signs from its own pentagonal_pairs
+    real = darcais.series._pentagonal
+    monkeypatch.setattr(darcais.series, "_pentagonal",
+                        lambda order: [(i, -e if i == 5 else e) for i, e in real(order)])
+    for exponent, order in ((-X - 1, 30), (X, 12)):
+        with pytest.raises(AssertionError):
+            assert_columns_match_rows(exponent, order)
+
+
+def test_hook_columns_are_the_partition_series_times_powers_of_L():
+    # Q_n(y) = P_n(y + 1) has generating function exp((y + 1) L) = P(q) exp(y L),
+    # with P = sum p(n) q^n and L = sum sigma(m) q^m / m, so column j of the
+    # hook rows F_n = n! Q_n is n! [q^n] P L^j / j!: each column series is
+    # the previous one times L / j, in Fractions, sharing nothing with
+    # Miller's recurrence
+    order = 30
+    partitions = [Fraction(count_partitions_dp(n)) for n in range(order + 1)]
+    log_series = [Fraction(0)] + [
+        Fraction(sum(k for k in range(1, m + 1) if m % k == 0), m) for m in range(1, order + 1)]
+    series = partitions
+    for j, column in enumerate(euler_product_columns(-X - 1, order)):
+        if j:
+            series = [c / j for c in poly_mul(series, log_series)[:order + 1]]
+            series += [Fraction(0)] * (order + 1 - len(series))
+        assert series[:j] == [0] * j
+        assert column == [factorial(n) * series[n] for n in range(j, order + 1)], j
 
 
 def test_pentagonal_pairs_are_euler_coefficients():

@@ -1,6 +1,7 @@
 """Shape predicates, margins, counterexample search, and the exact scans."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from darcais import shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
-from darcais.exact import Series, X
+from darcais.exact import Series, X, first_failure
 from darcais.recursion import coefficient_table, value_sequence
 from darcais.shapes import (
     counterexample_search,
@@ -24,7 +25,7 @@ from darcais.shapes import (
     transfer_check,
 )
 
-from oracles import implication_chain_holds
+from oracles import columns_of, hook_rows, implication_chain_holds
 
 
 def test_reference_quadratics():
@@ -158,27 +159,112 @@ def test_hook_poly_scans_small():
     assert Fraction(5, 2) ** 2 > 1
 
 
+def counted_columns(monkeypatch, rows=None):
+    """Patch the scan's column source to yield the columns of `rows` (the
+    hook columns when None) and count the columns it pulls."""
+    pulled = []
+    real = shapes.euler_product_columns
+
+    def source(exponent, order):
+        assert exponent == -X - 1
+        for column in real(exponent, order) if rows is None else columns_of(rows):
+            pulled.append(1)
+            yield column
+
+    monkeypatch.setattr(shapes, "euler_product_columns", source)
+    return pulled
+
+
+def feed_triangle(monkeypatch, rows):
+    """Feed the scan any triangle: its columns, and partition numbers that
+    agree with its constant terms, so that only the shape bookkeeping judges it."""
+    monkeypatch.setattr(shapes, "euler_product_power", lambda exponent, order: Series(
+        [Fraction(row[0], factorial(n)) for n, row in enumerate(rows)]))
+    counted_columns(monkeypatch, rows)
+
+
 def test_hook_log_concavity_scan_checks_each_row_once(monkeypatch):
-    calls = []
-    real = shapes.is_log_concave
-    monkeypatch.setattr(shapes, "is_log_concave", lambda seq: calls.append(1) or real(seq))
+    # one comparison per row, made column by column: no row is handed to
+    # the row predicates, and each column is pulled once
+    for name in ("is_log_concave", "is_unimodal"):
+        monkeypatch.setattr(shapes, name, None)  # any call would be a TypeError
+    pulled = counted_columns(monkeypatch)
     assert hook_poly_log_concavity_scan(30) == (30, None)
-    assert len(calls) == 30
+    assert len(pulled) == 31
 
 
 def test_hook_log_concavity_scan_fails_a_log_concave_row_that_is_not_unimodal(monkeypatch):
-    # [1, 0, 0, 1] is log-concave (every a_j^2 >= a_{j-1} a_{j+1} is 0 >= 0)
-    # but not unimodal, so the scan must stop at the row that holds it
-    assert is_log_concave([1, 0, 0, 1]) is None and is_unimodal([1, 0, 0, 1]) == 3
-    real = shapes._shifted_rows
-
-    def rows_with_a_gap(max_n):
-        rows = real(max_n)
-        rows[7] = [1, 0, 0, 1]
-        return rows
-
-    monkeypatch.setattr(shapes, "_shifted_rows", rows_with_a_gap)
+    # [a, 0, ..., 0, 1] is log-concave (every a_j^2 >= a_{j-1} a_{j+1} is
+    # 0 >= 0) but not unimodal, so the scan must stop at the row that holds
+    # it, once its last column has come
+    rows = hook_rows(12)
+    gap = [rows[7][0]] + [0] * 6 + [1]  # Q_7(0) = p(7) kept
+    assert is_log_concave(gap) is None and is_unimodal(gap) == 7
+    rows[7] = gap
+    pulled = counted_columns(monkeypatch, rows)
     assert hook_poly_log_concavity_scan(12) == (7, 7)
+    assert len(pulled) == 8
+
+
+@pytest.mark.parametrize("n, j", [(81, 40), (97, 1), (97, 96), (120, 60), (85, 0)])
+def test_one_changed_column_entry_is_reported_at_its_row(monkeypatch, n, j):
+    # a zero planted at x^j of row n > 80 breaks log-concavity there and
+    # nowhere earlier; at x^0 it breaks Q_n(0) = p(n)
+    rows = hook_rows(120)
+    rows[n][j] = 0
+    counted_columns(monkeypatch, rows)
+    assert hook_poly_log_concavity_scan(120) == (n, n)
+
+
+def planted_triangle(draw, max_n):
+    """Rows n = 0..max_n of n + 1 entries: log-concave tents of ints, some
+    with a dip, a plateau, a zero, a run of zeros at the head, at the tail
+    or inside, or a negative entry planted.  A run of zeros at either end
+    keeps a tent log-concave, so that unimodality alone judges its
+    plateaus of zeros."""
+    rows = []
+    for n in range(max_n + 1):
+        cap, scale = draw(st.integers(1, n + 1)), draw(st.integers(1, 3))
+        row = [scale * (1 + min(j, n - j, cap)) for j in range(n + 1)]
+        plant = draw(st.sampled_from(
+            ["none"] * 4 + ["dip", "plateau", "zero", "head", "tail", "gap", "negative"]))
+        j = draw(st.integers(0, n))
+        if plant in ("head", "tail", "gap"):
+            start, end = {"head": (0, j), "tail": (j, n + 1),
+                          "gap": (j, draw(st.integers(j, n + 1)))}[plant]
+            row[start:end] = [0] * (end - start)
+        elif plant != "none":
+            row[j] = {"dip": row[j] // 3, "plateau": row[j - 1], "zero": 0, "negative": -1}[plant]
+        rows.append(row)
+    return rows
+
+
+def scan_by_rows(rows):
+    """The hook scan's verdict on a triangle, as the row predicates give it."""
+    return first_failure(None if is_log_concave(rows[n]) is None and is_unimodal(rows[n]) is None
+                         else n for n in range(1, len(rows)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_bookkeeping_matches_the_row_predicates(data):
+    # the scan's three-column log-concavity test and its rows with a zero
+    # after a positive entry against is_log_concave and is_unimodal, row by
+    # row; a negative entry is the same ValueError, raised when its row is
+    # reached
+    max_n = data.draw(st.integers(0, 10))
+    rows = planted_triangle(data.draw, max_n)
+    try:
+        expected = scan_by_rows(rows)
+    except ValueError as error:
+        expected = error.args
+    with pytest.MonkeyPatch.context() as patch:
+        feed_triangle(patch, rows)
+        try:
+            found = hook_poly_log_concavity_scan(max_n)
+        except ValueError as error:
+            found = error.args
+    assert found == expected
 
 
 def test_scan_route_matches_hook_sums():
@@ -197,11 +283,12 @@ def test_scan_route_matches_hook_sums():
 
 
 def test_shifted_rows_are_the_recursion_at_x_plus_1():
-    # the hook scan reads its rows off prod (1 - q^k)^(-x-1); the defining
-    # recursion at X + 1 gives the same reduced polynomials
+    # the hook scan reads its rows off prod (1 - q^k)^(-x-1), one column at
+    # a time; the defining recursion at X + 1 gives the same reduced
+    # polynomials
     for max_n in (0, 1, 2, 17, 80):
         recursion = value_sequence(sigma(1), identity(), X + 1, max_n)
-        assert shapes._shifted_rows(max_n) == [p.numerators for p in recursion]
+        assert hook_rows(max_n) == [list(p.numerators) for p in recursion]
 
 
 def test_shifted_rows_are_positive_multiples_of_the_triangle_shift():
@@ -210,7 +297,7 @@ def test_shifted_rows_are_positive_multiples_of_the_triangle_shift():
     from darcais.recursion import shifted_coefficient_numerators
 
     table = coefficient_table(sigma(1), identity(), 60)
-    rows = shapes._shifted_rows(60)
+    rows = hook_rows(60)
     assert len(rows) == 61
     for n, row in enumerate(rows):
         expected = shifted_coefficient_numerators(table.row(n))
