@@ -421,7 +421,7 @@ class Series:
         # a plain int (not a bool) is made a Fraction directly; the rest
         # goes through `rational`, which refuses floats and bools
         coeffs = tuple(
-            Fraction(c) if type(c) is int else c if isinstance(c, (Fraction, Poly)) else rational(c)
+            c if isinstance(c, (Fraction, Poly)) else Fraction(c) if type(c) is int else rational(c)
             for c in coefficients
         )
         if not coeffs:

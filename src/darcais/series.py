@@ -166,10 +166,9 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     consecutive steps i < i' the sums so far are multiplied by
     a_i' / a_i = d^(i'-i) (n-i)! / (n-i')!, which depends on n alone and
     is tabulated once, and at i = 1, where a_1 = 1, they are s0 and s1.
-    Columns j and j + 1 are taken in one pass over the rows and the steps
-    of column j (column j + 1 reads 0 on the one row it lacks), so the
-    interpreter's share of each step is paid once for two bigint updates,
-    and f_{n,j+1} takes s1_j(n) from the same pass.
+    The signs are folded into the ratios: the step reads t <- t rho + c on
+    t = s / e_i, with rho = e_i e_i' a_i' / a_i, and e_1 = -1 gives
+    s0 = -t0 and s1 = -t1.
 
     Yields the columns j = 0, ..., order D in turn; column j lists f_{n,j} for
     n = ceil(j / D), ..., order (every n for D = 0), the rows whose degree
@@ -193,50 +192,33 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     pentagonal = _pentagonal(order)
     steps = [i for i, _ in pentagonal]
     below = [bisect_right(steps, t) for t in range(order + 1)]  # steps <= t
-    # horner[n]: (n - i, e_i > 0, i e_i, a_i' / a_i) for the steps i <= n,
+    # horner[n]: (n - i, i, e_i e_i' a_i' / a_i) for the steps i <= n,
     # largest first; the largest one's next step i' is past n, and its
     # ratio 0 multiplies sums that are still 0
-    nexts = steps[1:] + [order + 1]
-    horner = [[(n - a, e > 0, a * e, d ** (b - a) * perm(n - a, b - a) if b <= n else 0)
-               for (a, e), b in zip(pentagonal[k - 1::-1], nexts[k - 1::-1])] if k else []
+    nexts = pentagonal[1:] + [(order + 1, 1)]
+    horner = [[(n - a, a, e * f * d ** (b - a) * perm(n - a, b - a) if b <= n else 0)
+               for (a, e), (b, f) in zip(pentagonal[k - 1::-1], nexts[k - 1::-1])] if k else []
               for n, k in enumerate(below)]
-    last, v1 = order * degree, v[1] if degree else 0
-    history = []  # s1 of the last D columns before the pair, newest first, indexed by n
-    for j in range(0, last + 1, 2):  # columns j and j + 1 share the steps of column j
+    history = []  # s1 of the last D columns, newest first, indexed by n
+    for j in range(order * degree + 1):
         first = -(-j // degree) if degree else 0
-        later = -(-(j + 1) // degree) if degree else order + 1  # column j + 1's first row
         start = max(first, 1)
         column = [0] * first if j else [1]  # f_{0,j}, ..., f_{order,j}
-        beside = [0] * min(later, order + 1)  # f_{0,j+1}, ..., f_{order,j+1}
-        # carry[n], carry_beside[n]: the terms v_t s1_{j-t}(n) and
-        # v_t s1_{j+1-t}(n) of the columns before the pair
-        carry, carry_beside = [0] * (order + 1), [0] * (order + 1)
-        for h, older in enumerate(history):  # column j - 1 - h
-            carry = list(map(add, carry, map(mul, older, repeat(v[h + 1]))))
-            if h + 2 <= degree:
-                carry_beside = list(map(add, carry_beside, map(mul, older, repeat(v[h + 2]))))
-        s1s, s1s_beside = [0] * (order + 1), [0] * (order + 1)
+        carry = [0] * (order + 1)  # carry[n]: the terms v_t s1_{j-t}(n), t >= 1
+        for t, older in enumerate(history, 1):
+            carry = list(map(add, carry, map(mul, older, repeat(v[t]))))
+        s1s = [0] * (order + 1)
         for n, steps_n, k_n, k in zip(range(start, order + 1), horner[start:], below[start:],
                                       below[start - first:]):
-            s0 = s1 = r0 = r1 = 0
-            for m, positive, w, ratio in steps_n[k_n - k:]:  # m = n - i
-                c, e = column[m], beside[m]
-                if positive:
-                    s0, r0 = s0 * ratio + c, r0 * ratio + e
-                else:
-                    s0, r0 = s0 * ratio - c, r0 * ratio - e
-                s1, r1 = s1 * ratio + w * c, r1 * ratio + w * e
-            f = carry[n] - n * d * s0
-            column.append(f + v[0] * s1 if v[0] else f)
-            s1s[n] = s1
-            if n >= later:
-                f = carry_beside[n] + v1 * s1 - n * d * r0
-                beside.append(f + v[0] * r1 if v[0] else f)
-                s1s_beside[n] = r1
+            t0 = t1 = 0  # s0 / e_i and s1 / e_i so far
+            for m, i, ratio in steps_n[k_n - k:]:  # m = n - i
+                c = column[m]
+                t0 = t0 * ratio + c
+                t1 = t1 * ratio + i * c
+            s1s[n] = s1 = -t1  # e_1 = -1
+            column.append(carry[n] + v[0] * s1 + n * d * t0)
         yield column[first:]
-        if j < last:
-            yield beside[later:]
-        history = [s1s_beside, s1s, *history][:degree]
+        history = [s1s, *history][:degree]
 
 
 def inverse_eisenstein(weight: int, order: int) -> list[Fraction]:

@@ -280,7 +280,7 @@ def test_criterion_09_shape_scans():
 
 @pytest.mark.skipif(
     os.environ.get("DARCAIS_LONG_SCANS") != "1",
-    reason="a 3 minute sweep (178 s, 54 MiB); set DARCAIS_LONG_SCANS=1 to run the n <= 1500 scan",
+    reason="a 2.5 minute sweep (143 s, 50 MiB); set DARCAIS_LONG_SCANS=1 to run the n <= 1500 scan",
 )
 def test_criterion_09_long_hook_scan():
     _, failure = hook_log_concavity(1500)
