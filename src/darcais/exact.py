@@ -418,10 +418,12 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable):
-        # a plain int (not a bool) is made a Fraction directly; the rest
-        # goes through `rational`, which refuses floats and bools
+        # by exact type, which skips ABCMeta's instance check: a plain int (not
+        # a bool) is made a Fraction directly; the rest goes through `rational`,
+        # which refuses floats and bools
         coeffs = tuple(
-            c if isinstance(c, (Fraction, Poly)) else Fraction(c) if type(c) is int else rational(c)
+            c if type(c) is Fraction or type(c) is Poly
+            else Fraction(c) if type(c) is int else rational(c)
             for c in coefficients
         )
         if not coeffs:

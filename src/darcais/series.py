@@ -8,10 +8,11 @@ meaningful evidence:
 * h = one:  sum_n P_n(x) q^n = 1 / (1 - x * sum_k g(k) q^k),
 * Euler products prod_n (1 - q^n)^r: for an int r >= 0, Jacobi's cube
   series to the power r // 3 by squarings of Kronecker-packed ints, times
-  Euler's pentagonal series to the power r % 3; for every other r, Miller's
-  power recurrence on Euler's pentagonal series (r may be a polynomial
-  variable, whose q^n coefficient runs division-free on ints over its own
-  scale d^n n!, one power of the variable at a time),
+  Euler's pentagonal series to the power r % 3; for every other r, one
+  kernel of Miller's power recurrence on Euler's pentagonal series, which
+  takes r as a polynomial (a scalar r as a constant one) and runs
+  division-free on ints over the scales d^n n!, one power of the variable
+  at a time,
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
@@ -76,48 +77,35 @@ def euler_product_power(exponent, order: int) -> Series:
 
         n G_n = sum_{i>=1} e_i ((r + 1) i - n) G_{n-i}
 
-    (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7).  For
-    r = u / d (u an int, or an int polynomial for a Poly exponent; d > 0)
-    it runs in ints.  A negative or non-integral scalar r runs on
-    E_n = T G_n, with T = 1 for an integer r and T = d^order order!
-    otherwise, which n! G_n in Z[r] makes integral; each step divides by
-    n d once, exactly.  A Poly r runs a division-free form of the
-    recurrence column by column (`euler_product_columns`), and its rows
-    F_n = d^n n! G_n are read back over their own scales.
+    (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7), in its
+    one kernel `euler_product_columns`: for r = u / d (u an int polynomial,
+    d > 0) it yields the int rows F_n = d^n n! G_n one power of the exponent
+    variable at a time, and each row is read back over its scale d^n n!.  A
+    scalar r goes in as the constant polynomial (r,), whose one column is
+    read as Fractions.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
     if isinstance(exponent, bool) or not isinstance(exponent, (int, Fraction, Poly)):
         raise TypeError("exponent must be an integer, Fraction, or Poly")
-    if isinstance(exponent, Poly) and not exponent.is_zero():
-        rows = [[] for _ in range(order + 1)]
-        for column in euler_product_columns(exponent, order):
-            for row, c in zip(rows[order + 1 - len(column):], column):
-                row.append(c)
-        d, coefficients = exponent.denominator, []
-        for n in range(order, 0, -1):  # each row reduced as it is popped off
-            coefficients.append(Poly.from_numerators(rows.pop(), d**n * factorial(n)))
-        return Series([1] + coefficients[::-1])
-    if isinstance(exponent, Poly):
+    if isinstance(exponent, Poly) and exponent.is_zero():
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
-    pentagonal = _pentagonal(order)
-    u, d = exponent.numerator, exponent.denominator
-    if d == 1 and u >= 0:
-        return Series(_jacobi_power(u, order, pentagonal))
-    T = 1 if d == 1 else d**order * factorial(order)
-    steps, signs = [i for i, _ in pentagonal], [e for _, e in pentagonal]
-    weights = list(map(mul, steps, signs))
-    values, k = [T], 0
-    for n in range(1, order + 1):
-        if k < len(steps) and steps[k] == n:
-            k += 1
-        terms = list(map(values.__getitem__, map(n.__sub__, steps[:k])))
-        s0, s1 = sum(map(mul, signs, terms)), sum(map(mul, weights, terms))
-        values.append(((u + d) * s1 - d * n * s0) // (n * d))
-    return Series(values if T == 1 else [Fraction(v, T) for v in values])
+    if not isinstance(exponent, Poly) and exponent.denominator == 1 and exponent >= 0:
+        return Series(_jacobi_power(exponent.numerator, order))
+    r = exponent if isinstance(exponent, Poly) else Poly((exponent,))
+    rows = [[] for _ in range(order + 1)]
+    for column in euler_product_columns(r, order):
+        for row, c in zip(rows[order + 1 - len(column):], column):
+            row.append(c)
+    d, coefficients = r.denominator, []
+    for n in range(order, 0, -1):  # each row reduced as it is popped off
+        row, scale = rows.pop(), d**n * factorial(n)
+        coefficients.append(Poly.from_numerators(row, scale) if r is exponent
+                            else Fraction(row[0], scale))  # a scalar r: one column
+    return Series([1] + coefficients[::-1])
 
 
-def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
+def _jacobi_power(r: int, order: int) -> list[int]:
     """The branch of `euler_product_power` for an int r >= 0: with r = 3 t + s,
     s < 3, prod (1 - q^k)^r = J^t E^s, where E = sum_i e_i q^i by
     `_pentagonal` and J = prod (1 - q^k)^3 = sum_{k>=0} (-1)^k (2k + 1)
@@ -126,7 +114,7 @@ def _jacobi_power(r: int, order: int, pentagonal: list) -> list[int]:
     packed product read to q^order (`exact.product_window`)."""
     t, s = divmod(r, 3)
     euler = [1] + [0] * order
-    for i, e in pentagonal:
+    for i, e in _pentagonal(order):
         euler[i] = e
     jacobi = [0] * (order + 1)
     k = 0

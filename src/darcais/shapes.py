@@ -6,7 +6,8 @@ index where its sequence breaks the shape, or None where it holds.  The
 scans combine routes from the recursion engine and the oracles: the hook
 log-concavity scan reads the hook polynomials Q_n(x) = P_n(x+1) for
 (sigma, id) off the Euler-product power prod (1 - q^k)^(-x-1), the
-D'Arcais generating function at -x - 1, one power of x at a time; the
+D'Arcais generating function at -x - 1, one power of x at a time, and
+checks their constant terms against the recursion at x = 1; the
 hook top-inequality scan reads the top band of the integer coefficient
 triangle, the delta scan takes the top margin of (g, h) through the
 weight route, and the Lehmer scan runs the recursion on values at x = -24
@@ -187,12 +188,13 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     complete once column n has come, so the scan stops at the first failing
     row, and its verdict on each row is that of `is_log_concave` and
     `is_unimodal`.  A negative entry is refused as they refuse it, when its
-    row is reached.  Column 0 is cross-checked by another route, which is
-    cheap: Q_n(0) = p(n), the q^n coefficient of prod (1 - q^k)^-1, so a
-    row whose constant term is not n! p(n) fails too.  Returns (values of
-    n compared, first failing n or None).
+    row is reached.  Column 0 is cross-checked by a route that shares no
+    code with Miller's kernel, which is cheap: Q_n(0) = P_n(1) = p(n), the
+    defining recursion for (sigma, id) run at x = 1 (`value_sequence`), so
+    a row whose constant term is not n! P_n(1) fails too.  Returns (values
+    of n compared, first failing n or None).
     """
-    partitions = euler_product_power(-1, max_n).coefficients[1:]
+    partitions = value_sequence(sigma(1), identity(), 1, max_n)[1:]
     failed = negative = max_n + 1  # the first row seen to fail, to hold a negative
     unstarted, gapped = set(range(1, max_n + 1)), set()  # no positive yet; a zero since one
     before = last = None

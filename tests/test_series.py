@@ -171,6 +171,7 @@ def test_euler_product_integer_exponents_match_recursion_values():
     symbolic = euler_product_power(X, 40)
     for r in range(-6, 31):
         direct = euler_product_power(r, 40).coefficients
+        assert euler_product_power(Poly((r,)), 40).coefficients == direct, r
         values = value_sequence(sigma(1), identity(), -r, 40)
         assert len(direct) == len(values) == 41
         for n in range(41):
@@ -235,7 +236,7 @@ def seeded_exponents(count, seed=31):
 
 @pytest.mark.parametrize(
     "exponent, order",
-    [(-X - 1, 200), (X, 40), *seeded_exponents(30)],
+    [(-X - 1, 200), (X, 40), (Poly((-1,)), 40), (Poly((HALF,)), 40), *seeded_exponents(30)],
     ids=lambda value: repr(value),
 )
 def test_columns_transposed_are_the_row_kernel(exponent, order):
@@ -282,6 +283,7 @@ def test_pentagonal_pairs_are_euler_coefficients():
 
 def test_euler_product_exponent_types():
     half = euler_product_power(HALF, 6)
+    assert euler_product_power(Poly((HALF,)), 6).coefficients == half.coefficients
     square = poly_mul(half.coefficients, half.coefficients)[:7]
     assert poly_trim(square) == poly_trim(euler_product_power(1, 6).coefficients)
     assert all(isinstance(c, Fraction) for c in half.coefficients)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcais import shapes
+from darcais import series, shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
 from darcais.exact import Series, X, first_failure
 from darcais.recursion import coefficient_table, value_sequence
@@ -176,10 +176,10 @@ def counted_columns(monkeypatch, rows=None):
 
 
 def feed_triangle(monkeypatch, rows):
-    """Feed the scan any triangle: its columns, and partition numbers that
+    """Feed the scan any triangle: its columns, and values P_n(1) that
     agree with its constant terms, so that only the shape bookkeeping judges it."""
-    monkeypatch.setattr(shapes, "euler_product_power", lambda exponent, order: Series(
-        [Fraction(row[0], factorial(n)) for n, row in enumerate(rows)]))
+    monkeypatch.setattr(shapes, "value_sequence", lambda g, h, point, max_n: [
+        Fraction(row[0], factorial(n)) for n, row in enumerate(rows)])
     counted_columns(monkeypatch, rows)
 
 
@@ -204,6 +204,17 @@ def test_hook_log_concavity_scan_fails_a_log_concave_row_that_is_not_unimodal(mo
     pulled = counted_columns(monkeypatch, rows)
     assert hook_poly_log_concavity_scan(12) == (7, 7)
     assert len(pulled) == 8
+
+
+@pytest.mark.parametrize("i", [5, 7, 12, 26])
+def test_a_flipped_pentagonal_sign_fails_the_hook_scan_at_its_row(monkeypatch, i):
+    # mutation: Miller's kernel reads e_i with the wrong sign, so row i is
+    # the first one it gets wrong; the scan's p(n) comes from the defining
+    # recursion, which does not read `_pentagonal`, so row i fails
+    real = series._pentagonal
+    monkeypatch.setattr(series, "_pentagonal",
+                        lambda order: [(k, -e if k == i else e) for k, e in real(order)])
+    assert hook_poly_log_concavity_scan(40) == (i, i)
 
 
 @pytest.mark.parametrize("n, j", [(81, 40), (97, 1), (97, 96), (120, 60), (85, 0)])
