@@ -6,8 +6,9 @@ index where its sequence breaks the shape, or None where it holds.  The
 scans combine routes from the recursion engine and the oracles: the hook
 log-concavity scan reads the hook polynomials Q_n(x) = P_n(x+1) for
 (sigma, id) off the Euler-product power prod (1 - q^k)^(-x-1), the
-D'Arcais generating function at -x - 1, one power of x at a time, and
-checks their constant terms against the recursion at x = 1; the
+D'Arcais generating function at -x - 1, one power of x at a time,
+requires every coefficient positive, as the hook length formula makes
+it, and checks the constant terms against the recursion at x = 1; the
 hook top-inequality scan reads the top band of the integer coefficient
 triangle, the delta scan takes the top margin of (g, h) through the
 weight route, and the Lehmer scan runs the recursion on values at x = -24
@@ -172,38 +173,31 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     """Exact log-concavity of the hook-polynomial coefficients, and
     ultra => log-concave => unimodal on each of them, for 1 <= n <= max_n.
 
-    Once a row is log-concave, the first link of the chain holds whatever
-    its ultra-log-concavity, so the chain comes down to unimodality.
-    Q_n = P_n(x+1) is the q^n coefficient of prod (1 - q^k)^(-x-1), not read
-    off the triangle: its int numerators over a positive denominator, which
-    drops out of every comparison, come one power of x at a time from
+    Ultra-log-concave implies log-concave, and a positive log-concave
+    sequence is unimodal: its ratios a_j / a_{j-1} do not increase, so
+    they stay >= 1 up to a peak and <= 1 after it.  So on a log-concave
+    row the chain comes down to positivity, which the hook length formula
+    Q_n(x) = sum over the partitions of n of prod (1 + x / t^2) over their
+    hooks t proves for x^0..x^n: a row with an entry <= 0 fails.
+    Q_n = P_n(x+1) is the q^n coefficient of prod (1 - q^k)^(-x-1), not
+    read off the triangle: its int numerators over a positive denominator,
+    which drops out of every comparison, come one power of x at a time from
     `euler_product_columns`, and column j holds the x^j coefficients of
     rows j..max_n.  Three consecutive columns give a_{j-1}^2 >= a_{j-2} a_j
-    on every row at once.  A nonnegative log-concave row is unimodal
-    exactly when no zero lies between two positive entries: a fall to 0
-    and a later rise break unimodality, and without such a zero the
-    positive entries are one block whose ratios a_j / a_{j-1} do not
-    increase.  So only the rows with a zero after a positive entry are
-    followed, and such a row fails at its next positive entry.  Row n is
-    complete once column n has come, so the scan stops at the first failing
-    row, and its verdict on each row is that of `is_log_concave` and
-    `is_unimodal`.  A negative entry is refused as they refuse it, when its
-    row is reached.  Column 0 is cross-checked by a route that shares no
-    code with Miller's kernel, which is cheap: Q_n(0) = P_n(1) = p(n), the
-    defining recursion for (sigma, id) run at x = 1 (`value_sequence`), so
-    a row whose constant term is not n! P_n(1) fails too.  Returns (values
-    of n compared, first failing n or None).
+    on every row at once.  Row n is complete once column n has come, so
+    the scan stops at the first failing row.  Column 0 is cross-checked by
+    a route that shares no code with Miller's kernel, which is cheap:
+    Q_n(0) = P_n(1) = p(n), the defining recursion for (sigma, id) run at
+    x = 1 (`value_sequence`), so a row whose constant term is not n! P_n(1)
+    fails too.  Returns (values of n compared, first failing n or None).
     """
     partitions = value_sequence(sigma(1), identity(), 1, max_n)[1:]
-    failed = negative = max_n + 1  # the first row seen to fail, to hold a negative
-    unstarted, gapped = set(range(1, max_n + 1)), set()  # no positive yet; a zero since one
+    failed = max_n + 1  # the first row seen to fail
     before = last = None
     for j, column in enumerate(euler_product_columns(-X - 1, max_n)):
-        rows = range(j, max_n + 1)
-        low = set(compress(rows, map(le, column, repeat(0))))
-        negative = min([negative, *(n for n in low if n and column[n - j] < 0)])
-        failed = min([failed, *(n for n in gapped if n >= j and n not in low)])
-        gapped, unstarted = (gapped & low) | (low - unstarted), unstarted & low
+        rows = range(j, failed)
+        low = compress(rows, map(le, column, repeat(0)))
+        failed = min(failed, next(filter(None, low), failed))  # row 0 is not scanned
         if j == 0:
             factorials = accumulate(range(1, max_n + 1), mul)
             off = compress(rows[1:], map(ne, column[1:], map(mul, factorials, partitions)))
@@ -213,11 +207,9 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
             dips = compress(range(j, failed),
                             map(lt, map(mul, above, above), map(mul, before[2:], column)))
             failed = min(failed, next(dips, failed))
-        if min(failed, negative) <= j:
+        if failed <= j:
             break
         before, last = last, column
-    if negative <= min(failed, max_n):
-        raise ValueError("shape predicates are defined for nonnegative sequences")
     return (failed, failed) if failed <= max_n else (max_n, None)
 
 

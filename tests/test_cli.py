@@ -326,6 +326,15 @@ def _dip(euler_product_columns):
     return broken
 
 
+def _negative_in_4(euler_product_columns):
+    # the x^2 entry of row 4 negated: an entry <= 0, which the hook length
+    # formula rules out; column j lists rows j..
+    def broken(exponent, order):
+        for j, column in enumerate(euler_product_columns(exponent, order)):
+            yield [-c if (n, j) == (4, 2) else c for n, c in enumerate(column, j)]
+    return broken
+
+
 def _zero_at_3(value_sequence):
     def broken(*args):
         values = value_sequence(*args)
@@ -357,6 +366,8 @@ LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
     [
         ("euler_product_columns", _dip, ("scan", "--check", "hook-logconcave"),
          "check=hook-log-concavity max_n=5 passed=False first_failure=3\n", ""),
+        ("euler_product_columns", _negative_in_4, ("scan", "--check", "hook-logconcave"),
+         "check=hook-log-concavity max_n=5 passed=False first_failure=4\n", ""),
         ("coefficient_top_band", lambda band: lambda g, h, max_n, depth: [[0, 0, 0]] * (max_n + 1),
          ("scan", "--check", "hook-top"),
          "check=hook-top-inequality max_n=5 passed=False first_failure=2\n", ""),
@@ -371,7 +382,7 @@ LEHMER_ROWS = "1 -24\n2 252\n3 {}\n4 4830\n5 -6048\n"
         ("is_ultra_log_concave", _source_only, ("verify", "--suite", "shapes"),
          "FAIL shapes: shape transfer fails for g=one at (1, 'ultra-log-concave')\n", ""),
     ],
-    ids=["hook-logconcave", "hook-top", "lehmer-zero", "lehmer-product",
+    ids=["hook-logconcave", "hook-logconcave-negative", "hook-top", "lehmer-zero", "lehmer-product",
          "verify-lehmer-zero", "verify-lehmer-product", "verify-transfer-ultra"],
 )
 def test_scan_failure_is_exit_1(capsys, monkeypatch, name, breaker, argv, out, err):

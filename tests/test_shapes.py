@@ -195,8 +195,8 @@ def test_hook_log_concavity_scan_checks_each_row_once(monkeypatch):
 
 def test_hook_log_concavity_scan_fails_a_log_concave_row_that_is_not_unimodal(monkeypatch):
     # [a, 0, ..., 0, 1] is log-concave (every a_j^2 >= a_{j-1} a_{j+1} is
-    # 0 >= 0) but not unimodal, so the scan must stop at the row that holds
-    # it, once its last column has come
+    # 0 >= 0) but not unimodal; its zeros fail it, so the scan must stop at
+    # the row that holds it, once its last column has come
     rows = hook_rows(12)
     gap = [rows[7][0]] + [0] * 6 + [1]  # Q_7(0) = p(7) kept
     assert is_log_concave(gap) is None and is_unimodal(gap) == 7
@@ -217,22 +217,24 @@ def test_a_flipped_pentagonal_sign_fails_the_hook_scan_at_its_row(monkeypatch, i
     assert hook_poly_log_concavity_scan(40) == (i, i)
 
 
-@pytest.mark.parametrize("n, j", [(81, 40), (97, 1), (97, 96), (120, 60), (85, 0)])
+@pytest.mark.parametrize("n, j", [(81, 40), (97, 1), (97, 96), (97, 97), (120, 60), (85, 0)])
 def test_one_changed_column_entry_is_reported_at_its_row(monkeypatch, n, j):
-    # a zero planted at x^j of row n > 80 breaks log-concavity there and
-    # nowhere earlier; at x^0 it breaks Q_n(0) = p(n)
+    # an entry of row n > 80 zeroed, then negated, is an entry <= 0 there
+    # and nowhere earlier: at x^n it is the leading coefficient, 1 times n!
+    # by the hook length formula, and at x^0 it breaks Q_n(0) = p(n) too
     rows = hook_rows(120)
-    rows[n][j] = 0
-    counted_columns(monkeypatch, rows)
-    assert hook_poly_log_concavity_scan(120) == (n, n)
+    counted_columns(monkeypatch, rows)  # the columns are taken when the scan runs
+    entry = rows[n][j]
+    for changed in (0, -entry):
+        rows[n][j] = changed
+        assert hook_poly_log_concavity_scan(120) == (n, n)
 
 
 def planted_triangle(draw, max_n):
-    """Rows n = 0..max_n of n + 1 entries: log-concave tents of ints, some
-    with a dip, a plateau, a zero, a run of zeros at the head, at the tail
-    or inside, or a negative entry planted.  A run of zeros at either end
-    keeps a tent log-concave, so that unimodality alone judges its
-    plateaus of zeros."""
+    """Rows n = 0..max_n of n + 1 entries: log-concave tents of positive
+    ints, some with a dip, a plateau, a zero, a run of zeros at the head,
+    at the tail or inside, or a negative entry planted.  A run of zeros at
+    either end keeps a tent log-concave, so that positivity alone fails it."""
     rows = []
     for n in range(max_n + 1):
         cap, scale = draw(st.integers(1, n + 1)), draw(st.integers(1, 3))
@@ -250,32 +252,33 @@ def planted_triangle(draw, max_n):
     return rows
 
 
+def row_passes(row):
+    """The hook scan's verdict on one row: every entry positive, and the
+    row log-concave, which makes it unimodal as well."""
+    passes = all(c > 0 for c in row) and is_log_concave(row) is None
+    assert not passes or is_unimodal(row) is None
+    return passes
+
+
 def scan_by_rows(rows):
     """The hook scan's verdict on a triangle, as the row predicates give it."""
-    return first_failure(None if is_log_concave(rows[n]) is None and is_unimodal(rows[n]) is None
-                         else n for n in range(1, len(rows)))
+    return first_failure(None if row_passes(rows[n]) else n for n in range(1, len(rows)))
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_column_bookkeeping_matches_the_row_predicates(data):
-    # the scan's three-column log-concavity test and its rows with a zero
-    # after a positive entry against is_log_concave and is_unimodal, row by
-    # row; a negative entry is the same ValueError, raised when its row is
-    # reached
+    # the scan's three-column log-concavity test and its entries <= 0
+    # against positivity and is_log_concave, row by row; every row that
+    # passes is unimodal too
     max_n = data.draw(st.integers(0, 10))
     rows = planted_triangle(data.draw, max_n)
-    try:
-        expected = scan_by_rows(rows)
-    except ValueError as error:
-        expected = error.args
+    for row in rows[1:]:
+        row_passes(row)
     with pytest.MonkeyPatch.context() as patch:
         feed_triangle(patch, rows)
-        try:
-            found = hook_poly_log_concavity_scan(max_n)
-        except ValueError as error:
-            found = error.args
-    assert found == expected
+        found = hook_poly_log_concavity_scan(max_n)
+    assert found == scan_by_rows(rows)
 
 
 def test_scan_route_matches_hook_sums():
