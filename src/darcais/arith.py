@@ -5,8 +5,10 @@ n = 1 (normalization, enforced at construction).  The value at 0 is fixed
 to 0.  Instances memoize evaluated values and carry no flags: whether the
 values are integers, and whether h vanishes among the values a route
 reads, is decided from the values themselves by the kernels that
-tabulate them.  The builtins one, id and sigma_ell are shared instances,
-so their memos (and the weight engines keyed by them) serve every caller.
+tabulate them.  They read f(1..N) at once through `values`, which for
+sigma_ell is one divisor sieve of ints and otherwise the memoized calls.
+The builtins one, id and sigma_ell are shared instances, so their memos
+(and the weight engines keyed by them) serve every caller.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import add
 from typing import Callable, Sequence, Union
 
 from .exact import format_rational, rational
@@ -25,13 +29,16 @@ MAX_TILDE_DEPTH = 100  # each level adds two stack frames to an evaluation
 
 
 class ArithmeticFunction:
-    """Memoized evaluator for a normalized arithmetic function."""
+    """Memoized evaluator for a normalized arithmetic function; `tabulate`,
+    if given, returns f(1), ..., f(max_n) as ints without evaluating f."""
 
-    __slots__ = ("name", "_eval", "_memo")
+    __slots__ = ("name", "_eval", "_memo", "_tabulate")
 
-    def __init__(self, name: str, evaluator: Callable[[int], Union[int, Fraction]]):
+    def __init__(self, name: str, evaluator: Callable[[int], Union[int, Fraction]],
+                 tabulate: Callable[[int], list[int]] | None = None):
         self.name = name
         self._eval = evaluator
+        self._tabulate = tabulate
         first = rational(evaluator(1))
         if first != 1:
             raise ValueError(f"{name!r} is not normalized: value at 1 is {first}")
@@ -44,8 +51,17 @@ class ArithmeticFunction:
             raise ValueError(f"arithmetic functions are defined for n >= 0, got {n}")
         value = self._memo.get(n)
         if value is None:
-            value = self._memo[n] = rational(self._eval(n))
+            value = self._eval(n)  # an exact int (not a bool) needs none of rational()'s checks
+            value = self._memo[n] = Fraction(value) if type(value) is int else rational(value)
         return value
+
+    def values(self, max_n: int) -> list:
+        """[f(1), ..., f(max_n)]: ints from the tabulation where there is
+        one (sigma_ell's divisor sieve), else Fractions read through the
+        memoized calls, so a table read past its end raises IndexError."""
+        if self._tabulate is not None:
+            return self._tabulate(max_n)
+        return list(map(self, range(1, max_n + 1)))
 
     def __repr__(self) -> str:
         return f"ArithmeticFunction({self.name!r})"
@@ -65,6 +81,22 @@ def divisor_power_sum(n: int, power: int) -> int:
                 total += q**power
         d += 1
     return total
+
+
+def divisor_power_sums(max_n: int, power: int) -> list[int]:
+    """[sigma_ell(1), ..., sigma_ell(max_n)] by one divisor sieve.  Each
+    n = d q with d <= q is met at d <= sqrt(max_n) only, which adds d^ell
+    to every multiple d q, q >= d, and q^ell to those with q > d: about
+    max_n ln(max_n) int additions in all, in 2 sqrt(max_n) slice steps."""
+    powers = [k**power for k in range(max_n + 1)]
+    sums = [0] * (max_n + 1)
+    d = 1
+    while d * d <= max_n:
+        sums[d * d::d] = map(add, sums[d * d::d], repeat(powers[d]))
+        sums[d * (d + 1)::d] = map(add, sums[d * (d + 1)::d], powers[d + 1:max_n // d + 1])
+        d += 1
+    del sums[0]
+    return sums
 
 
 @cache
@@ -88,7 +120,8 @@ def sigma(power: int, /) -> ArithmeticFunction:
     """
     if power < 0:
         raise ValueError("sigma needs a nonnegative exponent")
-    return ArithmeticFunction(f"sigma:{power}", lambda n: divisor_power_sum(n, power))
+    return ArithmeticFunction(f"sigma:{power}", lambda n: divisor_power_sum(n, power),
+                              lambda max_n: divisor_power_sums(max_n, power))
 
 
 def tilde(g: ArithmeticFunction) -> ArithmeticFunction:

@@ -9,8 +9,10 @@ in two int kernels, on values at a scalar point or on polynomials at a
 Poly point; `polynomial_sequence` is it at x = X, and `polynomial` reads
 its last row only.  At an integral scaled point `_int_prefix` finds the
 prefix of int values as an online convolution by divide and conquer, each
-block's terms one product of Kronecker-packed ints.  Where it stops short,
-and at any other point, the row loop `_rows` runs.  `CoefficientTable`
+block's terms one product of Kronecker-packed ints.  Where it stops short
+the row loop `_rows` goes on from it, and at any other point it runs from
+the start.  `g` and `h` are read once, by `ArithmeticFunction.values`.
+`CoefficientTable`
 fills the triangle A[n][m] of normalized coefficients
 (P_n = (1/H(n)) sum_m A[n][m] x^m) by its own recursion
 
@@ -70,8 +72,9 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
     int tables (G g, D h) at point * D / G: Fractions at an int or Fraction
     point, the polynomials P_n(point) at a Poly point (X, -X, X + 1, ...).
     At an integral scaled point `_int_prefix` runs while each division by
-    D h(n) is exact, in O(M(N) log N).  Where it stops short, and at any
-    other scalar point, the values are the rows E_n / T of `_rows`.  A Poly
+    D h(n) is exact, in O(M(N) log N).  Where it stops short, `_rows` goes
+    on from T times that prefix, and at any other scalar point it runs from
+    E_0 = T; the values past the prefix are its rows E_n / T.  A Poly
     point runs on packed rows (`_poly_rows`), each popped and reduced once."""
     if isinstance(point, Poly):
         rows, read = _poly_rows(g, h, point, max_n)
@@ -81,10 +84,10 @@ def value_sequence(g: ArithmeticFunction, h: ArithmeticFunction, point, max_n: i
         return values[::-1]
     gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
     x0 = rational(point) * Fraction(D, G)
-    values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else []
+    values = _int_prefix(gv, hv, x0.numerator) if x0.denominator == 1 else [1]
     if len(values) <= max_n:
-        rows = _rows(gv, hv, [(x0.numerator, 0)], x0.denominator)
-        return [Fraction(row, rows[0]) for row in rows]
+        rows = _rows(gv, hv, [(x0.numerator, 0)], x0.denominator, values)
+        values += (Fraction(row, rows[0]) for row in rows[len(values):])
     return list(map(Fraction, values))
 
 
@@ -127,14 +130,17 @@ def _int_prefix(gv: list[int], hv: list[int], x0: int) -> list[int]:
     return values
 
 
-def _rows(gv: list[int], hv: list[int], terms: list[tuple[int, int]], d: int) -> list[int]:
+def _rows(gv: list[int], hv: list[int], terms: list[tuple[int, int]], d: int,
+          prefix: Sequence[int] = (1,)) -> list[int]:
     """E_0 = T = |d^N h(1) ... h(N)|, E_1, ..., E_N (N = len(gv) - 1) for
     E_n = u s / (d h(n)), s = sum_k g(k) E_{n-k}: T P_n at u / d, an int,
     so each division is exact.  The int u = sum c 2^shift comes as its terms
     (c, shift): (u, 0) for a scalar, one per nonzero coefficient of a packed
-    polynomial (`_poly_rows`)."""
-    g1, rows = gv[1:], [abs(d ** (len(gv) - 1) * prod(hv[1:]))]
-    for n in range(1, len(gv)):
+    polynomial (`_poly_rows`).  The loop starts after `prefix`, the values
+    P_0 = 1, P_1, ... already known, as the rows T P_n."""
+    T, g1 = abs(d ** (len(gv) - 1) * prod(hv[1:])), gv[1:]
+    rows = [T * v for v in prefix]
+    for n in range(len(rows), len(gv)):
         s = sum(map(mul, g1, reversed(rows)))
         rows.append(sum(c * s << shift for c, shift in terms) // (d * hv[n]))
     return rows
@@ -168,14 +174,15 @@ def _poly_rows(g: ArithmeticFunction, h: ArithmeticFunction, point: Poly, max_n:
 
 def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> tuple:
     """(gv, hv, (G, D)): G g and D h at 0..max_n as ints, G and D the lcms of
-    the denominators of g(1..max_n) and h(1..max_n) (1 for integer values).
+    the denominators of g(1..max_n) and h(1..max_n) (1 for integer values),
+    read by `ArithmeticFunction.values`, so sigma_ell by its divisor sieve.
     A zero among h(1..max_n) is refused; h past max_n is never read."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    hv = [h(k) for k in range(1, max_n + 1)]
+    hv = h.values(max_n)
     if 0 in hv:
         raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0) + 1}")
-    (gv, G), (hv, D) = scaled_ints(g(k) for k in range(1, max_n + 1)), scaled_ints(hv)
+    (gv, G), (hv, D) = scaled_ints(g.values(max_n)), scaled_ints(hv)
     return gv, hv, (G, D)
 
 

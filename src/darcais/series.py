@@ -72,7 +72,7 @@ def euler_product_power(exponent, order: int) -> Series:
     which case the q^n coefficient is an exact polynomial of degree n in
     the exponent variable.  With E = prod (1 - q^k) = sum e_i q^i, sparse by
     `_pentagonal`, a nonnegative integral r takes the product route
-    (`_jacobi_power`): E^r from Jacobi's cube by packed squarings.  Every
+    (`euler_product_ints`): E^r from Jacobi's cube by packed squarings.  Every
     other r runs Miller's recurrence: G = E^r satisfies E G' = r E' G, that is
 
         n G_n = sum_{i>=1} e_i ((r + 1) i - n) G_{n-i}
@@ -91,7 +91,7 @@ def euler_product_power(exponent, order: int) -> Series:
     if isinstance(exponent, Poly) and exponent.is_zero():
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
     if not isinstance(exponent, Poly) and exponent.denominator == 1 and exponent >= 0:
-        return Series(_jacobi_power(exponent.numerator, order))
+        return Series(euler_product_ints(exponent.numerator, order))
     r = exponent if isinstance(exponent, Poly) else Poly((exponent,))
     rows = [[] for _ in range(order + 1)]
     for column in euler_product_columns(r, order):
@@ -105,13 +105,21 @@ def euler_product_power(exponent, order: int) -> Series:
     return Series([1] + coefficients[::-1])
 
 
-def _jacobi_power(r: int, order: int) -> list[int]:
-    """The branch of `euler_product_power` for an int r >= 0: with r = 3 t + s,
-    s < 3, prod (1 - q^k)^r = J^t E^s, where E = sum_i e_i q^i by
-    `_pentagonal` and J = prod (1 - q^k)^3 = sum_{k>=0} (-1)^k (2k + 1)
-    q^(k (k + 1) / 2) by Jacobi's identity.  J^t is taken by left-to-right
-    binary powering, so r = 24 costs three squarings, and each step is one
-    packed product read to q^order (`exact.product_window`)."""
+def euler_product_ints(r: int, order: int) -> list[int]:
+    """The int coefficients of q^0, ..., q^order in prod (1 - q^k)^r for an
+    int r >= 0, the branch of `euler_product_power` that it wraps in a
+    Series: with r = 3 t + s, s < 3, prod (1 - q^k)^r = J^t E^s, where
+    E = sum_i e_i q^i by `_pentagonal` and J = prod (1 - q^k)^3 =
+    sum_{k>=0} (-1)^k (2k + 1) q^(k (k + 1) / 2) by Jacobi's identity.  J^t
+    is taken by left-to-right binary powering, so r = 24 costs three
+    squarings, and each step is one packed product read to q^order
+    (`exact.product_window`)."""
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    if type(r) is not int:
+        raise TypeError(f"the int route needs an int exponent, got {r!r}")
+    if r < 0:
+        raise ValueError(f"the int route needs an exponent r >= 0, got {r}")
     t, s = divmod(r, 3)
     euler = [1] + [0] * order
     for i, e in _pentagonal(order):

@@ -362,6 +362,20 @@ def poly_eval(a, point):
     return acc
 
 
+def ramanujan_691_failures(tau):
+    """The n with tau(n) != sigma_11(n) (mod 691), Ramanujan's congruence,
+    for tau(n) = tau[n - 1], n = 1..len(tau): an empty list where it holds.
+    A value that is not an integer fails too.  sigma_11(n) mod 691 is summed
+    over the multiples of each d, sharing no code with `darcais.arith`."""
+    top = len(tau)
+    sigma_11 = [0] * (top + 1)
+    for d in range(1, top + 1):
+        power = pow(d, 11, 691)
+        for m in range(d, top + 1, d):
+            sigma_11[m] += power
+    return [n for n, t in enumerate(tau, 1) if t.denominator != 1 or (t - sigma_11[n]) % 691]
+
+
 # Test-side entries to the package.
 
 def orbit_reciprocal_sum(mu):

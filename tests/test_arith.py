@@ -5,9 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darcais.arith import (
     ArithmeticFunction,
+    divisor_power_sum,
     from_descriptor,
     from_table,
     identity,
@@ -66,6 +69,11 @@ def test_float_evaluator_results_are_refused():
         halves(2)
     with pytest.raises(TypeError):
         ArithmeticFunction("g", lambda n: 1.0)
+    # an int result is stored as a Fraction at once, but a bool is no int here
+    bools = ArithmeticFunction("b", lambda n: n if n < 3 else True)
+    assert type(bools(2)) is Fraction
+    with pytest.raises(TypeError):
+        bools(3)
 
 
 def test_descriptor_grammar(tmp_path):
@@ -90,3 +98,30 @@ def test_sigma_multiplicative_on_coprime_pairs():
             for b in range(1, 101 // a + 1):
                 if a * b <= 100 and gcd(a, b) == 1:
                     assert s(a * b) == s(a) * s(b)
+
+
+@given(st.integers(0, 12), st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+def test_sigma_values_are_the_divisor_sums_as_ints(ell, max_n):
+    # one divisor sieve against trial division, n by n
+    values = sigma(ell).values(max_n)
+    assert values == [divisor_power_sum(n, ell) for n in range(1, max_n + 1)]
+    assert all(type(v) is int for v in values)
+
+
+_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)) | st.integers(-50, 50)
+
+
+@given(st.lists(_entries, max_size=25), st.data())
+@settings(max_examples=100, deadline=None)
+def test_values_read_through_the_memoized_calls(rest, data):
+    table = from_table([1, *rest])
+    size = len(rest) + 1
+    for fn in (one(), identity(), table, tilde(table), from_descriptor("tilde:sigma:2")):
+        max_n = data.draw(st.integers(0, size), label=fn.name)
+        values = fn.values(max_n)
+        assert values == [fn(n) for n in range(1, max_n + 1)]
+        assert all(type(v) is Fraction for v in values)
+    for fn in (table, tilde(table)):
+        with pytest.raises(IndexError):
+            fn.values(size + 1)

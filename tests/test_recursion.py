@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcais.arith import from_table, identity, one, sigma, tilde
-from darcais.exact import Poly, X, rational
+from darcais.arith import from_descriptor, from_table, identity, one, sigma, tilde
+from darcais.exact import Poly, X, rational, scaled_ints
 from darcais.recursion import (
     _int_prefix,
     _kernel_inputs,
+    _rows,
     coefficient_table,
     coefficient_top_band,
     polynomial,
@@ -491,3 +492,40 @@ def test_rescaled_routes_refuse_a_zero_h_by_name():
     with pytest.raises(ValueError, match=message):
         coefficient_table(g, h, 3)
     assert coefficient_table(g, h, 2).row(2) == (0, Fraction(-1, 2), 1)
+
+
+_functions = st.sampled_from(["one", "id", "sigma:0", "sigma:1", "sigma:3", "tilde:sigma:1",
+                              "tilde:id", "table"])
+
+
+@given(_functions, _functions, st.lists(_signed, min_size=29, max_size=29), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_kernel_inputs_are_the_tables_of_the_calls(g_name, h_name, rest, max_n):
+    # the tabulated reads (sigma's divisor sieve, the others' memoized
+    # calls) give the int tables that one call per n gave
+    g, h = (from_table([1, *rest]) if name == "table" else from_descriptor(name)
+            for name in (g_name, h_name))
+    gv, hv, (G, D) = _kernel_inputs(g, h, max_n)
+    assert (gv, G) == scaled_ints(g(n) for n in range(1, max_n + 1))
+    assert (hv, D) == scaled_ints(h(n) for n in range(1, max_n + 1))
+    assert all(type(v) is int for v in gv + hv)
+
+
+def test_row_loop_goes_on_from_a_prefix_that_stops_short():
+    # int g in [-9, 9], h = +-1 up to n = 240 and 3 after it, at the point
+    # 7: the int prefix runs past n = 240 and stops at the first value that
+    # 3 does not divide; the row loop goes on from T times the prefix and
+    # gives the rows it gives from E_0 = T
+    rng, max_n, cut = random.Random(34), 250, 240
+    g_values = [1] + [rng.choice([v for v in range(-9, 10) if v]) for _ in range(max_n - 1)]
+    h_values = [1] + [rng.choice((1, -1)) for _ in range(cut - 1)] + [3] * (max_n - cut)
+    g, h = from_table(g_values), from_table(h_values)
+    gv, hv, _ = _kernel_inputs(g, h, max_n)
+    prefix = _int_prefix(gv, hv, 7)
+    assert cut < len(prefix) <= max_n
+    rows = _rows(gv, hv, [(7, 0)], 1)
+    assert _rows(gv, hv, [(7, 0)], 1, prefix) == rows
+    assert rows[:len(prefix)] == [rows[0] * v for v in prefix]
+    values = value_sequence(g, h, 7, max_n)
+    assert values == values_literal([0, *g_values], [0, *h_values], 7, max_n)
+    assert all(type(v) is Fraction for v in values)

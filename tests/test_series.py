@@ -9,12 +9,13 @@ import pytest
 
 import darcais.series
 
-from darcais.arith import divisor_power_sum, identity, one, sigma
+from darcais.arith import identity, one, sigma
 from darcais.exact import Poly, X
 from darcais.recursion import polynomial_sequence, value_sequence
 from darcais.series import (
     closed_family_check,
     euler_product_columns,
+    euler_product_ints,
     euler_product_power,
     generating_series_h_id,
     generating_series_h_one,
@@ -29,6 +30,7 @@ from oracles import (
     hook_length_polynomial_by_terms,
     poly_mul,
     poly_trim,
+    ramanujan_691_failures,
 )
 from test_exact import assert_canonical
 
@@ -125,8 +127,7 @@ def assert_tau_identities(values):
     tau = [None, *(int(t) for t in tau[1:])]
     assert tau[1:6] == [1, -24, 252, -1472, 4830]
     # Ramanujan's congruence modulo 691
-    for n in range(1, top + 1):
-        assert (tau[n] - divisor_power_sum(n, 11)) % 691 == 0, n
+    assert ramanujan_691_failures(tau[1:]) == []
     # multiplicativity on coprime pairs
     for m in range(2, top + 1):
         for n in range(m + 1, top // m + 1):
@@ -162,6 +163,9 @@ def test_nonnegative_integer_powers_match_the_binomial_product(r):
     coefficients = euler_product_power(r, order).coefficients
     assert coefficients == tuple(euler_power_by_binomials(r, order))
     assert all(type(c) is Fraction for c in coefficients)
+    # the int list that euler_product_power wraps, and the Lehmer scan reads
+    ints = euler_product_ints(r, order)
+    assert ints == euler_power_by_binomials(r, order) and all(type(c) is int for c in ints)
     assert euler_product_power(Fraction(r), order) == euler_product_power(r, order)
 
 
@@ -291,6 +295,9 @@ def test_euler_product_exponent_types():
         euler_product_power(True, 4)
     with pytest.raises(TypeError):
         euler_product_power(0.5, 4)
+    for bad, error in ((-1, ValueError), (True, TypeError), (Fraction(2), TypeError)):
+        with pytest.raises(error):
+            euler_product_ints(bad, 4)
 
 
 def test_euler_product_symbolic_exponent():

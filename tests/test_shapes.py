@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from darcais import series, shapes
 from darcais.arith import from_table, identity, one, sigma, tilde
-from darcais.exact import Series, X, first_failure
+from darcais.exact import X, first_failure
 from darcais.recursion import coefficient_table, value_sequence
 from darcais.shapes import (
     counterexample_search,
@@ -25,7 +25,7 @@ from darcais.shapes import (
     transfer_check,
 )
 
-from oracles import columns_of, hook_rows, implication_chain_holds
+from oracles import columns_of, hook_rows, implication_chain_holds, ramanujan_691_failures
 
 
 def test_reference_quadratics():
@@ -340,9 +340,20 @@ def test_transfer_check():
     )
 
 
+def test_lehmer_scan_values_keep_ramanujans_congruence():
+    # P_n(-24) = tau(n + 1), so values[n - 1] = tau(n) for n = 1..10001
+    values, (checks, failure) = lehmer_scan(10**4)
+    assert (checks, failure) == (10**4, None)
+    assert ramanujan_691_failures(values) == []
+    changed = list(values)
+    changed[4999] += 1  # tau(5000) off by one
+    assert ramanujan_691_failures(changed) == [5000]
+    changed[4999] = values[4999] + Fraction(691, 2)  # off by a non-integer multiple of 691
+    assert ramanujan_691_failures(changed) == [5000]
+
+
 def test_lehmer_scan_counts_a_failing_constant_term(monkeypatch):
     # the n = 0 comparison is one check made, so a failure there counts 1
-    euler = shapes.euler_product_power
-    monkeypatch.setattr(shapes, "euler_product_power",
-                        lambda r, order: Series([2, *euler(r, order).coefficients[1:]]))
+    euler = shapes.euler_product_ints
+    monkeypatch.setattr(shapes, "euler_product_ints", lambda r, order: [2, *euler(r, order)[1:]])
     assert lehmer_scan(5)[1] == (1, (0, "Euler-product mismatch"))
