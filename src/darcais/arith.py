@@ -5,8 +5,8 @@ n = 1 (normalization, enforced at construction).  The value at 0 is fixed
 to 0.  Instances memoize evaluated values and carry no flags: whether the
 values are integers, and whether h vanishes among the values a route
 reads, is decided from the values themselves by the kernels that
-tabulate them.  They read f(1..N) at once through `values`, which for
-sigma_ell is one divisor sieve of ints and otherwise the memoized calls.
+tabulate them.  They read f(1..N) through `values`, which for sigma_ell
+is one divisor sieve of ints and otherwise the memoized calls, in order.
 The builtins one, id and sigma_ell are shared instances, so their memos
 (and the weight engines keyed by them) serve every caller.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from operator import add
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .exact import format_rational, rational
 
@@ -55,13 +55,14 @@ class ArithmeticFunction:
             value = self._memo[n] = Fraction(value) if type(value) is int else rational(value)
         return value
 
-    def values(self, max_n: int) -> list:
-        """[f(1), ..., f(max_n)]: ints from the tabulation where there is
-        one (sigma_ell's divisor sieve), else Fractions read through the
-        memoized calls, so a table read past its end raises IndexError."""
+    def values(self, max_n: int) -> Iterable:
+        """f(1), ..., f(max_n): a list of ints from the tabulation where
+        there is one (sigma_ell's divisor sieve), else the memoized calls,
+        made lazily in order, so a reader can stop at a zero of a table
+        before it reads past the end, which raises IndexError."""
         if self._tabulate is not None:
             return self._tabulate(max_n)
-        return list(map(self, range(1, max_n + 1)))
+        return map(self, range(1, max_n + 1))
 
     def __repr__(self) -> str:
         return f"ArithmeticFunction({self.name!r})"

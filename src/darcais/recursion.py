@@ -37,7 +37,7 @@ dot product, and read by one division by G^m Q(n-1).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 from math import comb, gcd, prod
 from operator import add, floordiv, getitem, mul
 from typing import Sequence
@@ -176,12 +176,13 @@ def _kernel_inputs(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> 
     """(gv, hv, (G, D)): G g and D h at 0..max_n as ints, G and D the lcms of
     the denominators of g(1..max_n) and h(1..max_n) (1 for integer values),
     read by `ArithmeticFunction.values`, so sigma_ell by its divisor sieve.
-    A zero among h(1..max_n) is refused; h past max_n is never read."""
+    h is read first, in order, and refused at its first zero, as the weight
+    engine reads it; h past that zero or past max_n is never read."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    hv = h.values(max_n)
-    if 0 in hv:
-        raise ValueError(f"h = {h.name!r} vanishes at n = {hv.index(0) + 1}")
+    hv = list(takewhile(bool, h.values(max_n)))
+    if len(hv) < max_n:
+        raise ValueError(f"h = {h.name!r} vanishes at n = {len(hv) + 1}")
     (gv, G), (hv, D) = scaled_ints(g.values(max_n)), scaled_ints(hv)
     return gv, hv, (G, D)
 

@@ -37,10 +37,12 @@ that prefix in one pass: the closed forms as products of binomials with
 the memoized orbit sizes or R', the engine as one column W(., n) per
 (n - m, n), kept beside its rows and shared by every g.
 
-The engines keep h(k) as an int wherever it is integral, so for an integer
-h every weight is an int (a rational h carries its Fractions exactly), and
-the h-sides of both closed forms are ints.  The public routes return
-Fractions.
+hw and the orbit sum are one engine class, `_WeightMemo`, given the
+removal rule of its recursion.  It forms each window h_j(k) from its list
+of h values, ints where integral, and keeps no memo of windows, so for an
+integer h every weight is an int (a rational h carries its Fractions
+exactly), as are the h-sides of both closed forms.  The public routes
+return Fractions.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def _check_weight_args(mu: Sequence[int], n: int) -> None:
         raise ValueError(f"weights need parts that are ints >= 1, got {tuple(mu)!r}")
 
 
+def _last_part(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(last part, the rest) of the composition mu."""
+    return [(mu[-1], mu[:-1])]
+
+
 def _distinct_removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """(j, mu minus one copy of j) for each distinct part j of the
     non-increasing partition mu, largest j first."""
@@ -97,32 +104,47 @@ class _WeightMemo:
         W(mu, k) = W(mu, k-1) + sum over (j, child) in removals(mu) of
                        h_j(k-1) * W(child, k-1-j).
 
-    Each key mu has one row of running sums, W(mu, t), W(mu, t+1), ...
-    from its threshold t = |mu| + len(mu), so asking for W(mu, n) extends
-    the row from where it ends instead of starting over.  The windows
-    h_j(k) are memoized per (j, k) as the rows ask for them.  Each h(k) is
-    held as an int when it is integral, so the windows, rows and weights of
-    an integer h are ints.  Subclasses give the key normalisation and the
-    (part, child) removals, whose children are keys already: `value`
-    normalises mu once, and the recursion `_value` runs on keys.
+    `_last_part` peels the last part of a composition, so W is hw.
+    `_distinct_removals` on non-increasing keys gives the orbit sum:
+    peeling the last part of every composition in the orbit groups its
+    terms by the value of that part, so the memo is keyed by partitions,
+    not by the exponentially many compositions.  Callers pass normalised
+    keys, and the children are keys too.
+
+    Each key has one row of running sums W(mu, t), W(mu, t+1), ... from
+    its threshold t = |mu| + len(mu), extended from where it ends.  The
+    window h_j(k-1) is the product of h(k-j..k-1) on the list of h values,
+    each an int where it is integral.  The columns W(., n) that the
+    partition sum reads are memoized beside the rows, which hold each of
+    their entries save W((), n) = 1, and go with them on eviction.
     """
 
-    __slots__ = ("h", "_h_values", "_windows", "_rows")
+    __slots__ = ("h", "removals", "_h_values", "_rows", "_columns")
 
-    def __init__(self, h: ArithmeticFunction):
-        self.h = h
+    def __init__(self, h: ArithmeticFunction,
+                 removals: Callable[[tuple[int, ...]], list[tuple[int, tuple[int, ...]]]]):
+        self.h, self.removals = h, removals
         self._h_values: list[Scalar] = [0]  # h(0), h(1), ...; none past h(0) is zero
-        self._windows: dict[tuple[int, int], Scalar] = {}
         self._rows: dict[tuple[int, ...], list[Scalar]] = {}
+        self._columns: dict[tuple[int, int], list[Scalar]] = {}
 
-    def value(self, mu: Sequence[int], n: int) -> Scalar:
-        """W(mu, n) for any ordering of mu that the subclass's key accepts."""
+    def value(self, mu: tuple[int, ...], n: int) -> Scalar:
+        """W(mu, n) for a key mu."""
         _check_weight_args(mu, n)
         self._read_h(n)
-        return self._value(self.key(mu), n)
+        return self._value(mu, n)
+
+    def column(self, size: int, n: int, prefix: Sequence[tuple[int, ...]]) -> list[Scalar]:
+        """W(mu, n) for each mu of prefix, the partitions of size with at
+        most n - size parts in length order; reads h up to h(n)."""
+        got = self._columns.get((size, n))
+        if got is None:
+            self._read_h(n)
+            got = self._columns[size, n] = list(map(self._value, prefix, repeat(n)))
+        return got
 
     def _value(self, mu: tuple[int, ...], n: int) -> Scalar:
-        """W(mu, n) for a canonical key mu, once h is read up to h(n)."""
+        """W(mu, n) for a key mu, once h is read up to h(n)."""
         if not mu:
             return 1
         threshold = sum(mu) + len(mu)
@@ -131,11 +153,10 @@ class _WeightMemo:
         row = self._rows.setdefault(mu, [])
         if threshold + len(row) <= n:
             acc = row[-1] if row else 0
-            removals = self.removals(mu)
-            window, value = self._window, self._value
+            removals, hv, value = self.removals(mu), self._h_values, self._value
             for k in range(threshold + len(row), n + 1):
                 for j, child in removals:
-                    acc = acc + window(j, k - 1) * value(child, k - 1 - j)
+                    acc = acc + prod(hv[k - j:k]) * value(child, k - 1 - j)
                 row.append(acc)
         return row[n - threshold]
 
@@ -148,79 +169,19 @@ class _WeightMemo:
                 raise ValueError(f"h = {h.name!r} vanishes at n = {k}")
             values.append(value.numerator if value.denominator == 1 else value)
 
-    def _window(self, j: int, k: int) -> Scalar:
-        """h_j(k) = h(k) h(k-1) ... h(k-j+1), for 1 <= j <= k <= the last n read."""
-        got = self._windows.get((j, k))
-        if got is None:
-            got = self._windows[(j, k)] = prod(self._h_values[k - j + 1:k + 1])
-        return got
 
-
-class HWeights(_WeightMemo):
-    """Memoized hw(mu, n), recursing on the last part of the composition."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def key(mu: Sequence[int]) -> tuple[int, ...]:
-        return tuple(mu)
-
-    @staticmethod
-    def removals(mu: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        return [(mu[-1], mu[:-1])]
-
-
-class OrbitWeightEngine(_WeightMemo):
-    """Orbit-summed weight with a partition-level memo.
-
-    Peeling the last part of every composition in the orbit groups the
-    terms by which part value was last, giving the multiset recursion
-
-        W(mu, n) = W(mu, n-1)
-                   + sum over distinct parts j of
-                         h_j(n-1) * W(mu minus one copy of j, n-1-j)
-
-    for n >= |mu| + len(mu), with W(mu, n) = 0 below that threshold and
-    W((), n) = 1.  Keys are partitions, so the memo stays small where the
-    literal orbit sum would visit exponentially many compositions.  The
-    columns W(., n) over the partitions of one size that the partition sum
-    reads are memoized beside the rows, which hold each of their entries
-    save W((), n) = 1, so they go with the rows when the engine is evicted.
-    """
-
-    __slots__ = ("_columns",)
-    removals = staticmethod(_distinct_removals)
-
-    def __init__(self, h: ArithmeticFunction):
-        super().__init__(h)
-        self._columns: dict[tuple[int, int], list[Scalar]] = {}
-
-    @staticmethod
-    def key(mu: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sorted(mu, reverse=True))
-
-    def column(self, size: int, n: int, prefix: Sequence[tuple[int, ...]]) -> list[Scalar]:
-        """W(mu, n) for each mu of prefix, the partitions of size with at
-        most n - size parts in length order; reads h up to h(n)."""
-        got = self._columns.get((size, n))
-        if got is None:
-            self._read_h(n)
-            got = self._columns[size, n] = list(map(self._value, prefix, repeat(n)))
-        return got
-
-
-_h_engine = lru_cache(maxsize=_ENGINES)(HWeights)
-_orbit_sum_engine = lru_cache(maxsize=_ENGINES)(OrbitWeightEngine)
+_h_engine = lru_cache(maxsize=_ENGINES)(partial(_WeightMemo, removals=_last_part))
+_orbit_sum_engine = lru_cache(maxsize=_ENGINES)(partial(_WeightMemo, removals=_distinct_removals))
 
 
 def h_weight(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """hw(mu, n) by the inductive definition (memoized per h)."""
-    return rational(_h_engine(h).value(mu, n))
+    return rational(_h_engine(h).value(tuple(mu), n))
 
 
 def orbit_weight_sum(h: ArithmeticFunction, mu: Sequence[int], n: int) -> Fraction:
     """Sum of hw(lambda, n) over the orbit of the partition mu."""
-    return rational(_orbit_sum_engine(h).value(mu, n))
+    return rational(_orbit_sum_engine(h).value(tuple(sorted(mu, reverse=True)), n))
 
 
 def h_weight_one(mu: Sequence[int], n: int) -> Fraction:

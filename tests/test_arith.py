@@ -119,9 +119,9 @@ def test_values_read_through_the_memoized_calls(rest, data):
     size = len(rest) + 1
     for fn in (one(), identity(), table, tilde(table), from_descriptor("tilde:sigma:2")):
         max_n = data.draw(st.integers(0, size), label=fn.name)
-        values = fn.values(max_n)
+        values = list(fn.values(max_n))
         assert values == [fn(n) for n in range(1, max_n + 1)]
         assert all(type(v) is Fraction for v in values)
     for fn in (table, tilde(table)):
         with pytest.raises(IndexError):
-            fn.values(size + 1)
+            list(fn.values(size + 1))

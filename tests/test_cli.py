@@ -242,9 +242,10 @@ def test_parser_and_config():
 
 @pytest.mark.parametrize(
     "g_table, h_table",
-    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4]), ([1, 2.5], None), (None, [1, [2]]),
-     ([True, 2, 3, 4], None)],
-    ids=["short-g", "short-h", "vanishing-h", "float-g", "nested-h", "bool-g"],
+    [([1, 2], None), (None, [1, 2]), (None, [1, 0, 3, 4]), (None, [1, 2, 0]), ([1, 2.5], None),
+     (None, [1, [2]]), ([True, 2, 3, 4], None)],
+    ids=["short-g", "short-h", "vanishing-h", "vanishing-h-past-end", "float-g", "nested-h",
+         "bool-g"],
 )
 def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table):
     argv = ["scan", "--check", "delta", "--max-n", "6"]
@@ -257,6 +258,24 @@ def test_delta_scan_bad_table_is_usage_error(capsys, tmp_path, g_table, h_table)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5], ids=["at-the-zero", "past-the-end", "two-past"])
+def test_vanishing_h_is_one_usage_error_on_every_route(capsys, tmp_path, n):
+    # h = [1, 2, 0] vanishes at 3 and ends there: every route names the zero,
+    # also where n reads past the end of the table
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps([1, 2, 0]))
+    functions = ("--g", "sigma:1", "--h", f"table:{path}")
+    commands = [("coeff", "--n", str(n), "--m", "2", "--method", method)
+                for method in ("recursion", "lemma", "main-theorem")]
+    commands += [("poly", "--n", str(n)), ("export", "--max-n", str(n))]
+    errors = set()
+    for command in commands:
+        code, out, err = run_cli(capsys, *command, *functions)
+        assert (code, out) == (2, ""), command
+        errors.add(err)
+    assert errors == {f"error: h = 'table:{path}' vanishes at n = 3\n"}
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from darcais.arith import from_descriptor, from_table, identity, one, sigma, tilde
 from darcais.exact import Poly, X, rational, scaled_ints
 from darcais.recursion import (
+    CoefficientTable,
     _int_prefix,
     _kernel_inputs,
     _rows,
@@ -20,7 +21,7 @@ from darcais.recursion import (
     polynomial_sequence,
     value_sequence,
 )
-from darcais.weights import coefficient_from_weights
+from darcais.weights import coefficient_from_weights, h_weight, orbit_weight_sum
 from oracles import (
     chebyshev_example,
     laguerre_example,
@@ -97,6 +98,38 @@ def test_only_the_tabulated_h_values_must_be_nonzero():
     # read even where every g-weight of n - m vanishes, as the triangle reads it
     with pytest.raises(ValueError, match="vanishes at n = 3"):
         coefficient_from_weights(from_table([1, 0, 0]), h, 3, 1)
+
+
+_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_nonzero = _entries.filter(bool)
+
+
+@given(st.lists(_nonzero, max_size=5), st.lists(_entries, max_size=3),
+       st.sampled_from([sigma(1), from_table([1])]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_route_names_the_first_zero_of_h_also_past_its_end(before, after, g, data):
+    # h = [1, before..., 0, after...] vanishes first at k; every route reads h
+    # in order, before g (here possibly a table of length 1), and refuses h at
+    # k for each n >= k, also where n reads past the end of the table
+    h = from_table([1, *before, 0, *after])
+    k = len(before) + 2
+    message = f"h = {h.name!r} vanishes at n = {k}"
+    for n in range(k, k + len(after) + 3):
+        m = data.draw(st.integers(1, n), label="m")
+        routes = [
+            lambda: value_sequence(g, h, Fraction(7, 3), n),
+            lambda: value_sequence(g, h, -X, n),
+            lambda: polynomial(g, h, n),
+            lambda: CoefficientTable(g, h, n),
+            lambda: coefficient_top_band(g, h, n, data.draw(st.integers(0, n), label="depth")),
+            lambda: coefficient_from_weights(g, h, n, m),
+            lambda: orbit_weight_sum(h, (1,) * m, n),
+            lambda: h_weight(h, (1,) * m, n),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError) as raised:
+                route()
+            assert str(raised.value) == message, n
 
 
 def test_table_examples():
