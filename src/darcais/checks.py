@@ -17,7 +17,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import X, first_failure
-from .partitions import partitions_of
 from .recursion import coefficient_table, polynomial_sequence, value_sequence
 from .series import (
     FAMILIES,
@@ -158,10 +157,11 @@ def conversion(gs: Functions, max_n: int) -> Check:
 
 
 def hook_length_identity(max_n: int) -> Check:
-    """Q_n(x) == P_n(x+1) for (sigma, id), and Q_n(0) == p(n)."""
+    """Q_n(x) == P_n(x+1) for (sigma, id), and Q_n(0) == p(n), read off
+    Euler's prod (1 - q^k)^(-1) rather than the partitions Q_n sums over."""
     def outcomes():
         polys = value_sequence(sigma(1), identity(), X + 1, max_n)
-        partition_counts = [sum(1 for _ in partitions_of(n)) for n in range(max_n + 1)]
+        partition_counts = euler_product_power(-1, max_n).coefficients
         for n in range(max_n + 1):
             q = hook_length_polynomial(n)
             yield None if q == polys[n] else (

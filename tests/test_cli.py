@@ -298,7 +298,7 @@ def test_verify_bounds_checked_before_any_work(capsys, suite, max_n):
          "closed form (g=one, h=one) differs at (n=1, m=1)"),
         ("conversion", "conversion_scan", lambda g, n: (3, (2, 1)),
          "conversion identity fails for g=one at (n, m)=(2, 1)"),
-        ("no-formula", "partitions_of", lambda n: iter(()),
+        ("no-formula", "euler_product_power", lambda exponent, n: Series([0] * (n + 1)),
          "Q_n(0) != p(n) at n=0"),
         ("main-theorem", "coefficient_from_weights", lambda g, h, n, m: 0,
          "weight route differs from the triangle for (g=one, h=one) at (n=1, m=1)"),

@@ -230,6 +230,18 @@ def test_one_changed_column_entry_is_reported_at_its_row(monkeypatch, n, j):
         assert hook_poly_log_concavity_scan(120) == (n, n)
 
 
+@pytest.mark.parametrize("n", [40, 39])
+def test_a_lowered_constant_term_in_the_last_two_rows_fails_the_hook_scan(monkeypatch, n):
+    # Q_n(0) one below n! p(n) keeps row n positive and log-concave, so only
+    # the p(n) check catches it; a factorial list cut short skips that
+    # check on the last rows
+    rows = hook_rows(40)
+    counted_columns(monkeypatch, rows)
+    rows[n][0] -= 1
+    assert is_log_concave(rows[n]) is None and min(rows[n]) > 0
+    assert hook_poly_log_concavity_scan(40) == (n, n)
+
+
 def planted_triangle(draw, max_n):
     """Rows n = 0..max_n of n + 1 entries: log-concave tents of positive
     ints, some with a dip, a plateau, a zero, a run of zeros at the head,
