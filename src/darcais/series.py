@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .arith import ArithmeticFunction, identity, one, sigma
 from .exact import Poly, Series, X, first_failure, product_window, slot_width, unpack_signed
-from .partitions import hook_multiset, partitions_of, stirling_rows
+from .partitions import conjugate, partitions_of, stirling_rows
 from .recursion import coefficient_table, polynomial_sequence
 
 _F1 = Fraction(1)
@@ -243,16 +243,24 @@ def hook_length_polynomial(n: int) -> Poly:
 
         n!^2 Q_n(x) = sum over lam of f_lam^2 prod (x + t^2)
 
-    has int coefficients.  The sum is taken as one int, Kronecker-packed:
-    each prod (x + t^2) is evaluated at x = 2^(8w) as one product of ints,
-    weighted by f_lam^2 and added up, and the n + 1 slots of w bytes are
+    has int coefficients.  A partition and its conjugate lam' have the
+    same hook lengths, so the sum is taken over one member of each pair:
+    lam is summed when lam' <= lam (as tuples), once when lam' == lam and
+    twice otherwise.  When lam[0] < len(lam), lam' starts with
+    len(lam) > lam[0], so lam' > lam and lam is skipped before its
+    conjugate is built.  The hook of cell (i, j) is read from lam and lam'
+    as lam[i] - j + lam'[j] - i - 1.
+
+    The sum is taken as one int, Kronecker-packed: each prod (x + t^2) is
+    evaluated at x = 2^(8w) as one product of ints, weighted by f_lam^2
+    (doubled for a pair) and added up, and the n + 1 slots of w bytes are
     read once at the end by `unpack_signed`.  The slots cannot carry into
     each other: all coefficients are nonnegative; each coefficient of
     prod (x + t^2) is at most the sum of them all,
     prod (1 + t^2) <= prod 2 t^2 = 2^n prod t^2, so f_lam^2 times it is at
-    most 2^n n!^2; and so each coefficient of the sum over the p(n)
-    partitions is at most p(n) 2^n n!^2, and slots of
-    w = slot_width(p(n) 2^n n!^2) bytes hold it.
+    most 2^n n!^2; the doubled sum equals the sum over all p(n) partitions
+    term for term, so each of its coefficients is at most p(n) 2^n n!^2,
+    and slots of w = slot_width(p(n) 2^n n!^2) bytes hold it.
     """
     if n < 0:
         raise ValueError("hook-length polynomials need n >= 0")
@@ -265,8 +273,14 @@ def hook_length_polynomial(n: int) -> Poly:
     x = 1 << 8 * width
     total = 0
     for lam in partitions_of(n):
-        hooks = hook_multiset(lam)
-        total += (nf // prod(hooks)) ** 2 * prod([t * t + x for t in hooks])
+        if lam and lam[0] < len(lam):  # the conjugate starts with len(lam): it is larger
+            continue
+        conj = conjugate(lam)
+        if conj > lam:
+            continue
+        hooks = [row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
+        term = (nf // prod(hooks)) ** 2 * prod([t * t + x for t in hooks])
+        total += term if conj == lam else 2 * term
     return Poly.from_numerators(unpack_signed(total, width, n + 1), nf * nf)
 
 

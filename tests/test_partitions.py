@@ -152,6 +152,32 @@ def test_conjugate_matches_counting_the_rows_of_each_column():
             assert conjugate(mu) == conjugate_by_counting(mu), mu
 
 
+def test_each_partition_or_its_conjugate_is_at_least_the_other():
+    # the hook-length sum takes lam with conjugate(lam) <= lam, once or twice
+    for n in range(21):
+        kept = [mu for mu in partitions_of(n) if conjugate(mu) <= mu]
+        covered = set(kept) | {conjugate(mu) for mu in kept}
+        assert covered == set(partitions_of(n)), n
+
+
+def test_self_conjugate_partitions_match_distinct_odd_parts():
+    # an independent count of the terms the hook-length sum adds only once
+    for n in range(21):
+        distinct_odd = [1] + [0] * n  # 0/1 knapsack over the odd parts
+        for part in range(1, n + 1, 2):
+            for total in range(n, part - 1, -1):
+                distinct_odd[total] += distinct_odd[total - part]
+        self_conjugate = sum(conjugate(mu) == mu for mu in partitions_of(n))
+        assert self_conjugate == distinct_odd[n], n
+
+
+def test_a_first_part_below_the_length_makes_the_conjugate_larger():
+    for n in range(1, 21):
+        for mu in partitions_of(n):
+            if mu[0] < len(mu):
+                assert conjugate(mu) > mu, mu
+
+
 def test_hook_multiset_examples():
     assert hook_multiset((1,)) == (1,)
     assert hook_multiset((2,)) == (1, 2)

@@ -358,6 +358,12 @@ def test_hook_length_polynomial_examples():
         assert all(c > 0 for c in q.coefficients)
 
 
+def test_hook_length_polynomial_counts_a_conjugate_pair_twice_and_a_self_conjugate_once():
+    # n = 4: (3, 1) and (2, 1, 1) form a pair, (2, 2) is its own conjugate
+    assert hook_length_polynomial(4) == Poly(
+        [5, Fraction(109, 12), Fraction(119, 24), Fraction(11, 12), Fraction(1, 24)])
+
+
 def test_hook_length_polynomial_matches_the_sum_of_its_terms():
     # one reduction over n!^2 gives the polynomial that reducing after
     # every partition's term gives, up to n = 22, where the packed sum's
