@@ -10,9 +10,9 @@ meaningful evidence:
   series to the power r // 3 by squarings of Kronecker-packed ints, times
   Euler's pentagonal series to the power r % 3; for every other r, one
   kernel of Miller's power recurrence on Euler's pentagonal series, which
-  takes r as a polynomial (a scalar r as a constant one) and runs
-  division-free on ints over the scales d^n n!, one power of the variable
-  at a time,
+  takes r as a polynomial (a scalar r as a constant one) and runs on ints
+  over one common scale d^N N! for every row, one power of the variable at
+  a time, each entry signed adds of earlier ones and one exact division,
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, perm, prod
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import Iterator
 
@@ -79,10 +79,10 @@ def euler_product_power(exponent, order: int) -> Series:
 
     (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7), in its
     one kernel `euler_product_columns`: for r = u / d (u an int polynomial,
-    d > 0) it yields the int rows F_n = d^n n! G_n one power of the exponent
-    variable at a time, and each row is read back over its scale d^n n!.  A
-    scalar r goes in as the constant polynomial (r,), whose one column is
-    read as Fractions.
+    d > 0) it yields the int rows c_n = d^N N! G_n, N = order, one power of
+    the exponent variable at a time, and every row is read back over the
+    one scale d^N N!.  A scalar r goes in as the constant polynomial (r,),
+    whose one column is read as Fractions.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -97,9 +97,9 @@ def euler_product_power(exponent, order: int) -> Series:
     for column in euler_product_columns(r, order):
         for row, c in zip(rows[order + 1 - len(column):], column):
             row.append(c)
-    d, coefficients = r.denominator, []
-    for n in range(order, 0, -1):  # each row reduced as it is popped off
-        row, scale = rows.pop(), d**n * factorial(n)
+    scale, coefficients = r.denominator**order * factorial(order), []
+    for _ in range(order):  # each row reduced as it is popped off
+        row = rows.pop()
         coefficients.append(Poly.from_numerators(row, scale) if r is exponent
                             else Fraction(row[0], scale))  # a scalar r: one column
     return Series([1] + coefficients[::-1])
@@ -141,44 +141,41 @@ def euler_product_ints(r: int, order: int) -> list[int]:
 
 def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     """Miller's recurrence for a nonzero Poly r = u / d (u an int polynomial
-    of degree D, d > 0), run column by column on the int rows
-    F_n = d^n n! G_n of G = prod (1 - q^k)^r, with F_0 = 1.  Multiplying
-    n d G_n = sum_i e_i ((u + d) i - n d) G_{n-i} by d^(n-1) (n-1)! gives
-    the division-free recurrence
+    of degree D, d > 0), run column by column on the int rows c_n = S G_n of
+    G = prod (1 - q^k)^r over one scale S = d^N N!, N = order, for every
+    row.  Each c_n is an int polynomial of degree at most n D: the rows
+    F_n = d^n n! G_n are (they have the division-free recurrence
+    F_n = sum_i e_i ((u + d) i - n d) d^(i-1) (n-1)! / (n-i)! F_{n-i}), and
+    c_n = F_n d^(N-n) N! / n!.  Multiplying n d G_n =
+    sum_i e_i ((u + d) i - n d) G_{n-i} by S gives, with v = u + d,
 
-        F_n = sum_i e_i ((u + d) i - n d) a_i F_{n-i},
-        a_i = d^(i-1) (n-1)! / (n-i)! = d^(i-1) (n-1) (n-2) ... (n-i+1),
+        n d c_n = v S1(n) - n d S0(n),
+        S0(n) = sum_{i>=1} e_i c_{n-i},  S1(n) = sum_{i>=1} i e_i c_{n-i},
 
-    so each F_n is an int polynomial of degree at most n D.  With
-    f_{n,j} = [x^j] F_n, v = u + d, s0_j(n) = sum_i e_i a_i f_{n-i,j} and
-    s1_j(n) = sum_i i e_i a_i f_{n-i,j}, it reads, coefficient by coefficient,
+    and, coefficient by coefficient,
 
-        f_{n,j} = sum_t v_t s1_{j-t}(n) - n d s0_j(n),
+        c_{n,j} = (sum_t v_t S1_{j-t}(n)) // (n d) - S0_j(n).
 
-    so column j needs only its own earlier entries and the s1 of the last D
-    columns: O(order^2) bits are held, where rows would hold O(order^3).
-    Both sums are taken by Horner's rule from the largest pentagonal step
-    i' <= n - ceil(j / D) down (F_{n-i} has no x^j below that): between
-    consecutive steps i < i' the sums so far are multiplied by
-    a_i' / a_i = d^(i'-i) (n-i)! / (n-i')!, which depends on n alone and
-    is tabulated once, and at i = 1, where a_1 = 1, they are s0 and s1.
-    The signs are folded into the ratios: the step reads t <- t rho + c on
-    t = s / e_i, with rho = e_i e_i' a_i' / a_i, and e_1 = -1 gives
-    s0 = -t0 and s1 = -t1.
+    The division is exact, since c_{n,j} and S0_j(n) are ints.  Every term
+    of S0 and S1 is an earlier entry of the same column, added or
+    subtracted (e_i = +-1), in S1 times the small int i: no big ratio
+    multiplies a sum.  Column j needs only its own earlier entries and the
+    S1 of the last D columns: O(order^2) bits are held, where rows would
+    hold O(order^3).  The sums run over the pentagonal steps
+    i <= n - ceil(j / D), since c_{n-i} has no x^j below that.
 
-    Yields the columns j = 0, ..., order D in turn; column j lists f_{n,j} for
+    Yields the columns j = 0, ..., order D in turn; column j lists c_{n,j} for
     n = ceil(j / D), ..., order (every n for D = 0), the rows whose degree
     bound n D reaches j.  Row n is complete once column n D has come.
-    `euler_product_power` reads the rows back over their scales d^n n!.
+    `euler_product_power` reads every row over the one scale S.
 
-    For r = -x - 1, the hook scan's exponent, D = d = 1 and column j lists
-    rows j..order.  Each F_n is then canonical, since its leading
-    coefficient is 1: G = exp((x + 1) L), with
-    L = -log prod (1 - q^k) = sum_m sigma(m) q^m / m = q + O(q^2).  In
-    exp((x + 1) L) = sum_k (x + 1)^k L^k / k! the terms with k < n have
-    degree k < n in x, and those with k > n start at q^k, so
-    [x^n q^n] G = [x^n] (x + 1)^n [q^n] L^n / n! = 1 / n!.  The x^n
-    coefficient of F_n = n! G_n is therefore 1, and its gcd with n! is 1.
+    For r = -x - 1, the hook scan's exponent, D = d = 1, S = N! and column
+    j lists rows j..order, each entry positive by the hook length formula.
+    The leading entry of row n is c_{n,n} = N! / n!, since
+    G = exp((x + 1) L), with L = -log prod (1 - q^k) = sum_m sigma(m) q^m / m
+    = q + O(q^2): in exp((x + 1) L) = sum_k (x + 1)^k L^k / k! the terms
+    with k < n have degree k < n in x, and those with k > n start at q^k,
+    so [x^n q^n] G = [x^n] (x + 1)^n [q^n] L^n / n! = 1 / n!.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -186,33 +183,33 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     v[0] += d  # u + d
     degree = len(v) - 1
     pentagonal = _pentagonal(order)
-    steps = [i for i, _ in pentagonal]
-    below = [bisect_right(steps, t) for t in range(order + 1)]  # steps <= t
-    # horner[n]: (n - i, i, e_i e_i' a_i' / a_i) for the steps i <= n,
-    # largest first; the largest one's next step i' is past n, and its
-    # ratio 0 multiplies sums that are still 0
-    nexts = pentagonal[1:] + [(order + 1, 1)]
-    horner = [[(n - a, a, e * f * d ** (b - a) * perm(n - a, b - a) if b <= n else 0)
-               for (a, e), (b, f) in zip(pentagonal[k - 1::-1], nexts[k - 1::-1])] if k else []
-              for n, k in enumerate(below)]
-    history = []  # s1 of the last D columns, newest first, indexed by n
+    minus = [i for i, e in pentagonal if e < 0]
+    plus = [i for i, e in pentagonal if e > 0]
+    # the steps i <= t with e_i = -1 and with e_i = +1, for each t
+    minus_below = [minus[:bisect_right(minus, t)] for t in range(order + 1)]
+    plus_below = [plus[:bisect_right(plus, t)] for t in range(order + 1)]
+    history = []  # S1 of the last D columns, newest first, indexed by n
     for j in range(order * degree + 1):
         first = -(-j // degree) if degree else 0
         start = max(first, 1)
-        column = [0] * first if j else [1]  # f_{0,j}, ..., f_{order,j}
-        carry = [0] * (order + 1)  # carry[n]: the terms v_t s1_{j-t}(n), t >= 1
+        column = [0] * first if j else [d**order * factorial(order)]  # c_{0,j}, ..., c_{order,j}
+        carry = [0] * (order + 1)  # carry[n]: the terms v_t S1_{j-t}(n), t >= 1
         for t, older in enumerate(history, 1):
             carry = list(map(add, carry, map(mul, older, repeat(v[t]))))
         s1s = [0] * (order + 1)
-        for n, steps_n, k_n, k in zip(range(start, order + 1), horner[start:], below[start:],
-                                      below[start - first:]):
-            t0 = t1 = 0  # s0 / e_i and s1 / e_i so far
-            for m, i, ratio in steps_n[k_n - k:]:  # m = n - i
-                c = column[m]
-                t0 = t0 * ratio + c
-                t1 = t1 * ratio + i * c
-            s1s[n] = s1 = -t1  # e_1 = -1
-            column.append(carry[n] + v[0] * s1 + n * d * t0)
+        for n, minus_n, plus_n in zip(range(start, order + 1), minus_below[start - first:],
+                                      plus_below[start - first:]):
+            s0 = s1 = 0
+            for i in minus_n:
+                c = column[n - i]
+                s0 -= c
+                s1 -= i * c
+            for i in plus_n:
+                c = column[n - i]
+                s0 += c
+                s1 += i * c
+            s1s[n] = s1
+            column.append((carry[n] + v[0] * s1) // (n * d) - s0)
         yield column[first:]
         history = [s1s, *history][:degree]
 

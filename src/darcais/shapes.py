@@ -20,9 +20,9 @@ failed, or None; the delta and Lehmer scans return their values too.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from math import comb
-from operator import le, lt, mul, ne
+from itertools import compress, repeat
+from math import comb, factorial
+from operator import add, le, lt, mul, ne, rshift, sub
 from typing import NamedTuple, Sequence
 
 from .arith import ArithmeticFunction, from_table, identity, one, sigma, tilde
@@ -185,16 +185,30 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     Q_n(x) = sum over the partitions of n of prod (1 + x / t^2) over their
     hooks t proves for x^0..x^n: a row with an entry <= 0 fails.
     Q_n = P_n(x+1) is the q^n coefficient of prod (1 - q^k)^(-x-1), not
-    read off the triangle: its int numerators over a positive denominator,
-    which drops out of every comparison, come one power of x at a time from
-    `euler_product_columns`, and column j holds the x^j coefficients of
-    rows j..max_n.  Three consecutive columns give a_{j-1}^2 >= a_{j-2} a_j
-    on every row at once.  Row n is complete once column n has come, so
-    the scan stops at the first failing row.  Column 0 is cross-checked by
-    a route that shares no code with Miller's kernel, which is cheap:
-    Q_n(0) = P_n(1) = p(n), the defining recursion for (sigma, id) run at
-    x = 1 (`value_sequence`), so a row whose constant term is not n! P_n(1)
-    fails too.  Returns (values of n compared, first failing n or None).
+    read off the triangle: its int numerators over the one scale N!,
+    N = max_n, which drops out of every comparison, come one power of x at
+    a time from `euler_product_columns`, and column j holds the x^j
+    coefficients of rows j..max_n.  Three consecutive columns give
+    b^2 >= a c, (a, b, c) = (a_{j-2}, a_{j-1}, a_j), on every row at once.
+    Row n is complete once column n has come, so the scan stops at the
+    first failing row.
+
+    Each comparison first tries a certificate on the top bits.  With
+    s = max(0, bit_length(b) - 62) and x~ = x >> s, every x >= 0 has
+    x~ 2^s <= x < (x~ + 1) 2^s, so for positive a, b, c
+
+        a c < (a~ + 1) (c~ + 1) 4^s <= b~^2 4^s <= b^2
+
+    whenever b~^2 >= (a~ + 1) (c~ + 1): that proves the row's inequality
+    on ints of about 62 bits.  Only the rows it leaves open take the exact
+    products b b < a c.  The entries compared are positive: a row with an
+    entry <= 0 has failed before its comparisons are read.
+
+    Column 0 is cross-checked by a route that shares no code with Miller's
+    kernel, which is cheap: Q_n(0) = P_n(1) = p(n), the defining recursion
+    for (sigma, id) run at x = 1 (`value_sequence`), so a row whose constant
+    term is not N! P_n(1) fails too.  Returns (values of n compared, first
+    failing n or None).
     """
     partitions = value_sequence(sigma(1), identity(), 1, max_n)[1:]
     failed = max_n + 1  # the first row seen to fail
@@ -204,13 +218,18 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
         low = compress(rows, map(le, column, repeat(0)))
         failed = min(failed, next(filter(None, low), failed))  # row 0 is not scanned
         if j == 0:
-            factorials = accumulate(range(1, max_n + 1), mul)
-            off = compress(rows[1:], map(ne, column[1:], map(mul, factorials, partitions)))
+            scaled = map(mul, repeat(factorial(max_n)), partitions)
+            off = compress(rows[1:], map(ne, column[1:], scaled))
             failed = min(failed, next(off, failed))
         if j > 1:
-            above = last[1:]  # column j - 1 on rows j..max_n
-            dips = compress(range(j, failed),
-                            map(lt, map(mul, above, above), map(mul, before[2:], column)))
+            above, far = last[1:], before[2:]  # columns j - 1 and j - 2 on rows j..max_n
+            shifts = list(map(max, repeat(0), map(sub, map(int.bit_length, above), repeat(62))))
+            tops = list(map(rshift, above, shifts))
+            bounds = map(mul, map(add, map(rshift, far, shifts), repeat(1)),
+                         map(add, map(rshift, column, shifts), repeat(1)))
+            unproved = compress(range(j, failed), map(lt, map(mul, tops, tops), bounds))
+            dips = (n for n in unproved
+                    if above[n - j] * above[n - j] < far[n - j] * column[n - j])
             failed = min(failed, next(dips, failed))
         if failed <= j:
             break

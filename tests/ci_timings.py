@@ -21,11 +21,13 @@ rng = random.Random(1); nonzero = [v for v in range(-9, 10) if v]
 g, h = (from_table([1] + [Fraction(rng.choice(nonzero), rng.randint(1, 9)) for _ in range(299)])
         for _ in range(2))"""
 ENTRIES = [
-    # the streamed export, the two scans, the composition sum, the weight
-    # engine, the hook-length sum over conjugate pairs
+    # the streamed export, the two scans (the hook scan at two sizes), the
+    # composition sum, the weight engine, the hook-length sum over
+    # conjugate pairs
     (CLI, "main(['export', '--g', 'sigma:1', '--h', 'id', '--max-n', '200'])"),
     (CLI, "main(['scan', '--check', 'lehmer', '--max-n', '10000'])"),
     (CLI, "main(['scan', '--check', 'hook-logconcave', '--max-n', '400'])"),
+    (CLI, "main(['scan', '--check', 'hook-logconcave', '--max-n', '1000'])"),
     (CLI, "main(['coeff', '--g', 'id', '--h', 'id', '--n', '1100', '--m', '1099', '--method', 'composition'])"),
     (CLI, "main(['verify', '--suite', 'main-theorem', '--max-n', '24'])"),
     (CLI, "main(['verify', '--suite', 'no-formula', '--max-n', '29'])"),

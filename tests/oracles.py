@@ -290,16 +290,17 @@ def pentagonal_pairs(order):
     return sorted(pairs.items())
 
 
-def euler_power_by_rows(exponent, order):
-    """prod_{n>=1} (1 - q^n)^r for a nonzero Poly r = u / d, truncated at
-    q^order, by Miller's recurrence run row by row: on the int rows
-    F_n = d^n n! G_n, F_0 = 1, with
+def miller_rows(exponent, order):
+    """The int rows F_n = d^n n! G_n, n = 0..order, of
+    G = prod_{n>=1} (1 - q^n)^r for a nonzero Poly r = u / d, as lists of
+    their x^0..x^(n deg u) coefficients, by Miller's recurrence run row by
+    row: F_0 = 1 and
 
         F_n = sum_i e_i ((u + d) i - n d) a_i F_{n-i},
         a_i = d^(i-1) (n-1) (n-2) ... (n-i+1),
 
     each sum taken by Horner's rule from the largest pentagonal i <= n
-    down, every row kept to the end and read over d^n n!."""
+    down, every row kept to the end."""
     v, d = list(exponent.numerators), exponent.denominator
     v[0] += d  # u + d
     pentagonal = pentagonal_pairs(order)
@@ -319,6 +320,13 @@ def euler_power_by_rows(exponent, order):
             out[j:j + len(s1)] = map(add, out[j:j + len(s1)], map(mul, s1, repeat(c)))
         out[:len(s0)] = [a - n * d * b for a, b in zip(out, s0)]
         rows.append(out)
+    return rows
+
+
+def euler_power_by_rows(exponent, order):
+    """prod_{n>=1} (1 - q^n)^r for a nonzero Poly r = u / d, truncated at
+    q^order: the rows of `miller_rows`, each read over its scale d^n n!."""
+    rows, d = miller_rows(exponent, order), exponent.denominator
     return Series([1] + [Poly.from_numerators(rows[n], d**n * factorial(n))
                          for n in range(1, order + 1)])
 
@@ -385,8 +393,9 @@ def orbit_reciprocal_sum(mu):
 
 
 def hook_rows(max_n):
-    """The rows n! Q_n(x), n = 0..max_n, that the hook scan reads column by
-    column: `euler_product_columns(-X - 1, max_n)` transposed."""
+    """The rows N! Q_n(x), n = 0..max_n, N = max_n, over the one scale that
+    the hook scan reads column by column: `euler_product_columns(-X - 1,
+    max_n)` transposed."""
     rows = [[] for _ in range(max_n + 1)]
     for j, column in enumerate(euler_product_columns(-X - 1, max_n)):
         for row, c in zip(rows[j:], column):

@@ -28,6 +28,7 @@ from oracles import (
     euler_power_by_rows,
     euler_product_by_factors,
     hook_length_polynomial_by_terms,
+    miller_rows,
     poly_mul,
     poly_trim,
     ramanujan_691_failures,
@@ -209,14 +210,16 @@ def test_euler_product_power_matches_the_factor_by_factor_product(exponent):
                 assert_canonical(c)
 
 
-def test_hook_rows_are_canonical_as_they_come():
-    # for r = -x - 1 column j lists f_{n,j} = [x^j] F_n, F_n = n! G_n, for
-    # n = j..200: the leading entry f_{n,n} is 1, so the hook scan's rows are
-    # the kernel's rows, unreduced, and every entry is nonnegative
-    columns = list(euler_product_columns(-X - 1, 200))
-    assert [len(column) for column in columns] == list(range(201, 0, -1))
-    assert all(column[0] == 1 for column in columns)
-    assert all(c >= 0 for column in columns for c in column)
+def test_hook_rows_lead_with_the_scale_over_n_factorial():
+    # for r = -x - 1 column j lists c_{n,j} = [x^j] N! G_n for n = j..N,
+    # N = 200: the leading entry c_{n,n} is N! / n!, since [x^n] n! G_n = 1,
+    # and every entry is positive, as the hook length formula makes it
+    order = 200
+    columns = list(euler_product_columns(-X - 1, order))
+    assert [len(column) for column in columns] == list(range(order + 1, 0, -1))
+    assert [column[0] for column in columns] == [
+        factorial(order) // factorial(n) for n in range(order + 1)]
+    assert all(c > 0 for column in columns for c in column)
 
 
 def assert_columns_match_rows(exponent, order):
@@ -247,6 +250,26 @@ def test_columns_transposed_are_the_row_kernel(exponent, order):
     assert_columns_match_rows(exponent, order)
 
 
+@pytest.mark.parametrize(
+    "exponent, order",
+    [*seeded_exponents(30), (X, 0), (-X - 1, 0), (Poly((Fraction(-7, 3),)), 0),
+     (Poly((HALF,)), 40), (Poly((Fraction(-7, 3),)), 30)],
+    ids=lambda value: repr(value),
+)
+def test_columns_are_the_row_kernel_over_one_scale(exponent, order):
+    # column j lists c_{n,j} = [x^j] F_n d^(N-n) N! / n!, N = order, for
+    # n = ceil(j / D)..N (every n for D = 0), where F_n = d^n n! G_n are the
+    # row kernel's unreduced rows: every row over the one scale d^N N!
+    d, degree = exponent.denominator, len(exponent.numerators) - 1
+    rows = miller_rows(exponent, order)
+    expected = []
+    for j in range(order * degree + 1):
+        first = -(-j // degree) if degree else 0
+        expected.append([rows[n][j] * d ** (order - n) * factorial(order) // factorial(n)
+                         for n in range(first, order + 1)])
+    assert list(euler_product_columns(exponent, order)) == expected
+
+
 def test_a_flipped_pentagonal_sign_fails_the_row_kernel_comparison(monkeypatch):
     # mutation: the kernel reads e_5 = -1 where Euler's theorem has +1;
     # the row kernel takes its signs from its own pentagonal_pairs
@@ -261,9 +284,9 @@ def test_a_flipped_pentagonal_sign_fails_the_row_kernel_comparison(monkeypatch):
 def test_hook_columns_are_the_partition_series_times_powers_of_L():
     # Q_n(y) = P_n(y + 1) has generating function exp((y + 1) L) = P(q) exp(y L),
     # with P = sum p(n) q^n and L = sum sigma(m) q^m / m, so column j of the
-    # hook rows F_n = n! Q_n is n! [q^n] P L^j / j!: each column series is
-    # the previous one times L / j, in Fractions, sharing nothing with
-    # Miller's recurrence
+    # hook rows N! Q_n, N = order, is N! [q^n] P L^j / j!: each column
+    # series is the previous one times L / j, in Fractions, sharing nothing
+    # with Miller's recurrence
     order = 30
     partitions = [Fraction(count_partitions_dp(n)) for n in range(order + 1)]
     log_series = [Fraction(0)] + [
@@ -274,7 +297,7 @@ def test_hook_columns_are_the_partition_series_times_powers_of_L():
             series = [c / j for c in poly_mul(series, log_series)[:order + 1]]
             series += [Fraction(0)] * (order + 1 - len(series))
         assert series[:j] == [0] * j
-        assert column == [factorial(n) * series[n] for n in range(j, order + 1)], j
+        assert column == [factorial(order) * series[n] for n in range(j, order + 1)], j
 
 
 def test_pentagonal_pairs_are_euler_coefficients():

@@ -1,7 +1,7 @@
 """Shape predicates, margins, counterexample search, and the exact scans."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -177,9 +177,11 @@ def counted_columns(monkeypatch, rows=None):
 
 def feed_triangle(monkeypatch, rows):
     """Feed the scan any triangle: its columns, and values P_n(1) that
-    agree with its constant terms, so that only the shape bookkeeping judges it."""
+    agree with its constant terms over the scan's one scale N!,
+    N = len(rows) - 1, so that only the shape bookkeeping judges it."""
+    scale = factorial(len(rows) - 1)
     monkeypatch.setattr(shapes, "value_sequence", lambda g, h, point, max_n: [
-        Fraction(row[0], factorial(n)) for n, row in enumerate(rows)])
+        Fraction(row[0], scale) for row in rows])
     counted_columns(monkeypatch, rows)
 
 
@@ -220,8 +222,9 @@ def test_a_flipped_pentagonal_sign_fails_the_hook_scan_at_its_row(monkeypatch, i
 @pytest.mark.parametrize("n, j", [(81, 40), (97, 1), (97, 96), (97, 97), (120, 60), (85, 0)])
 def test_one_changed_column_entry_is_reported_at_its_row(monkeypatch, n, j):
     # an entry of row n > 80 zeroed, then negated, is an entry <= 0 there
-    # and nowhere earlier: at x^n it is the leading coefficient, 1 times n!
-    # by the hook length formula, and at x^0 it breaks Q_n(0) = p(n) too
+    # and nowhere earlier: at x^n it is the leading coefficient, N! / n! on
+    # the scan's one scale N! by the hook length formula, and at x^0 it
+    # breaks Q_n(0) = p(n) too
     rows = hook_rows(120)
     counted_columns(monkeypatch, rows)  # the columns are taken when the scan runs
     entry = rows[n][j]
@@ -232,8 +235,8 @@ def test_one_changed_column_entry_is_reported_at_its_row(monkeypatch, n, j):
 
 @pytest.mark.parametrize("n", [40, 39])
 def test_a_lowered_constant_term_in_the_last_two_rows_fails_the_hook_scan(monkeypatch, n):
-    # Q_n(0) one below n! p(n) keeps row n positive and log-concave, so only
-    # the p(n) check catches it; a factorial list cut short skips that
+    # Q_n(0) one below N! p(n) keeps row n positive and log-concave, so only
+    # the p(n) check catches it; a p(n) list cut short skips that
     # check on the last rows
     rows = hook_rows(40)
     counted_columns(monkeypatch, rows)
@@ -242,14 +245,20 @@ def test_a_lowered_constant_term_in_the_last_two_rows_fails_the_hook_scan(monkey
     assert hook_poly_log_concavity_scan(40) == (n, n)
 
 
+# Row scales for the planted tents: small ones, where the scan's top-bits
+# test shifts nothing, and wide ones, where it reads the top 62 bits.
+SCALES = (1, 2, 3, 2**64 + 1, 3**130)
+
+
 def planted_triangle(draw, max_n):
     """Rows n = 0..max_n of n + 1 entries: log-concave tents of positive
-    ints, some with a dip, a plateau, a zero, a run of zeros at the head,
-    at the tail or inside, or a negative entry planted.  A run of zeros at
-    either end keeps a tent log-concave, so that positivity alone fails it."""
+    ints, each times a scale of SCALES, some with a dip, a plateau, a zero,
+    a run of zeros at the head, at the tail or inside, or a negative entry
+    planted.  A run of zeros at either end keeps a tent log-concave, so that
+    positivity alone fails it."""
     rows = []
     for n in range(max_n + 1):
-        cap, scale = draw(st.integers(1, n + 1)), draw(st.integers(1, 3))
+        cap, scale = draw(st.integers(1, n + 1)), draw(st.sampled_from(SCALES))
         row = [scale * (1 + min(j, n - j, cap)) for j in range(n + 1)]
         plant = draw(st.sampled_from(
             ["none"] * 4 + ["dip", "plateau", "zero", "head", "tail", "gap", "negative"]))
@@ -293,6 +302,54 @@ def test_column_bookkeeping_matches_the_row_predicates(data):
     assert found == scan_by_rows(rows)
 
 
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def planted_row(n, j, triple):
+    """Row n of n + 1 positive entries with (a_{j-2}, a_{j-1}, a_j) = triple,
+    which alone may break log-concavity: each entry outside it is the floor
+    of its inner neighbour squared over the next one in, so every other
+    three consecutive entries hold."""
+    row = [0] * (n + 1)
+    row[j - 2:j + 1] = triple
+    for k in range(j + 1, n + 1):
+        row[k] = row[k - 1] ** 2 // row[k - 2]
+    for k in range(j - 3, -1, -1):
+        row[k] = row[k + 1] ** 2 // row[k + 2]
+    return row
+
+
+def proved_by_top_bits(a, b, c):
+    """The scan's certificate b~^2 >= (a~ + 1)(c~ + 1) on the top 62 bits of b."""
+    s = max(0, b.bit_length() - 62)
+    return (b >> s) ** 2 >= ((a >> s) + 1) * ((c >> s) + 1)
+
+
+@pytest.mark.parametrize("triple, found", [
+    # b^2 = a c exactly: the tops tie, and the full products pass the row
+    ((9 << 200, 6 << 200, 4 << 200), (6, None)),
+    # Cassini's identity F_299 F_301 - F_300^2 = 1: b^2 = a c - 1
+    ((fibonacci(299), fibonacci(300), fibonacci(301)), (4, 4)),
+    # a = c = 2^200 + 2^100 and b = 2^200 + 2^99 have the same top 62 bits
+    ((2**200 + 2**100, 2**200 + 2**99, 2**200 + 2**100), (4, 4)),
+], ids=["equal", "one-below", "tied-tops"])
+def test_rows_the_top_bits_leave_open_are_decided_exactly(monkeypatch, triple, found):
+    # every other row is 2^200 C(n, j), which the top bits prove; row 4
+    # holds the triple at x^1..x^3, entries of 200 bits or more, where only
+    # the exact products b b < a c decide
+    assert not proved_by_top_bits(*triple)
+    rows = [[comb(n, j) << 200 for j in range(n + 1)] for n in range(7)]
+    rows[4] = planted_row(4, 3, triple)
+    assert min(rows[4]).bit_length() > 200
+    assert is_log_concave(rows[4]) == (None if found[1] is None else 2)
+    feed_triangle(monkeypatch, rows)
+    assert hook_poly_log_concavity_scan(6) == found
+
+
 def test_scan_route_matches_hook_sums():
     # the integer-shift route driving the scans equals the literal
     # hook-length polynomials once the n! denominator is restored
@@ -310,11 +367,13 @@ def test_scan_route_matches_hook_sums():
 
 def test_shifted_rows_are_the_recursion_at_x_plus_1():
     # the hook scan reads its rows off prod (1 - q^k)^(-x-1), one column at
-    # a time; the defining recursion at X + 1 gives the same reduced
-    # polynomials
+    # a time, over the one scale N!; the defining recursion at X + 1 gives
+    # the same polynomials, times N!
     for max_n in (0, 1, 2, 17, 80):
         recursion = value_sequence(sigma(1), identity(), X + 1, max_n)
-        assert hook_rows(max_n) == [list(p.numerators) for p in recursion]
+        scale = factorial(max_n)
+        assert hook_rows(max_n) == [[scale * c for c in p.padded(n + 1)]
+                                    for n, p in enumerate(recursion)]
 
 
 def test_shifted_rows_are_positive_multiples_of_the_triangle_shift():
