@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verification failure (first counterexample goes
 to stdout), 2 usage error, 3 internal error, 141 stdout closed by its reader
 (128 + SIGPIPE).  All output is deterministic for a fixed invocation;
 rationals are "p/q" strings (plain decimal strings for integers), never floats.
+
+`poly` and `coeff` read one table, a row per method: its route, the h it takes,
+its least m, and whether it gives P_n (read at x^m by `coeff`) or A[n][m].
 """
 
 from __future__ import annotations
@@ -39,12 +42,6 @@ from .weights import (
 # tracer rebinds this name in darcais.cli and in the package root.
 from .series import euler_product_power  # noqa: F401
 
-METHODS = ("recursion", "lemma", "main-theorem", "thm1", "thm2", "composition", "series", "hook")
-POLY_METHODS = ("recursion", "series", "hook")
-# the h each method takes, for the methods that do not take every h
-_METHOD_H = {"series": ("one", "id"), "composition": ("one", "id"),
-             "thm1": ("one",), "thm2": ("id",)}
-
 
 class UsageError(Exception):
     """Bad descriptors, indices, bounds, or method/function mismatches (exit 2)."""
@@ -59,56 +56,53 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_functions(args: argparse.Namespace) -> tuple[ArithmeticFunction, ArithmeticFunction]:
     try:
-        g = from_descriptor(args.g_desc)
-        h = from_descriptor(args.h_desc)
+        return from_descriptor(args.g_desc), from_descriptor(args.h_desc)
     except (ValueError, TypeError, OSError) as exc:
         raise UsageError(f"bad function descriptor: {exc}") from exc
-    return g, h
 
 
-def _check_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> None:
-    names = _METHOD_H.get(args.method)
-    if names is not None and h.name not in names:
-        raise UsageError(f"method {args.method!r} needs h in {names}, got {args.h_desc!r}")
-    if args.method == "hook" and (g.name, h.name) != ("sigma:1", "id"):
-        raise UsageError("method 'hook' is only defined for --g sigma:1 --h id")
+def _series_poly(g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int) -> Poly:
+    series = generating_series_h_one(g, n) if h.name == "one" else generating_series_h_id(g, n)
+    return Poly() + series.coefficient(n)  # a Fraction at n = 0
 
 
-def _poly_from_method(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction) -> Poly:
-    n = args.n
-    if n < 0:
-        raise UsageError("n must be nonnegative")
-    _check_method(args, g, h)
-    if args.method == "recursion":
-        return polynomial(g, h, n)
-    if args.method == "series":
-        series = generating_series_h_one(g, n) if h.name == "one" else generating_series_h_id(g, n)
-        coeff = series.coefficient(n)
-        return coeff if isinstance(coeff, Poly) else Poly((coeff,))
-    return hook_length_polynomial(n)(X - 1)
+# a row: (route(g, h, n, m), h names or None for every h, least m, gives P_n); the h names
+# _SIGMA_ID take g = sigma:1 with h = id only; routes call the library by name at call time
+_SIGMA_ID = ("sigma:1", "id")
+_METHODS = {
+    "recursion": (lambda g, h, n, m: polynomial(g, h, n), None, 0, True),
+    "lemma": (lambda g, h, n, m: Fraction(coefficient_table(g, h, n).entry(n, m)), None, 0, False),
+    "main-theorem": (lambda g, h, n, m: coefficient_from_weights(g, h, n, m), None, 1, False),
+    "thm1": (lambda g, h, n, m: coefficient_h_one(g, n, m), ("one",), 1, False),
+    "thm2": (lambda g, h, n, m: coefficient_h_id(g, n, m), ("id",), 1, False),
+    "composition": (lambda g, h, n, m: coefficient_composition_sum(g, n, m, h.name),
+                    ("one", "id"), 1, False),
+    "series": (_series_poly, ("one", "id"), 0, True),
+    "hook": (lambda g, h, n, m: hook_length_polynomial(n)(X - 1), _SIGMA_ID, 0, True),
+}
+METHODS = tuple(_METHODS)
+POLY_METHODS = tuple(name for name, (*_, gives_poly) in _METHODS.items() if gives_poly)
 
 
-def _coeff_from_method(
-    args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction
-) -> Fraction:
-    """A[n][m]; for the POLY_METHODS, the coefficient of x^m in P_n instead."""
-    n, m, method = args.n, args.m, args.method
-    if not 0 <= m <= n:
-        raise UsageError(f"coefficient indices need 0 <= m <= n, got n={n}, m={m}")
-    if method in ("main-theorem", "thm1", "thm2", "composition") and m == 0:
-        raise UsageError(f"method {method!r} needs m >= 1")
-    if method in POLY_METHODS:
-        return _poly_from_method(args, g, h)[m]
-    _check_method(args, g, h)
-    if method == "lemma":
-        return Fraction(coefficient_table(g, h, n).entry(n, m))
-    if method == "main-theorem":
-        return coefficient_from_weights(g, h, n, m)
-    if method == "thm1":
-        return coefficient_h_one(g, n, m)
-    if method == "thm2":
-        return coefficient_h_id(g, n, m)
-    return coefficient_composition_sum(g, n, m, h.name)
+def _only_sigma_id(g: ArithmeticFunction, h: ArithmeticFunction, what: str) -> None:
+    """The hook polynomials, and the scans on them, belong to (sigma:1, id) alone."""
+    if (g.name, h.name) != _SIGMA_ID:
+        raise UsageError(f"{what} is only defined for --g sigma:1 --h id")
+
+
+def _route(args: argparse.Namespace, g: ArithmeticFunction, h: ArithmeticFunction, m: int):
+    """The route of args.method's row at (args.n, m), after the row's checks of m and h."""
+    route, h_names, least_m, _ = _METHODS[args.method]
+    if m < least_m:
+        raise UsageError(f"method {args.method!r} needs m >= {least_m}")
+    if h_names is _SIGMA_ID:
+        _only_sigma_id(g, h, f"method {args.method!r}")
+    elif h_names is not None and h.name not in h_names:
+        raise UsageError(f"method {args.method!r} needs h in {h_names}, got {args.h_desc!r}")
+    try:
+        return route(g, h, args.n, m)
+    except (ValueError, IndexError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _run_poly(args: argparse.Namespace) -> int:
@@ -119,10 +113,9 @@ def _run_poly(args: argparse.Namespace) -> int:
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --eval-at value {args.eval_at!r}: {exc}") from exc
     g, h = _parse_functions(args)
-    try:
-        poly = _poly_from_method(args, g, h)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(str(exc)) from exc
+    if args.n < 0:
+        raise UsageError("n must be nonnegative")
+    poly = _route(args, g, h, 0)  # every row that gives P_n takes m = 0
     value = None if eval_at is None else format_rational(poly(eval_at))
     if args.format == "json":
         doc = {"g": g.name, "h": h.name, "n": args.n, "method": args.method}
@@ -139,20 +132,17 @@ def _run_poly(args: argparse.Namespace) -> int:
 
 def _run_coeff(args: argparse.Namespace) -> int:
     g, h = _parse_functions(args)
-    try:
-        value = _coeff_from_method(args, g, h)
-        literal = args.method in POLY_METHODS
-        if args.scaled != literal:  # convert by H(n) = h(1) ... h(n)
-            hn = prod(h(k) for k in range(1, args.n + 1))
-            value = Fraction(value) / hn if args.scaled else value * hn
-    except (ValueError, IndexError) as exc:
-        raise UsageError(str(exc)) from exc
+    n, m = args.n, args.m
+    if not 0 <= m <= n:
+        raise UsageError(f"coefficient indices need 0 <= m <= n, got n={n}, m={m}")
+    value, literal = _route(args, g, h, m), args.method in POLY_METHODS
+    value = value[m] if literal else value
+    if args.scaled != literal:  # by H(n) = h(1) ... h(n), read by every route that takes any h
+        hn = prod(h(k) for k in range(1, n + 1))
+        value = Fraction(value) / hn if args.scaled else value * hn
     if args.format == "json":
-        print(json.dumps({
-            "g": g.name, "h": h.name, "n": args.n, "m": args.m,
-            "method": args.method, "scaled": args.scaled,
-            "value": format_rational(value),
-        }))
+        print(json.dumps({"g": g.name, "h": h.name, "n": n, "m": m, "method": args.method,
+                          "scaled": args.scaled, "value": format_rational(value)}))
     else:
         print(format_rational(value))
     return 0
@@ -213,8 +203,8 @@ def _run_scan(args: argparse.Namespace) -> int:
     if max_n < _SCAN_MIN_N[check]:
         raise UsageError(f"{check} scan needs --max-n >= {_SCAN_MIN_N[check]}")
     g, h = _parse_functions(args)
-    if check != "delta" and (g.name, h.name) != ("sigma:1", "id"):
-        raise UsageError(f"{check} scan is only defined for --g sigma:1 --h id")
+    if check != "delta":
+        _only_sigma_id(g, h, f"{check} scan")
     if check == "lehmer":
         values, (_, failure) = lehmer_scan(max_n)
         rows, reason = [(n, values[n]) for n in range(1, max_n + 1)], "{0[1]} at n={0[0]}"

@@ -5,6 +5,8 @@
 statement with stdout discarded, and prints one line with the child's
 peak RSS (`ru_maxrss` from `os.wait4`, KiB on Linux).  No number is a
 gate: the exit status is 1 when any child exits non-zero, else 0.
+`LONG` holds the hook sweep to n = 1500, the opt-in criterion of
+tests/test_acceptance.py, which a manual CI run times through `run(LONG)`.
 """
 
 import os
@@ -40,6 +42,7 @@ ENTRIES = [
     ("from darcais.arith import identity, sigma; from darcais.recursion import _kernel_inputs",
      "_kernel_inputs(sigma(1), identity(), 10**6)"),
 ]
+LONG = [(CLI, "main(['scan', '--check', 'hook-logconcave', '--max-n', '1500'])")]
 
 
 def child_source(setup: str, statement: str) -> str:

@@ -8,10 +8,10 @@ import pytest
 
 from darcais.cli import build_parser
 
-from ci_timings import CLI, ENTRIES, child_source, run
+from ci_timings import CLI, ENTRIES, LONG, child_source, run
 
 
-@pytest.mark.parametrize("setup, statement", ENTRIES, ids=[s for _, s in ENTRIES])
+@pytest.mark.parametrize("setup, statement", ENTRIES + LONG, ids=[s for _, s in ENTRIES + LONG])
 def test_every_entry_still_names_the_package(setup, statement):
     # a renamed flag or function fails here, not only in the CI job
     compile(child_source(setup, statement), "<child>", "exec")

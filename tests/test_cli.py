@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, round-trips, determinism."""
 
+import argparse
 import itertools
 import json
 import os
@@ -102,6 +103,66 @@ def test_method_function_mismatch_is_usage_error(capsys):
         "--method", "hook",
     )
     assert code == 2
+
+
+# What each route of the paper takes, stated apart from the CLI's table: the
+# h names (None: every h; "hook": g = sigma:1 with h = id only), the least m,
+# and whether the route gives P_n rather than A[n][m].
+ROUTES = {
+    "recursion": (None, 0, True),
+    "lemma": (None, 0, False),
+    "main-theorem": (None, 1, False),
+    "thm1": (("one",), 1, False),
+    "thm2": (("id",), 1, False),
+    "composition": (("one", "id"), 1, False),
+    "series": (("one", "id"), 0, True),
+    "hook": ("hook", 0, True),
+}
+
+
+def _method_choices(command):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subparsers.choices[command]._actions if a.dest == "method").choices
+
+
+def test_the_method_table_is_the_methods_in_order():
+    assert tuple(darcais.cli._METHODS) == darcais.cli.METHODS == tuple(ROUTES)
+    assert _method_choices("coeff") == tuple(ROUTES)
+    assert _method_choices("poly") == tuple(name for name, row in ROUTES.items() if row[2])
+    # a row that held a library function itself would escape a tracer or a
+    # monkeypatch that rebinds the name in darcais.cli
+    assert {row[0].__module__ for row in darcais.cli._METHODS.values()} == {"darcais.cli"}
+
+
+@pytest.mark.parametrize("h", ["one", "id", "sigma:1"])
+@pytest.mark.parametrize("method", list(darcais.cli._METHODS))
+def test_each_method_takes_its_h_and_refuses_the_rest(capsys, method, h):
+    names, _, gives_poly = ROUTES[method]
+    if names == "hook":
+        takes, line = h == "id", "method 'hook' is only defined for --g sigma:1 --h id"
+    else:
+        takes = names is None or h in names
+        line = f"method {method!r} needs h in {names}, got {h!r}"
+    functions = ("--g", "sigma:1", "--h", h, "--n", "6")
+    runs = [(("coeff", *functions, "--m", "2"), "lemma")]
+    runs += [(("poly", *functions), "recursion")] if gives_poly else []
+    for argv, reference in runs:
+        code, expected, _ = run_cli(capsys, *argv, "--method", reference)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--method", method) == (
+            (0, expected, "") if takes else (2, "", f"error: {line}\n"))
+
+
+@pytest.mark.parametrize("method", list(darcais.cli._METHODS))
+def test_each_method_refuses_m_below_its_least(capsys, method):
+    _, least_m, _ = ROUTES[method]
+    h = "one" if method == "thm1" else "id"
+    argv = ("coeff", "--g", "sigma:1", "--h", h, "--n", "6", "--m")
+    assert run_cli(capsys, *argv, "1", "--method", method)[0] == 0
+    code, lemma, _ = run_cli(capsys, *argv, "0", "--method", "lemma")
+    assert run_cli(capsys, *argv, "0", "--method", method) == (
+        (0, lemma, "") if least_m == 0 else (2, "", f"error: method {method!r} needs m >= 1\n"))
 
 
 def test_bad_descriptor_is_usage_error(capsys):

@@ -146,6 +146,13 @@ def test_usage_error_lines(argv, line):
     assert run_cli(*argv) == (2, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize("n, value", [("0", "1"), ("3", "0")])
+@pytest.mark.parametrize("method", ["lemma", "recursion", "series", "hook"])
+def test_the_methods_with_a_constant_term_take_m_0(method, n, value):
+    # A[0][0] = 1 and A[n][0] = 0 for n >= 1, on the triangle and on P_n alike
+    assert run_cli("coeff", "--n", n, "--m", "0", "--method", method) == (0, f"{value}\n", "")
+
+
 EXPONENT = "1e100000000"  # Fraction's grammar would build 10^(10^8) from it
 
 
