@@ -140,11 +140,12 @@ def euler_product_ints(r: int, order: int) -> list[int]:
 
 
 def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
-    """Miller's recurrence for a nonzero Poly r = u / d (u an int polynomial
-    of degree D, d > 0), run column by column on the int rows c_n = S G_n of
-    G = prod (1 - q^k)^r over one scale S = d^N N!, N = order, for every
-    row.  Each c_n is an int polynomial of degree at most n D: the rows
-    F_n = d^n n! G_n are (they have the division-free recurrence
+    """Miller's recurrence for a Poly r = u / d (u an int polynomial of
+    degree D, d > 0; the zero Poly counts as D = 0 and yields the series 1),
+    run column by column on the int rows c_n = S G_n of G = prod (1 - q^k)^r
+    over one scale S = d^N N!, N = order, for every row.  Each c_n is an
+    int polynomial of degree at most n D: the rows F_n = d^n n! G_n are
+    (they have the division-free recurrence
     F_n = sum_i e_i ((u + d) i - n d) d^(i-1) (n-1)! / (n-i)! F_{n-i}), and
     c_n = F_n d^(N-n) N! / n!.  Multiplying n d G_n =
     sum_i e_i ((u + d) i - n d) G_{n-i} by S gives, with v = u + d,
@@ -156,13 +157,20 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
 
         c_{n,j} = (sum_t v_t S1_{j-t}(n)) // (n d) - S0_j(n).
 
-    The division is exact, since c_{n,j} and S0_j(n) are ints.  Every term
-    of S0 and S1 is an earlier entry of the same column, added or
-    subtracted (e_i = +-1), in S1 times the small int i: no big ratio
-    multiplies a sum.  Column j needs only its own earlier entries and the
-    S1 of the last D columns: O(order^2) bits are held, where rows would
-    hold O(order^3).  The sums run over the pentagonal steps
-    i <= n - ceil(j / D), since c_{n-i} has no x^j below that.
+    The division is exact, since c_{n,j} and S0_j(n) are ints.  Beside
+    each column the kernel keeps the list of m c_{m,j}, and since
+    i = n - (n - i),
+
+        S1(n) = n S0(n) - T(n),  T(n) = sum_{i>=1} e_i (n - i) c_{n-i},
+
+    so each pentagonal step adds or subtracts (e_i = +-1) one earlier
+    entry into S0 and one of the n c list into T, with no multiply; S1
+    takes one multiply by n per entry, and no big ratio multiplies a sum.
+    Column j needs only its own earlier entries, its n c list and the S1
+    of the last D columns: O(order^2) bits are held (one list more than the
+    column and the S1 history), where rows would hold O(order^3).  The sums
+    run over the pentagonal steps i <= n - ceil(j / D), since c_{n-i} has
+    no x^j below that.
 
     Yields the columns j = 0, ..., order D in turn; column j lists c_{n,j} for
     n = ceil(j / D), ..., order (every n for D = 0), the rows whose degree
@@ -179,7 +187,7 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    v, d = list(exponent.numerators), exponent.denominator
+    v, d = list(exponent.numerators) or [0], exponent.denominator
     v[0] += d  # u + d
     degree = len(v) - 1
     pentagonal = _pentagonal(order)
@@ -193,23 +201,25 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
         first = -(-j // degree) if degree else 0
         start = max(first, 1)
         column = [0] * first if j else [d**order * factorial(order)]  # c_{0,j}, ..., c_{order,j}
+        weighted = [0] * len(column)  # weighted[m] = m c_{m,j}
         carry = [0] * (order + 1)  # carry[n]: the terms v_t S1_{j-t}(n), t >= 1
         for t, older in enumerate(history, 1):
-            carry = list(map(add, carry, map(mul, older, repeat(v[t]))))
+            terms = map(mul, older, repeat(v[t]))
+            carry = list(terms if t == 1 else map(add, carry, terms))
         s1s = [0] * (order + 1)
         for n, minus_n, plus_n in zip(range(start, order + 1), minus_below[start - first:],
                                       plus_below[start - first:]):
-            s0 = s1 = 0
+            s0 = tn = 0  # tn = T(n)
             for i in minus_n:
-                c = column[n - i]
-                s0 -= c
-                s1 -= i * c
+                s0 -= column[n - i]
+                tn -= weighted[n - i]
             for i in plus_n:
-                c = column[n - i]
-                s0 += c
-                s1 += i * c
-            s1s[n] = s1
-            column.append((carry[n] + v[0] * s1) // (n * d) - s0)
+                s0 += column[n - i]
+                tn += weighted[n - i]
+            s1s[n] = s1 = n * s0 - tn
+            c = (carry[n] + v[0] * s1) // (n * d) - s0
+            column.append(c)
+            weighted.append(n * c)
         yield column[first:]
         history = [s1s, *history][:degree]
 

@@ -34,11 +34,15 @@ ENTRIES = [
     (CLI, "main(['verify', '--suite', 'main-theorem', '--max-n', '24'])"),
     (CLI, "main(['verify', '--suite', 'no-formula', '--max-n', '29'])"),
     # the int row loop; Miller's column kernel on a scalar exponent, which no
-    # CLI path runs; the reads of g and h a Lehmer scan to 10**6 would make
+    # CLI path runs, and on a degree-2 one, its only path that carries S1
+    # from two columns back; the reads of g and h a Lehmer scan to 10**6
+    # would make
     (TABLES, "value_sequence(g, h, Fraction(7, 3), 300)"),
     ("from darcais.series import euler_product_power", "euler_product_power(-1, 2000)"),
     ("from fractions import Fraction; from darcais.series import euler_product_power",
      "euler_product_power(Fraction(1, 2), 2000)"),
+    ("from darcais.exact import X; from darcais.series import euler_product_power",
+     "euler_product_power(X * X - 1, 300)"),
     ("from darcais.arith import identity, sigma; from darcais.recursion import _kernel_inputs",
      "_kernel_inputs(sigma(1), identity(), 10**6)"),
 ]

@@ -280,7 +280,7 @@ def test_criterion_09_shape_scans():
 
 @pytest.mark.skipif(
     os.environ.get("DARCAIS_LONG_SCANS") != "1",
-    reason="a 1 minute sweep (54 s, 63 MiB); set DARCAIS_LONG_SCANS=1 to run the n <= 1500 scan",
+    reason="a 1 minute sweep (45 s, 56 MiB); set DARCAIS_LONG_SCANS=1 to run the n <= 1500 scan",
 )
 def test_criterion_09_long_hook_scan():
     _, failure = hook_log_concavity(1500)

@@ -253,13 +253,15 @@ def test_columns_transposed_are_the_row_kernel(exponent, order):
 @pytest.mark.parametrize(
     "exponent, order",
     [*seeded_exponents(30), (X, 0), (-X - 1, 0), (Poly((Fraction(-7, 3),)), 0),
-     (Poly((HALF,)), 40), (Poly((Fraction(-7, 3),)), 30)],
+     (Poly((HALF,)), 40), (Poly((Fraction(-7, 3),)), 30), (X * X - 1, 80),
+     (Poly((1, -2, 3)) / 5, 60)],
     ids=lambda value: repr(value),
 )
 def test_columns_are_the_row_kernel_over_one_scale(exponent, order):
     # column j lists c_{n,j} = [x^j] F_n d^(N-n) N! / n!, N = order, for
     # n = ceil(j / D)..N (every n for D = 0), where F_n = d^n n! G_n are the
-    # row kernel's unreduced rows: every row over the one scale d^N N!
+    # row kernel's unreduced rows: every row over the one scale d^N N!; the
+    # two degree-2 exponents carry S1 from two columns back past order 40
     d, degree = exponent.denominator, len(exponent.numerators) - 1
     rows = miller_rows(exponent, order)
     expected = []
@@ -268,6 +270,12 @@ def test_columns_are_the_row_kernel_over_one_scale(exponent, order):
         expected.append([rows[n][j] * d ** (order - n) * factorial(order) // factorial(n)
                          for n in range(first, order + 1)])
     assert list(euler_product_columns(exponent, order)) == expected
+
+
+def test_the_zero_exponent_yields_the_series_one():
+    # the zero Poly has no numerators: one column, the scale 5! and zeros
+    for zero in (Poly(), Poly((0,))):
+        assert list(euler_product_columns(zero, 5)) == [[factorial(5), 0, 0, 0, 0, 0]]
 
 
 def test_a_flipped_pentagonal_sign_fails_the_row_kernel_comparison(monkeypatch):
