@@ -23,7 +23,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Iterator
 
 from .arith import ArithmeticFunction, identity, one, sigma
@@ -166,6 +166,10 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     so each pentagonal step adds or subtracts (e_i = +-1) one earlier
     entry into S0 and one of the n c list into T, with no multiply; S1
     takes one multiply by n per entry, and no big ratio multiplies a sum.
+    Zero and unit carried coefficients take no multiply: a term v_t S1_{j-t}
+    with v_t = 0 is skipped, v_t = +-1 takes S1_{j-t} or its negation, and
+    v_0 S1 is dropped when v_0 = 0, so -x - 1, v = (0, -1), multiplies
+    only by n.
     Column j needs only its own earlier entries, its n c list and the S1
     of the last D columns: O(order^2) bits are held (one list more than the
     column and the S1 history), where rows would hold O(order^3).  The sums
@@ -197,15 +201,18 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
     minus_below = [minus[:bisect_right(minus, t)] for t in range(order + 1)]
     plus_below = [plus[:bisect_right(plus, t)] for t in range(order + 1)]
     history = []  # S1 of the last D columns, newest first, indexed by n
+    zeros = [0] * (order + 1)
     for j in range(order * degree + 1):
         first = -(-j // degree) if degree else 0
         start = max(first, 1)
         column = [0] * first if j else [d**order * factorial(order)]  # c_{0,j}, ..., c_{order,j}
         weighted = [0] * len(column)  # weighted[m] = m c_{m,j}
-        carry = [0] * (order + 1)  # carry[n]: the terms v_t S1_{j-t}(n), t >= 1
-        for t, older in enumerate(history, 1):
-            terms = map(mul, older, repeat(v[t]))
-            carry = list(terms if t == 1 else map(add, carry, terms))
+        carry = zeros  # carry[n]: the terms v_t S1_{j-t}(n), t >= 1
+        for older, vt in zip(history, v[1:]):
+            if vt:  # v_t = 0 adds nothing, and v_t = +-1 takes no multiply
+                terms = (older if vt == 1 else map(neg, older) if vt == -1
+                         else map(mul, older, repeat(vt)))
+                carry = list(terms if carry is zeros else map(add, carry, terms))
         s1s = [0] * (order + 1)
         for n, minus_n, plus_n in zip(range(start, order + 1), minus_below[start - first:],
                                       plus_below[start - first:]):
@@ -217,7 +224,7 @@ def euler_product_columns(exponent: Poly, order: int) -> Iterator[list[int]]:
                 s0 += column[n - i]
                 tn += weighted[n - i]
             s1s[n] = s1 = n * s0 - tn
-            c = (carry[n] + v[0] * s1) // (n * d) - s0
+            c = (carry[n] + v[0] * s1 if v[0] else carry[n]) // (n * d) - s0
             column.append(c)
             weighted.append(n * c)
         yield column[first:]

@@ -37,6 +37,10 @@ from .series import euler_product_power  # noqa: F401
 from .weights import orbit_weight_sum
 
 _F0 = Fraction(0)
+# The hook scan's certificate: each row's shift keeps _TOP_BITS bits of its
+# middle entry and is rebased every _REBASE columns.
+_TOP_BITS = 126
+_REBASE = 8
 
 
 def _as_nonnegative(seq: Sequence) -> list:
@@ -193,16 +197,20 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
     Row n is complete once column n has come, so the scan stops at the
     first failing row.
 
-    Each comparison first tries a certificate on the top bits.  With
-    s = max(0, bit_length(b) - 62) and x~ = x >> s, every x >= 0 has
-    x~ 2^s <= x < (x~ + 1) 2^s, so for positive a, b, c
+    Each comparison first tries a certificate on top bits.  For any shift
+    s >= 0 and x~ = x >> s, every x >= 0 has x~ 2^s <= x < (x~ + 1) 2^s,
+    so for positive a, b, c and one s common to the triple
 
         a c < (a~ + 1) (c~ + 1) 4^s <= b~^2 4^s <= b^2
 
-    whenever b~^2 >= (a~ + 1) (c~ + 1): that proves the row's inequality
-    on ints of about 62 bits.  Only the rows it leaves open take the exact
-    products b b < a c.  The entries compared are positive: a row with an
-    entry <= 0 has failed before its comparisons are read.
+    whenever b~^2 >= (a~ + 1) (c~ + 1).  Each row keeps one shift and
+    carries its tops from column to column: every `_REBASE` columns,
+    from column 2 on, the shift is rebased to keep `_TOP_BITS` bits of b,
+    the row's entry in column j - 1, and in between column j's tops are
+    the next column's b~, and its b~ + 1 that column's a~ + 1, so each new
+    entry takes one shift.  Only the rows the certificate leaves open take
+    the exact products b b < a c.  The entries compared are positive: a
+    row with an entry <= 0 has failed before its comparisons are read.
 
     Column 0 is cross-checked by a route that shares no code with Miller's
     kernel, which is cheap: Q_n(0) = P_n(1) = p(n), the defining recursion
@@ -223,11 +231,18 @@ def hook_poly_log_concavity_scan(max_n: int) -> tuple[int, int | None]:
             failed = min(failed, next(off, failed))
         if j > 1:
             above, far = last[1:], before[2:]  # columns j - 1 and j - 2 on rows j..max_n
-            shifts = list(map(max, repeat(0), map(sub, map(int.bit_length, above), repeat(62))))
-            tops = list(map(rshift, above, shifts))
-            bounds = map(mul, map(add, map(rshift, far, shifts), repeat(1)),
-                         map(add, map(rshift, column, shifts), repeat(1)))
-            unproved = compress(range(j, failed), map(lt, map(mul, tops, tops), bounds))
+            if (j - 2) % _REBASE:  # carried: column j - 1's tops, column j - 2's tops + 1
+                shifts, lows, tops, mids = shifts[1:], mids[1:], tops[1:], highs[1:]
+            else:  # rebased on column j - 1
+                shifts = list(map(max, repeat(0), map(sub, map(int.bit_length, above),
+                                                      repeat(_TOP_BITS))))
+                lows = map(add, map(rshift, far, shifts), repeat(1))
+                tops = list(map(rshift, above, shifts))
+                mids = list(map(add, tops, repeat(1)))
+            squares = map(mul, tops, tops)
+            tops = list(map(rshift, column, shifts))
+            highs = list(map(add, tops, repeat(1)))
+            unproved = compress(range(j, failed), map(lt, squares, map(mul, lows, highs)))
             dips = (n for n in unproved
                     if above[n - j] * above[n - j] < far[n - j] * column[n - j])
             failed = min(failed, next(dips, failed))

@@ -254,14 +254,19 @@ def test_columns_transposed_are_the_row_kernel(exponent, order):
     "exponent, order",
     [*seeded_exponents(30), (X, 0), (-X - 1, 0), (Poly((Fraction(-7, 3),)), 0),
      (Poly((HALF,)), 40), (Poly((Fraction(-7, 3),)), 30), (X * X - 1, 80),
-     (Poly((1, -2, 3)) / 5, 60)],
+     (Poly((1, -2, 3)) / 5, 60), (-X - 1, 60), (X - 1, 40), (X, 40), (1 - X, 40),
+     (-X * X, 40), (2 * X - 3, 40)],
     ids=lambda value: repr(value),
 )
 def test_columns_are_the_row_kernel_over_one_scale(exponent, order):
     # column j lists c_{n,j} = [x^j] F_n d^(N-n) N! / n!, N = order, for
     # n = ceil(j / D)..N (every n for D = 0), where F_n = d^n n! G_n are the
     # row kernel's unreduced rows: every row over the one scale d^N N!; the
-    # two degree-2 exponents carry S1 from two columns back past order 40
+    # degree-2 exponents carry S1 from two columns back past order 40.  The
+    # carried coefficients v = u + d take each case of the kernel: v_0 = 0
+    # with v_1 = -1 (-x - 1) or +1 (x - 1), v_1 = 0 and v_2 = +1 (x^2 - 1);
+    # v_0 != 0 with v_1 = +1 (x), -1 (1 - x) or 2 (2x - 3), and v_1 = 0,
+    # v_2 = -1 (-x^2); v = (6, -2, 3) for (1 - 2x + 3x^2) / 5
     d, degree = exponent.denominator, len(exponent.numerators) - 1
     rows = miller_rows(exponent, order)
     expected = []

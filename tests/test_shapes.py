@@ -246,8 +246,9 @@ def test_a_lowered_constant_term_in_the_last_two_rows_fails_the_hook_scan(monkey
 
 
 # Row scales for the planted tents: small ones, where the scan's top-bits
-# test shifts nothing, and wide ones, where it reads the top 62 bits.
-SCALES = (1, 2, 3, 2**64 + 1, 3**130)
+# certificate shifts nothing, and wide ones, where it keeps the top
+# shapes._TOP_BITS bits of a row.
+SCALES = (1, 2, 3, 2**64 + 1, 3**130, 2**(2 * shapes._TOP_BITS) + 1)
 
 
 def planted_triangle(draw, max_n):
@@ -291,8 +292,9 @@ def scan_by_rows(rows):
 def test_column_bookkeeping_matches_the_row_predicates(data):
     # the scan's three-column log-concavity test and its entries <= 0
     # against positivity and is_log_concave, row by row; every row that
-    # passes is unimodal too
-    max_n = data.draw(st.integers(0, 10))
+    # passes is unimodal too; triangles reach past three rebases of the
+    # certificate's shifts, at columns 2, 2 + R, 2 + 2R and 2 + 3R
+    max_n = data.draw(st.integers(0, 3 * shapes._REBASE + 4))
     rows = planted_triangle(data.draw, max_n)
     for row in rows[1:]:
         row_passes(row)
@@ -323,31 +325,73 @@ def planted_row(n, j, triple):
     return row
 
 
-def proved_by_top_bits(a, b, c):
-    """The scan's certificate b~^2 >= (a~ + 1)(c~ + 1) on the top 62 bits of b."""
-    s = max(0, b.bit_length() - 62)
-    return (b >> s) ** 2 >= ((a >> s) + 1) * ((c >> s) + 1)
+def proved_by_top_bits(row, j):
+    """The scan's certificate b~^2 >= (a~ + 1)(c~ + 1) on the triple
+    (a, b, c) = row[j - 2:j + 1], with the row's one shift: rebased at the
+    columns 2, 2 + R, ..., R = shapes._REBASE, to keep shapes._TOP_BITS
+    bits of the row's entry in the column before, and carried in between."""
+    rebased = j - (j - 2) % shapes._REBASE
+    s = max(0, row[rebased - 1].bit_length() - shapes._TOP_BITS)
+    a, b, c = (x >> s for x in row[j - 2:j + 1])
+    return b * b >= (a + 1) * (c + 1)
+
+
+REBASE = shapes._REBASE
+WIDE = 2 ** (shapes._TOP_BITS + 80)  # shifted by 81 bits or more
+CASSINI = (fibonacci(299), fibonacci(300), fibonacci(301))  # b^2 = a c - 1
 
 
 @pytest.mark.parametrize("triple, found", [
     # b^2 = a c exactly: the tops tie, and the full products pass the row
     ((9 << 200, 6 << 200, 4 << 200), (6, None)),
-    # Cassini's identity F_299 F_301 - F_300^2 = 1: b^2 = a c - 1
-    ((fibonacci(299), fibonacci(300), fibonacci(301)), (4, 4)),
-    # a = c = 2^200 + 2^100 and b = 2^200 + 2^99 have the same top 62 bits
-    ((2**200 + 2**100, 2**200 + 2**99, 2**200 + 2**100), (4, 4)),
+    # Cassini's identity F_299 F_301 - F_300^2 = 1
+    (CASSINI, (4, 4)),
+    # a = c = WIDE + 2^40 and b = WIDE + 2^39 have the same top bits
+    ((WIDE + 2**40, WIDE + 2**39, WIDE + 2**40), (4, 4)),
 ], ids=["equal", "one-below", "tied-tops"])
 def test_rows_the_top_bits_leave_open_are_decided_exactly(monkeypatch, triple, found):
     # every other row is 2^200 C(n, j), which the top bits prove; row 4
     # holds the triple at x^1..x^3, entries of 200 bits or more, where only
     # the exact products b b < a c decide
-    assert not proved_by_top_bits(*triple)
     rows = [[comb(n, j) << 200 for j in range(n + 1)] for n in range(7)]
     rows[4] = planted_row(4, 3, triple)
+    assert not proved_by_top_bits(rows[4], 3)
     assert min(rows[4]).bit_length() > 200
     assert is_log_concave(rows[4]) == (None if found[1] is None else 2)
     feed_triangle(monkeypatch, rows)
     assert hook_poly_log_concavity_scan(6) == found
+
+
+@pytest.mark.parametrize("n, j", [
+    (5, 2), (2 + REBASE, 2 + REBASE), (3 + REBASE, 1 + REBASE),
+    (4 + 2 * REBASE, 2 + 2 * REBASE), (2 + 2 * REBASE, 1 + 2 * REBASE),
+    (3 * REBASE, 3 + REBASE),
+])
+def test_a_dip_next_to_a_rebase_is_reported_at_its_row(monkeypatch, n, j):
+    # Cassini's triple b^2 = a c - 1 planted at x^(j-2)..x^j of row n, in
+    # the first column of a shift period (j = 2 mod R) or its last one
+    # (j = 1 mod R), or inside one; every other row is 2^200 C(n, j)
+    max_n = 3 * REBASE + 2
+    rows = [[comb(m, k) << 200 for k in range(m + 1)] for m in range(max_n + 1)]
+    rows[n] = planted_row(n, j, CASSINI)
+    assert is_log_concave(rows[n]) == j - 1 and min(rows[n]) > 0
+    assert not proved_by_top_bits(rows[n], j)
+    feed_triangle(monkeypatch, rows)
+    assert hook_poly_log_concavity_scan(max_n) == (n, n)
+
+
+def test_a_few_kept_bits_leave_most_triples_to_the_exact_products(monkeypatch):
+    # with 3 bits kept, the certificate proves few hook triples, and the
+    # exact products alone must pass the hook rows and catch a dip
+    monkeypatch.setattr(shapes, "_TOP_BITS", 3)
+    rows = hook_rows(120)
+    triples = [(row, j) for row in rows for j in range(2, len(row))]
+    assert 2 * sum(proved_by_top_bits(row, j) for row, j in triples) < len(triples)
+    assert hook_poly_log_concavity_scan(120) == (120, None)
+    rows[97][50] //= 2  # b^2 / 4 < a c at x^49..x^51 of row 97
+    assert is_log_concave(rows[97]) == 50 and min(rows[97]) > 0
+    counted_columns(monkeypatch, rows)
+    assert hook_poly_log_concavity_scan(120) == (97, 97)
 
 
 def test_scan_route_matches_hook_sums():
