@@ -8,18 +8,21 @@ refuse floats and booleans, and strings other than "p" or "p/q".
 Polynomials are dense, coefficients indexed from degree 0, and stored in
 primitive-part form: int numerators over one denominator, so polynomial
 arithmetic runs in ints, and an int kernel hands its result back through
-`Poly.from_numerators`.  `scaled_ints` scales a table of rationals to ints
-over the lcm of their denominators, which is how the int kernels take
-rational inputs.  `pack_signed` and `unpack_signed` are Kronecker
-substitution: an int polynomial evaluated at 2^(8w), one w-byte slot per
-coefficient, and read back through its bytes; `unpack_window` reads a run
-of slots out of a longer product.  `slot_width` is the one rule for w, and
-`product_window`, a window of the slots of one packed product, is how the
-routes multiply.  A `Series` holds the coefficients of a power series in q
-truncated at a fixed order, each a rational or a `Poly` in x, and has the
-two operations the generating-function oracles need: `exp` and `inverse`.
-`first_failure` is the loop that counts a check's comparisons and stops
-at the first failing one.
+`Poly.from_numerators`; a scalar p/q is the constant polynomial (p,) over
+q in products and in `==`, and `bool(p)` is the zero test.  `scaled_ints`
+scales a table of rationals to ints over the lcm of their denominators,
+which is how the int kernels take rational inputs.  `pack_signed` and
+`unpack_signed` are Kronecker substitution: an int polynomial evaluated at
+2^(8w), one w-byte slot per coefficient, and read back through its bytes;
+`unpack_window` reads a run of slots out of a longer product.  `slot_width`
+is the one rule for w, and `product_window`, a window of the slots of one
+packed product, is how the routes multiply.  A `Series` holds the
+coefficients of a power series in q truncated at a fixed order, each a
+rational or a `Poly` in x, and has the two operations the
+generating-function oracles need: `exp` and `inverse`.  Every "p/q" the
+package prints is written here: by `format_rational` from a rational, or by
+`format_quotient` from two ints without a Fraction.  `first_failure` is the
+loop that counts a check's comparisons and stops at the first failing one.
 """
 
 from __future__ import annotations
@@ -132,6 +135,13 @@ def format_rational(value: Union[int, Fraction]) -> str:
     return str(rational(value))
 
 
+def format_quotient(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for ints a and b > 0: "p/q" in lowest terms, or
+    "p", from the two ints by one gcd and without a Fraction."""
+    d = gcd(a, b)
+    return str(a // d) if b == d else f"{a // d}/{b // d}"
+
+
 def first_failure(outcomes: Iterable) -> tuple[int, object]:
     """Run comparisons, each outcome None where one holds and otherwise
     where it failed, up to the first failure: (outcomes consumed, that
@@ -225,9 +235,6 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._nums) - 1
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def padded(self, length: int) -> tuple[Fraction, ...]:
         """Coefficients from degree 0 up to degree length-1, zero-filled."""
         if length < len(self._nums):
@@ -245,13 +252,9 @@ class Poly:
         if isinstance(other, (bool, float)):
             raise TypeError(f"a polynomial does not compare with {other!r}")
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self._nums
-            return (
-                len(self._nums) == 1
-                and self._nums[0] == other.numerator
-                and self._den == other.denominator
-            )
+            # a scalar p/q is the constant polynomial (p,) over q, zero ()
+            nums = (other.numerator,) if other else ()
+            return self._den == other.denominator and self._nums == nums
         return NotImplemented
 
     def __hash__(self):
@@ -377,28 +380,18 @@ class Poly:
         return Fraction(acc, self._den * scale)
 
     def __str__(self) -> str:
-        coeffs = self.coefficients
-        if not coeffs:
-            return "0"
-        terms = []
-        for m in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[m]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if m == 0:
-                body = format_rational(mag)
-            elif m == 1:
-                body = "x" if mag == 1 else f"{format_rational(mag)}*x"
-            else:
-                body = f"x^{m}" if mag == 1 else f"{format_rational(mag)}*x^{m}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
+        """Terms c*x^m from the top degree down, c = |p/q| in lowest terms, a
+        unit c left out where m > 0 and x^0 left out, joined by " + " / " - "."""
+        den, text = self._den, ""
+        for m in range(self.degree, -1, -1):
+            c = self._nums[m]
+            if c:
+                scalar = format_quotient(abs(c), den)
+                power = "x" if m == 1 else f"x^{m}"
+                body = scalar if m == 0 else power if abs(c) == den else f"{scalar}*{power}"
+                text += (" - " if c < 0 else " + ") + body
+        # the leading separator: " + " is dropped and " - " becomes "-"
+        return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(format_rational(c) for c in self.coefficients)}])"
@@ -446,9 +439,7 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return len(self._coeffs) == len(other._coeffs) and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
         return hash(self._coeffs)

@@ -46,6 +46,7 @@ from .arith import ArithmeticFunction
 from .exact import (
     Poly,
     X,
+    format_quotient,
     format_rational,
     product_window,
     rational,
@@ -278,12 +279,11 @@ class CoefficientTable:
         return self._normalizers[n]
 
     def formatted_row(self, n: int) -> list[str]:
-        """Row n as "p/q" strings (plain decimal strings for ints).  Each
-        entry is reduced by one gcd and formatted from its two ints, without
-        a Fraction, as `format_rational` would render it."""
+        """Row n as "p/q" strings (plain decimal strings for ints), each
+        entry written from its two ints by `exact.format_quotient`."""
         entries, denominators = self._scaled_row(n)
         return list(map(str, entries) if denominators is None
-                    else map(_format_quotient, entries, denominators))
+                    else map(format_quotient, entries, denominators))
 
     def header(self) -> dict:
         """The fields of `to_dict` before its rows, in the same order."""
@@ -295,12 +295,6 @@ class CoefficientTable:
     def to_dict(self) -> dict:
         """JSON-ready dict; every rational rendered as a "p/q" string."""
         return {**self.header(), "rows": [self.formatted_row(n) for n in range(self.max_n + 1)]}
-
-
-def _format_quotient(a: int, b: int) -> str:
-    """str(Fraction(a, b)) for ints a and b > 0: "p/q" in lowest terms, or "p"."""
-    d = gcd(a, b)
-    return str(a // d) if b == d else f"{a // d}/{b // d}"
 
 
 def coefficient_table(g: ArithmeticFunction, h: ArithmeticFunction, max_n: int) -> CoefficientTable:

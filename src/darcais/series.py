@@ -88,7 +88,7 @@ def euler_product_power(exponent, order: int) -> Series:
         raise ValueError("series order must be nonnegative")
     if isinstance(exponent, bool) or not isinstance(exponent, (int, Fraction, Poly)):
         raise TypeError("exponent must be an integer, Fraction, or Poly")
-    if isinstance(exponent, Poly) and exponent.is_zero():
+    if isinstance(exponent, Poly) and not exponent:
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
     if not isinstance(exponent, Poly) and exponent.denominator == 1 and exponent >= 0:
         return Series(euler_product_ints(exponent.numerator, order))
@@ -349,7 +349,7 @@ def closed_family_check(
                         + polys[n + 1] * (Poly((-2 * h(n + 1),)) - X)
                         + polys[n + 2] * h(n + 2)
                     )
-                    yield None if lhs.is_zero() else (family, h.name, n)
+                    yield (family, h.name, n) if lhs else None
 
         else:  # symmetric_product
             for h in h_functions:

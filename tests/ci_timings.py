@@ -34,6 +34,8 @@ ENTRIES = [
     (CLI, "main(['coeff', '--g', 'id', '--h', 'id', '--n', '1100', '--m', '1099', '--method', 'composition'])"),
     (CLI, "main(['verify', '--suite', 'main-theorem', '--max-n', '24'])"),
     (CLI, "main(['verify', '--suite', 'no-formula', '--max-n', '29'])"),
+    # the text of one Poly with 351 large coefficients, which no other row prints
+    (CLI, "main(['poly', '--g', 'sigma:1', '--h', 'id', '--n', '350'])"),
     # the int row loop; Miller's column kernel on a scalar exponent, which no
     # CLI path runs, and on a degree-2 one, its only path that carries S1
     # from two columns back; the reads of g and h a Lehmer scan to 10**6

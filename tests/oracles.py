@@ -5,6 +5,7 @@ without calling the routine it checks.  The last section holds the
 test-side entries to the package that no package code needs.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -120,6 +121,36 @@ def laguerre_example(n):
     coefficient of x^(i+1) is C(n, n-1-i) / (n i!).
     """
     return [Fraction(0)] + [Fraction(comb(n, n - 1 - i), n * factorial(i)) for i in range(n)]
+
+
+def count_partitions_dp(n):
+    """p(n) by the classic coin-style DP over part sizes, which enumerates
+    no partitions."""
+    table = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            table[total] += table[total - part]
+    return table[n]
+
+
+def pentagonal_coefficient(n):
+    """Euler: the q^n coefficient of prod (1 - q^k) is (-1)^j at j(3j+-1)/2."""
+    j = 0
+    while j * (3 * j - 1) // 2 <= n:
+        if n in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            return (-1) ** j
+        j += 1
+    return 0
+
+
+def triangular_coefficient(n):
+    """Jacobi: the q^n coefficient of the cube is (-1)^k (2k+1) at k(k+1)/2."""
+    k = 0
+    while k * (k + 1) // 2 <= n:
+        if n == k * (k + 1) // 2:
+            return (-1) ** k * (2 * k + 1)
+        k += 1
+    return 0
 
 
 def conjugate_by_counting(lam):
@@ -368,6 +399,41 @@ def poly_eval(a, point):
     for c in reversed(a):
         acc = acc * point + c
     return acc
+
+
+_SCALAR = r"[1-9][0-9]*(?:/[1-9][0-9]*)?"
+_TERM = re.compile(rf"(?:(?P<c>{_SCALAR})\*)?x(?:\^(?P<m>[2-9]|[1-9][0-9]+))?|(?P<k>{_SCALAR})")
+
+
+def parse_poly_text(text):
+    """The coefficients, constant term first, of a polynomial in the text
+    form of `Poly`: "0", or terms "c*x^m", "x^m", "c*x", "x" and "c" with
+    degrees strictly falling, the first led by "-" or nothing and the rest
+    by " + " or " - ", each c positive, in lowest terms and not 1 where it
+    is written beside a power of x.  Any other text is a ValueError."""
+    if text == "0":
+        return []
+    tokens = text.split(" ")
+    if len(tokens) % 2 == 0 or any(op not in ("+", "-") for op in tokens[1::2]):
+        raise ValueError(f"terms are not joined by ' + ' and ' - ': {text!r}")
+    signs = [-1 if tokens[0].startswith("-") else 1] + [1 if op == "+" else -1 for op in tokens[1::2]]
+    terms = [tokens[0].removeprefix("-")] + tokens[2::2]
+    degrees, values = [], []
+    for sign, term in zip(signs, terms):
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise ValueError(f"not a term: {term!r} in {text!r}")
+        written = match["k"] or match["c"]
+        if (written and str(Fraction(written)) != written) or match["c"] == "1":
+            raise ValueError(f"a coefficient not in lowest terms, or a written 1: {text!r}")
+        degrees.append(0 if match["k"] else int(match["m"] or 1))
+        values.append(sign * Fraction(written or 1))
+    if degrees != sorted(set(degrees), reverse=True):
+        raise ValueError(f"degrees do not strictly fall: {text!r}")
+    coefficients = [Fraction(0)] * (degrees[0] + 1)
+    for degree, value in zip(degrees, values):
+        coefficients[degree] = value
+    return coefficients
 
 
 def ramanujan_691_failures(tau):

@@ -34,7 +34,12 @@ from darcais.series import euler_product_power, hook_length_polynomial
 from darcais.shapes import counterexample_search, top_margin
 from darcais.weights import coefficient_h_id, coefficient_h_one, h_weight
 
-from oracles import implication_chain_holds
+from oracles import (
+    count_partitions_dp,
+    implication_chain_holds,
+    pentagonal_coefficient,
+    triangular_coefficient,
+)
 
 G_BUILTINS = [one(), identity(), sigma(1), sigma(3), sigma(5)]
 H_BUILTINS = [one(), identity(), sigma(1)]
@@ -45,14 +50,6 @@ def report(number: int, title: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] criterion {number:02d} {title}: {status}{suffix}")
     assert ok, f"criterion {number} failed{suffix}"
-
-
-def count_partitions_dp(n: int) -> int:
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
 
 
 def test_criterion_01_route_equivalence():
@@ -179,31 +176,14 @@ def test_criterion_05_special_values():
     (r=-1), and the two inverse-Eisenstein identities, all to n <= 50."""
     bound = 50
     failure = None
-
-    def pentagonal(n):
-        j = 0
-        while j * (3 * j - 1) // 2 <= n:
-            if n in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-                return (-1) ** j
-            j += 1
-        return 0
-
-    def triangular(n):
-        k = 0
-        while k * (k + 1) // 2 <= n:
-            if n == k * (k + 1) // 2:
-                return (-1) ** k * (2 * k + 1)
-            k += 1
-        return 0
-
     eta = euler_product_power(1, bound)
     cube = euler_product_power(3, bound)
     reciprocal = euler_product_power(-1, bound)
     for n in range(bound + 1):
-        if eta.coefficient(n) != pentagonal(n):
+        if eta.coefficient(n) != pentagonal_coefficient(n):
             failure = f"pentagonal pattern at n={n}"
             break
-        if cube.coefficient(n) != triangular(n):
+        if cube.coefficient(n) != triangular_coefficient(n):
             failure = f"triangular pattern at n={n}"
             break
         if reciprocal.coefficient(n) != count_partitions_dp(n):

@@ -13,6 +13,7 @@ from darcais.exact import (
     Poly,
     Series,
     X,
+    format_quotient,
     format_rational,
     pack_signed,
     product_window,
@@ -21,7 +22,7 @@ from darcais.exact import (
     unpack_signed,
     unpack_window,
 )
-from oracles import poly_add, poly_eval, poly_mul, poly_trim
+from oracles import parse_poly_text, poly_add, poly_eval, poly_mul, poly_trim
 
 HALF = Fraction(1, 2)
 
@@ -137,6 +138,78 @@ def test_rational_reads_only_integers_and_p_over_q(text):
 def test_format_rational_refuses_floats():
     with pytest.raises(TypeError):
         format_rational(0.1)
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@example(0, 1)
+@example(0, 7)
+@example(-6, 4)
+@example(12, 4)
+@example(-12, 4)
+@settings(max_examples=300, deadline=None)
+def test_format_quotient_writes_the_fraction(a, b):
+    assert format_quotient(a, b) == str(Fraction(a, b)) == format_rational(Fraction(a, b))
+
+
+POLY_TEXTS = [
+    (Poly(), "0"),
+    (Poly([1]), "1"),
+    (Poly([-1]), "-1"),
+    (X, "x"),
+    (-X, "-x"),
+    (X**3, "x^3"),
+    (-(X**3), "-x^3"),
+    (Poly([1, 1, 1]), "x^2 + x + 1"),
+    (Poly([-1, -1, -1]), "-x^2 - x - 1"),
+    (Poly([1, -1, 0, 1]), "x^3 - x + 1"),
+    (Poly([-1, 1, 0, -1]), "-x^3 + x - 1"),
+    (Poly([5, 0, 2]), "2*x^2 + 5"),
+    (Poly([0, -2]), "-2*x"),
+    (X - 24, "x - 24"),
+    (Poly([Fraction(-2, 3)]), "-2/3"),
+    (Poly([Fraction(-1, 2), Fraction(3, 2), 0, Fraction(-7, 3)]), "-7/3*x^3 + 3/2*x - 1/2"),
+    (Poly([Fraction(1, 6), Fraction(-1, 6), Fraction(5, 6)]), "5/6*x^2 - 1/6*x + 1/6"),
+    (Poly([0] * 11 + [Fraction(-10**30, 3)]), f"-{10**30}/3*x^11"),
+]
+
+
+@pytest.mark.parametrize("poly, text", POLY_TEXTS, ids=[text for _, text in POLY_TEXTS])
+def test_poly_text_branches(poly, text):
+    # the sign of the leading term, a unit coefficient at m = 0, 1 and >= 2
+    # with either sign, fractional magnitudes and zero
+    assert str(poly) == text
+    assert parse_poly_text(text) == list(poly.coefficients)
+
+
+text_rationals = st.one_of(st.sampled_from([0, 1, -1]),
+                           st.fractions(max_denominator=10**12).filter(lambda c: abs(c) < 10**15))
+
+
+@given(st.lists(text_rationals, max_size=9))
+@settings(max_examples=300, deadline=None)
+def test_poly_text_parses_back_to_its_coefficients(coefficients):
+    p = Poly(coefficients)
+    assert parse_poly_text(str(p)) == list(p.coefficients)
+
+
+@pytest.mark.parametrize("scalar", [0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 7), Fraction(10**20, 3)],
+                         ids=str)
+def test_a_poly_equals_a_scalar_as_the_constant_polynomial(scalar):
+    constant = Poly([scalar])
+    assert constant == scalar and scalar == constant and hash(constant) == hash(scalar)
+    num, den = Fraction(scalar).numerator, Fraction(scalar).denominator
+    assert constant == Poly.from_numerators([num], den)
+    # another scalar, its numerator over another denominator, and a
+    # nonconstant polynomial are all unequal to it
+    others = [Poly([scalar + 1]), X + scalar, 2 * X + scalar]
+    if num:
+        others.append(Poly.from_numerators([num], abs(num) * den + 1))
+    for other in others:
+        assert other != scalar and scalar != other
+    assert (Poly() == scalar) == (scalar == 0)
+    for refused in (True, False, float(scalar)):
+        with pytest.raises(TypeError):
+            constant == refused
 
 
 def test_no_float_or_bool_enters_a_poly_or_series():

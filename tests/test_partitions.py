@@ -24,19 +24,11 @@ from darcais.partitions import (
 from oracles import (
     composition_count,
     conjugate_by_counting,
+    count_partitions_dp,
     orbit_of,
     orbit_size,
     partitions_recursive,
 )
-
-
-def count_partitions_dp(n: int) -> int:
-    """Independent oracle: classic coin-style DP over part sizes."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
 
 
 def test_partitions_of_zero_and_small():
