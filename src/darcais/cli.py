@@ -71,7 +71,7 @@ def _series_poly(g: ArithmeticFunction, h: ArithmeticFunction, n: int, m: int) -
 _SIGMA_ID = ("sigma:1", "id")
 _METHODS = {
     "recursion": (lambda g, h, n, m: polynomial(g, h, n), None, 0, True),
-    "lemma": (lambda g, h, n, m: Fraction(coefficient_table(g, h, n).entry(n, m)), None, 0, False),
+    "lemma": (lambda g, h, n, m: coefficient_table(g, h, n).entry(n, m), None, 0, False),
     "main-theorem": (lambda g, h, n, m: coefficient_from_weights(g, h, n, m), None, 1, False),
     "thm1": (lambda g, h, n, m: coefficient_h_one(g, n, m), ("one",), 1, False),
     "thm2": (lambda g, h, n, m: coefficient_h_id(g, n, m), ("id",), 1, False),

@@ -160,8 +160,10 @@ class Poly:
     Immutable.  The coefficients are int numerators over one positive int
     denominator, kept canonical: the gcd of the denominator and all
     numerators is 1, trailing zeros are stripped, and the zero polynomial
-    is ``((), 1)`` with degree -1.  Arithmetic therefore runs on ints and
-    reduces once per result, and equality is a tuple comparison.
+    is ``((), 1)`` with degree -1.  Every Poly is made so by `_reduced`, the
+    coefficients of ``Poly(coefficients)`` scaled to ints by `scaled_ints`.
+    Arithmetic therefore runs on ints and reduces once per result, and
+    equality is a tuple comparison.
     ``p[m]`` and ``coefficients`` give the coefficients as Fractions.
     Scalars (int, Fraction) mix freely in arithmetic and comparisons; a
     bool operand, or a float, is refused in arithmetic, in powers and in
@@ -170,16 +172,11 @@ class Poly:
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coefficients: Iterable = ()):
-        coeffs = [c if isinstance(c, Fraction) else rational(c) for c in coefficients]
+    def __new__(cls, coefficients: Iterable = ()):
+        nums, den = scaled_ints(map(rational, coefficients))
         # over the lcm of reduced denominators the numerators are already
         # coprime to it, so only trailing zeros need removing
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        while nums and not nums[-1]:
-            nums.pop()
-        self._nums = tuple(nums)
-        self._den = den
+        return cls._reduced(nums[1:], den, 1)
 
     @classmethod
     def from_numerators(cls, numerators: Iterable[int], denominator: int) -> "Poly":
@@ -200,7 +197,7 @@ class Poly:
         while nums and not nums[-1]:
             nums.pop()
         if not nums:
-            return cls()
+            return cls._canonical((), 1)
         if modulus != 1:
             g = gcd(modulus, *reversed(nums))
             if g != 1:

@@ -6,13 +6,13 @@ meaningful evidence:
 
 * h = id:   sum_n P_n(x) q^n = exp(x * sum_k g(k) q^k / k),
 * h = one:  sum_n P_n(x) q^n = 1 / (1 - x * sum_k g(k) q^k),
-* Euler products prod_n (1 - q^n)^r: for an int r >= 0, Jacobi's cube
-  series to the power r // 3 by squarings of Kronecker-packed ints, times
-  Euler's pentagonal series to the power r % 3; for every other r, one
-  kernel of Miller's power recurrence on Euler's pentagonal series, which
-  takes r as a polynomial (a scalar r as a constant one) and runs on ints
-  over one common scale d^N N! for every row, one power of the variable at
-  a time, each entry signed adds of earlier ones and one exact division,
+* Euler products prod_n (1 - q^n)^r: for every r, Miller's power
+  recurrence on Euler's pentagonal series E, one kernel that takes r as a
+  polynomial (a scalar r as a constant one) and runs on ints over one
+  common scale d^N N! for every row, one power of the variable at a time,
+  each entry signed adds of earlier ones and one exact division; and for
+  an int r >= 0, apart from it, Jacobi's cube series to the power r // 3
+  by squarings of Kronecker-packed ints, times E to the power r % 3,
 * reciprocals of the weight-4/6 Eisenstein series,
 * hook-length sums over partitions.
 """
@@ -66,23 +66,23 @@ def _pentagonal(order: int) -> list[tuple[int, int]]:
 
 
 def euler_product_power(exponent, order: int) -> Series:
-    """prod_{n>=1} (1 - q^n)^r truncated at q^order.
+    """prod_{n>=1} (1 - q^n)^r truncated at q^order, by Miller's recurrence.
 
     `exponent` may be any integer or Fraction, or a Poly (typically X), in
     which case the q^n coefficient is an exact polynomial of degree n in
     the exponent variable.  With E = prod (1 - q^k) = sum e_i q^i, sparse by
-    `_pentagonal`, a nonnegative integral r takes the product route
-    (`euler_product_ints`): E^r from Jacobi's cube by packed squarings.  Every
-    other r runs Miller's recurrence: G = E^r satisfies E G' = r E' G, that is
+    `_pentagonal`, G = E^r satisfies E G' = r E' G, that is
 
         n G_n = sum_{i>=1} e_i ((r + 1) i - n) G_{n-i}
 
-    (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7), in its
-    one kernel `euler_product_columns`: for r = u / d (u an int polynomial,
-    d > 0) it yields the int rows c_n = d^N N! G_n, N = order, one power of
-    the exponent variable at a time, and every row is read back over the
-    one scale d^N N!.  A scalar r goes in as the constant polynomial (r,),
-    whose one column is read as Fractions.
+    (J. C. P. Miller's power recurrence; Knuth, TAOCP vol. 2, 4.7), run in
+    its one kernel `euler_product_columns`: for r = u / d (u an int
+    polynomial, d > 0) it yields the int rows c_n = d^N N! G_n, N = order,
+    one power of the exponent variable at a time, and every row is read
+    back over the one scale d^N N!.  A scalar r goes in as the constant
+    polynomial (r,), whose one column is read as Fractions, and the zero
+    Poly as the scalar 0.  The product route for an int r >= 0 is
+    `euler_product_ints`, which its callers name.
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -90,25 +90,24 @@ def euler_product_power(exponent, order: int) -> Series:
         raise TypeError("exponent must be an integer, Fraction, or Poly")
     if isinstance(exponent, Poly) and not exponent:
         exponent = 0  # the zero polynomial: the series 1, with rational coefficients
-    if not isinstance(exponent, Poly) and exponent.denominator == 1 and exponent >= 0:
-        return Series(euler_product_ints(exponent.numerator, order))
     r = exponent if isinstance(exponent, Poly) else Poly((exponent,))
+    scale = r.denominator**order * factorial(order)
+    if r is not exponent:  # a scalar r: the one column of (r,), and no rows
+        return Series([Fraction(c, scale) for c in next(euler_product_columns(r, order))])
     rows = [[] for _ in range(order + 1)]
     for column in euler_product_columns(r, order):
         for row, c in zip(rows[order + 1 - len(column):], column):
             row.append(c)
-    scale, coefficients = r.denominator**order * factorial(order), []
-    for _ in range(order):  # each row reduced as it is popped off
-        row = rows.pop()
-        coefficients.append(Poly.from_numerators(row, scale) if r is exponent
-                            else Fraction(row[0], scale))  # a scalar r: one column
+    # each row reduced as it is popped off, the last first
+    coefficients = [Poly.from_numerators(rows.pop(), scale) for _ in range(order)]
     return Series([1] + coefficients[::-1])
 
 
 def euler_product_ints(r: int, order: int) -> list[int]:
     """The int coefficients of q^0, ..., q^order in prod (1 - q^k)^r for an
-    int r >= 0, the branch of `euler_product_power` that it wraps in a
-    Series: with r = 3 t + s, s < 3, prod (1 - q^k)^r = J^t E^s, where
+    int r >= 0, the product route beside Miller's recurrence in
+    `euler_product_power`, which the Lehmer scan reads: with r = 3 t + s,
+    s < 3, prod (1 - q^k)^r = J^t E^s, where
     E = sum_i e_i q^i by `_pentagonal` and J = prod (1 - q^k)^3 =
     sum_{k>=0} (-1)^k (2k + 1) q^(k (k + 1) / 2) by Jacobi's identity.  J^t
     is taken by left-to-right binary powering, so r = 24 costs three

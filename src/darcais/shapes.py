@@ -80,17 +80,12 @@ def is_log_concave(seq: Sequence) -> int | None:
 
 
 def is_ultra_log_concave(seq: Sequence) -> int | None:
-    """Log-concavity of the associated sequence a_k / C(n, k), n = len(seq) - 1,
-    cross-multiplied: a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2.
-    None, or the first j where it fails."""
+    """Log-concavity of a_k / C(n, k), n = len(seq) - 1, read as that of
+    a_k k! (n - k)!, its terms times n! > 0, so the first failing j is the
+    same: None, or that j."""
     values = _as_nonnegative(seq)
     n = len(values) - 1
-    binomials = [comb(n, k) for k in range(n + 1)]
-    for j in range(1, n):
-        if (values[j] * values[j] * binomials[j - 1] * binomials[j + 1]
-                < values[j - 1] * values[j + 1] * binomials[j] * binomials[j]):
-            return j
-    return None
+    return is_log_concave([a * factorial(k) * factorial(n - k) for k, a in enumerate(values)])
 
 
 def transfer_check(g: ArithmeticFunction, max_n: int) -> tuple[int, tuple[int, str] | None]:

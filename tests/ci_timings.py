@@ -36,12 +36,14 @@ ENTRIES = [
     (CLI, "main(['verify', '--suite', 'no-formula', '--max-n', '29'])"),
     # the text of one Poly with 351 large coefficients, which no other row prints
     (CLI, "main(['poly', '--g', 'sigma:1', '--h', 'id', '--n', '350'])"),
-    # the int row loop; Miller's column kernel on a scalar exponent, which no
-    # CLI path runs, and on a degree-2 one, its only path that carries S1
-    # from two columns back; the reads of g and h a Lehmer scan to 10**6
-    # would make
+    # the int row loop; Miller's column kernel on scalar exponents at an
+    # order no CLI path runs, a positive int one among them, which the
+    # product route of the Lehmer scan takes instead, and on a degree-2 one,
+    # its only path that carries S1 from two columns back; the reads of g
+    # and h a Lehmer scan to 10**6 would make
     (TABLES, "value_sequence(g, h, Fraction(7, 3), 300)"),
     ("from darcais.series import euler_product_power", "euler_product_power(-1, 2000)"),
+    ("from darcais.series import euler_product_power", "euler_product_power(24, 2000)"),
     ("from fractions import Fraction; from darcais.series import euler_product_power",
      "euler_product_power(Fraction(1, 2), 2000)"),
     ("from darcais.exact import X; from darcais.series import euler_product_power",

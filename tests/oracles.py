@@ -475,6 +475,19 @@ def columns_of(rows):
     return [[row[j] for row in rows[j:]] for j in range(len(rows))]
 
 
+def ultra_log_concave_by_binomials(seq):
+    """Log-concavity of a_k / C(n, k), n = len(seq) - 1, cross-multiplied:
+    a_j^2 C(n, j-1) C(n, j+1) >= a_{j-1} a_{j+1} C(n, j)^2.  None, or the
+    first j where it fails."""
+    n = len(seq) - 1
+    binomials = [comb(n, k) for k in range(n + 1)]
+    for j in range(1, n):
+        if (seq[j] * seq[j] * binomials[j - 1] * binomials[j + 1]
+                < seq[j - 1] * seq[j + 1] * binomials[j] * binomials[j]):
+            return j
+    return None
+
+
 def implication_chain_holds(seq):
     """ultra-log-concave => log-concave => unimodal on this sequence."""
     ultra = is_ultra_log_concave(seq)

@@ -1,5 +1,7 @@
 """Exact polynomial and truncated-series arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -243,6 +245,26 @@ def test_no_float_or_bool_enters_a_poly_or_series():
     assert series.coefficients[:4] == (1, -7, 10**40, Fraction(3, 4))
     with pytest.raises(TypeError):
         Series([True])
+
+
+@pytest.mark.parametrize("poly", [Poly(), Poly([0, 0]), X, HALF - X / 3, Poly(["3/4", 0, 6, 0])],
+                         ids=repr)
+def test_poly_copies_and_pickles_to_an_equal_canonical_poly(poly):
+    # every Poly is built in __new__, and a copy or an unpickled one is
+    # made by __new__ with no coefficients before its parts are set
+    for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert type(clone) is Poly and clone == poly
+        assert (clone.numerators, clone.denominator) == (poly.numerators, poly.denominator)
+        assert_canonical(clone)
+
+
+def test_poly_takes_its_coefficients_by_keyword_and_refuses_non_rationals():
+    assert Poly(coefficients=(1, "1/2", Fraction(4, 6))) == Poly([1, HALF, Fraction(2, 3)])
+    assert Poly(coefficients=[0, 0]) == Poly() == 0
+    assert_canonical(Poly(coefficients=[0, 0]))
+    for stray in (True, False, 1.0, X, Poly([2])):
+        with pytest.raises(TypeError):
+            Poly([1, stray])
 
 
 def test_poly_add():

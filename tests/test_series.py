@@ -127,22 +127,34 @@ def test_tau_identities_hold_on_the_recursion_values():
 
 def test_tau_identities_hold_on_the_product_route():
     # tau(n) = [q^(n-1)] prod (1 - q^k)^24, by three squarings of Jacobi's cube
-    assert_tau_identities(euler_product_power(24, 1999).coefficients)
+    assert_tau_identities(euler_product_ints(24, 1999))
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6, 8, 24, 25, 26])
 def test_nonnegative_integer_powers_match_the_binomial_product(r):
-    # the product route, J^t E^s by packed squarings, against the factors
-    # (1 - q^n)^r multiplied out by binomial coefficients, well past the
-    # order 40 of the factor-by-factor test
+    # both routes against the factors (1 - q^n)^r multiplied out by binomial
+    # coefficients, well past the order 40 of the factor-by-factor test:
+    # the product route, J^t E^s by packed squarings, in ints, as the Lehmer
+    # scan reads it, and Miller's recurrence on the constant (r,), as Fractions
     order = 300
-    coefficients = euler_product_power(r, order).coefficients
-    assert coefficients == tuple(euler_power_by_binomials(r, order))
-    assert all(type(c) is Fraction for c in coefficients)
-    # the int list that euler_product_power wraps, and the Lehmer scan reads
+    expected = euler_power_by_binomials(r, order)
     ints = euler_product_ints(r, order)
-    assert ints == euler_power_by_binomials(r, order) and all(type(c) is int for c in ints)
+    assert ints == expected and all(type(c) is int for c in ints)
+    coefficients = euler_product_power(r, order).coefficients
+    assert coefficients == tuple(expected)
+    assert all(type(c) is Fraction for c in coefficients)
     assert euler_product_power(Fraction(r), order) == euler_product_power(r, order)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, 24, Fraction(7)], ids=repr)
+def test_euler_product_power_never_takes_the_product_route(monkeypatch, r):
+    # the power runs Miller's recurrence for every exponent, so a test of it
+    # checks that route and no other
+    def refuse(*args):
+        raise AssertionError("euler_product_power took the product route")
+
+    monkeypatch.setattr(darcais.series, "euler_product_ints", refuse)
+    assert euler_product_power(r, 40).coefficients == tuple(euler_power_by_binomials(int(r), 40))
 
 
 def test_euler_product_integer_exponents_match_recursion_values():

@@ -25,7 +25,13 @@ from darcais.shapes import (
     transfer_check,
 )
 
-from oracles import columns_of, hook_rows, implication_chain_holds, ramanujan_691_failures
+from oracles import (
+    columns_of,
+    hook_rows,
+    implication_chain_holds,
+    ramanujan_691_failures,
+    ultra_log_concave_by_binomials,
+)
 
 
 def test_reference_quadratics():
@@ -92,6 +98,17 @@ def test_predicates_agree_on_ints_and_their_rational_multiples(ints, scale):
     scaled = [Fraction(v) / scale for v in ints]
     for predicate in (is_unimodal, is_log_concave, is_ultra_log_concave):
         assert predicate(ints) == predicate(scaled)
+
+
+@given(st.lists(st.one_of(st.integers(min_value=0, max_value=40),
+                          st.fractions(min_value=0, max_value=40, max_denominator=12),
+                          st.just(0)),
+                max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_ultra_log_concavity_matches_the_binomial_cross_multiplication(seq):
+    # log-concavity of a_k k! (n - k)! against that of a_k / C(n, k) with
+    # the binomials cross-multiplied: the same first failing index
+    assert is_ultra_log_concave(seq) == ultra_log_concave_by_binomials(seq)
 
 
 def test_top_margin_examples():
