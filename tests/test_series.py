@@ -130,12 +130,14 @@ def test_tau_identities_hold_on_the_product_route():
     assert_tau_identities(euler_product_ints(24, 1999))
 
 
-@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6, 8, 24, 25, 26])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 15, 21, 24, 25, 26, 27, 30])
 def test_nonnegative_integer_powers_match_the_binomial_product(r):
     # both routes against the factors (1 - q^n)^r multiplied out by binomial
     # coefficients, well past the order 40 of the factor-by-factor test:
     # the product route, J^t E^s by packed squarings, in ints, as the Lehmer
-    # scan reads it, and Miller's recurrence on the constant (r,), as Fractions
+    # scan reads it, and Miller's recurrence on the constant (r,), as Fractions;
+    # t = r // 3 is 3, 5, 7, 9 or 10 for r = 9, ..., 30, so the binary
+    # powering also takes its multiply by J after a 1 bit
     order = 300
     expected = euler_power_by_binomials(r, order)
     ints = euler_product_ints(r, order)
@@ -144,6 +146,17 @@ def test_nonnegative_integer_powers_match_the_binomial_product(r):
     assert coefficients == tuple(expected)
     assert all(type(c) is Fraction for c in coefficients)
     assert euler_product_power(Fraction(r), order) == euler_product_power(r, order)
+
+
+def test_product_route_matches_the_factor_by_factor_product():
+    # J^t E^s against the product multiplied out factor by factor, for every
+    # r = 3 t + s <= 30 and every truncation to order 40
+    for r in range(31):
+        slow_top = euler_product_by_factors(r, 40).coefficients
+        for order in range(41):
+            ints = euler_product_ints(r, order)
+            assert ints == list(slow_top[:order + 1]), (r, order)
+            assert all(type(c) is int for c in ints), (r, order)
 
 
 @pytest.mark.parametrize("r", [0, 1, 3, 24, Fraction(7)], ids=repr)
